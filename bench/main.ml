@@ -146,15 +146,34 @@ type fsim_result = {
 }
 
 (* Per-domain utilization of a pooled benchmark run, from the task-claim
-   spans the pool records into [tel]: the busiest domain's busy seconds
-   over the mean (1.0 = perfect balance), plus each domain's share of the
-   parallel window. *)
-let drain_loads tel =
-  match tel with
+   spans the pool records into its telemetry: the busiest domain's busy
+   seconds over the mean (1.0 = perfect balance), plus each domain's share
+   of the parallel window. *)
+let loads_of = function
   | None -> ([], 1.0)
-  | Some tel ->
-      let loads = Asc_util.Telemetry.(pool_loads (drain tel)) in
+  | Some snap ->
+      let loads = Asc_util.Telemetry.pool_loads snap in
       (loads, Asc_util.Telemetry.imbalance loads)
+
+(* Best of three repetitions, to shed warm-up and scheduler noise.  With
+   [tel], it is drained after every repetition and the snapshot of the
+   best one is returned, so its pool loads and counters describe the same
+   single run as the reported seconds (busy time never exceeds wall time
+   times domains). *)
+let time_best ?tel f =
+  let best = ref infinity and result = ref None and snap = ref None in
+  for _ = 1 to 3 do
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    let dt = Unix.gettimeofday () -. t0 in
+    let s = Option.map Asc_util.Telemetry.drain tel in
+    if dt < !best then begin
+      best := dt;
+      result := Some r;
+      snap := s
+    end
+  done;
+  (Option.get !result, !best, !snap)
 
 let print_loads loads imbalance =
   if loads <> [] then
@@ -198,27 +217,18 @@ let fsim_bench ~seed ~domains names =
         acc + Asc_util.Bitvec.count (Asc_fault.Seq_fsim.detect ?pool c ~si ~seq ~faults))
       0 tests
   in
-  (* Best of a few repetitions, to shed warm-up and scheduler noise. *)
-  let time_best f =
-    let best = ref infinity and result = ref 0 in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      result := f ();
-      best := min !best (Unix.gettimeofday () -. t0)
-    done;
-    (!result, !best)
-  in
-  let detected_1, seconds_1 = time_best (fun () -> detect ()) in
-  let (detected_n, seconds_n), (loads, imbalance) =
+  let detected_1, seconds_1, _ = time_best (fun () -> detect ()) in
+  let detected_n, seconds_n, snap =
     if domains > 1 then begin
       let tel = Asc_util.Telemetry.create () in
       let pool = Asc_util.Domain_pool.create ~tel ~domains () in
-      let r = time_best (fun () -> detect ~pool ()) in
+      let r = time_best ~tel (fun () -> detect ~pool ()) in
       Asc_util.Domain_pool.shutdown pool;
-      (r, drain_loads (Some tel))
+      r
     end
-    else (time_best (fun () -> detect ()), ([], 1.0))
+    else time_best (fun () -> detect ())
   in
+  let loads, imbalance = loads_of snap in
   let r =
     {
       fs_circuit = name;
@@ -303,38 +313,31 @@ let kernel_bench ~seed ~domains =
      then run warm, which is the shape of real compaction loops (the
      same tests are re-simulated many times).  [time_best] therefore
      reports the steady-state per-call cost. *)
-  let time_best f =
+  let time_best_cold ?tel f =
     Asc_fault.Seq_fsim.clear_trace_cache ();
-    let best = ref infinity and result = ref 0 in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      result := f ();
-      best := min !best (Unix.gettimeofday () -. t0)
-    done;
-    (!result, !best)
+    time_best ?tel f
   in
   let saved = SK.current () in
   SK.set SK.Reference;
-  let detected_ref, seconds_ref = time_best (fun () -> detect ()) in
+  let detected_ref, seconds_ref, _ = time_best_cold (fun () -> detect ()) in
   SK.set SK.Levelized;
-  let detected_lv1, seconds_lv1 = time_best (fun () -> detect ()) in
+  let detected_lv1, seconds_lv1, _ = time_best_cold (fun () -> detect ()) in
   let tel = Asc_util.Telemetry.create () in
-  let detected_lvn, seconds_lvn =
+  let detected_lvn, seconds_lvn, snap =
     if domains > 1 then begin
       let pool = Asc_util.Domain_pool.create ~tel ~domains () in
-      let r = time_best (fun () -> detect ~pool ~tel ()) in
+      let r = time_best_cold ~tel (fun () -> detect ~pool ~tel ()) in
       Asc_util.Domain_pool.shutdown pool;
       r
     end
-    else time_best (fun () -> detect ~tel ())
+    else time_best_cold ~tel (fun () -> detect ~tel ())
   in
-  (* One drain: the snapshot holds both the pool loads and the engine
-     counters of all three repetitions of the [tel]-carrying run. *)
-  let snap = Asc_util.Telemetry.drain tel in
-  let loads = Asc_util.Telemetry.pool_loads snap in
-  let imbalance = Asc_util.Telemetry.imbalance loads in
   SK.set saved;
-  let counter = Asc_util.Telemetry.counter_value snap in
+  (* The best repetition's snapshot: its pool loads and engine counters. *)
+  let loads, imbalance = loads_of snap in
+  let counter name =
+    match snap with Some s -> Asc_util.Telemetry.counter_value s name | None -> 0
+  in
   let r =
     {
       k_circuit = name;
@@ -369,7 +372,7 @@ let kernel_bench ~seed ~domains =
      then "identical"
      else "MISMATCH");
   Printf.printf
-    "  over 3 reps: good cycles %d, faulty cycles %d, cone gates %d, trace \
+    "  best rep: good cycles %d, faulty cycles %d, cone gates %d, trace \
      cache %d hits / %d misses\n%!"
     r.k_good_cycles r.k_faulty_cycles r.k_cone_gates r.k_cache_hits
     r.k_cache_misses;
@@ -415,26 +418,18 @@ let atpg_bench ~seed ~domains names =
     let r = Asc_atpg.Comb_tgen.generate ?pool c ~faults ~rng in
     (Asc_util.Bitvec.count r.detected, Array.length r.tests)
   in
-  let time_best f =
-    let best = ref infinity and result = ref (0, 0) in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      result := f ();
-      best := min !best (Unix.gettimeofday () -. t0)
-    done;
-    (!result, !best)
-  in
-  let (detected_1, tests_1), seconds_1 = time_best (fun () -> generate ()) in
-  let ((detected_n, tests_n), seconds_n), (loads, imbalance) =
+  let (detected_1, tests_1), seconds_1, _ = time_best (fun () -> generate ()) in
+  let (detected_n, tests_n), seconds_n, snap =
     if domains > 1 then begin
       let tel = Asc_util.Telemetry.create () in
       let pool = Asc_util.Domain_pool.create ~tel ~domains () in
-      let r = time_best (fun () -> generate ~pool ()) in
+      let r = time_best ~tel (fun () -> generate ~pool ()) in
       Asc_util.Domain_pool.shutdown pool;
-      (r, drain_loads (Some tel))
+      r
     end
-    else (time_best (fun () -> generate ()), ([], 1.0))
+    else time_best (fun () -> generate ())
   in
+  let loads, imbalance = loads_of snap in
   let r =
     {
       at_circuit = name;
@@ -486,6 +481,8 @@ let json_summary o ~domains ~timings ~fsim ~atpg ~kernel =
         ("mode", J.Str (if o.quick then "quick" else "full"));
         ("seed", J.Int o.seed);
         ("domains", J.Int domains);
+        ("recommended_domains", J.Int (Domain.recommended_domain_count ()));
+        ("ocaml_version", J.Str Sys.ocaml_version);
         ( "circuits",
           J.List
             (List.map

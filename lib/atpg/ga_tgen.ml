@@ -20,7 +20,7 @@
 open Asc_util
 module Circuit = Asc_netlist.Circuit
 module Seq_fsim = Asc_fault.Seq_fsim
-module Engine3 = Asc_sim.Engine3
+module Kernel3 = Asc_sim.Kernel3
 
 type config = {
   budget : int;
@@ -45,37 +45,41 @@ let default_config =
 
 type result = { seq : bool array array; detected : Bitvec.t }
 
-(* A compact signature of the good machine's (3-valued) state. *)
-let state_signature (z, o) =
-  Array.fold_left
-    (fun acc w -> (acc * 1000003) lxor w)
-    (Array.fold_left (fun acc w -> (acc * 999983) lxor w) 17 z)
-    o
+(* A compact signature of the good machine's 3-valued state, hashed over
+   its splat (z, o) words. *)
+let state_signature state =
+  let word code i = if Bytes.get state i = code then Word.mask else 0 in
+  let h = ref 17 in
+  for i = 0 to Bytes.length state - 1 do
+    h := (!h * 999983) lxor word Kernel3.zero i
+  done;
+  for i = 0 to Bytes.length state - 1 do
+    h := (!h * 1000003) lxor word Kernel3.one i
+  done;
+  !h
 
-(* Count the states a segment visits that are not in [visited]; the good
-   engine's state is saved and restored. *)
-let count_novel_states good visited segment =
-  let saved = Engine3.state_words good in
+(* Count the states a segment visits that are not in [visited], stepping
+   a copy of the good state [state]. *)
+let count_novel_states good state visited segment =
+  let state = Bytes.copy state in
   let novel = ref 0 in
   Array.iter
-    (fun vec ->
-      Engine3.step_binary good ~pi_words:(Array.map Word.splat vec);
-      let s = state_signature (Engine3.state_words good) in
+    (fun pis ->
+      Kernel3.good_step good ~pis ~state;
+      let s = state_signature state in
       if not (Hashtbl.mem visited s) then begin
         Hashtbl.replace visited s ();
         incr novel
       end)
     segment;
-  let z, o = saved in
-  Engine3.set_state_words good ~z ~o;
   !novel
 
 (* Record the states of a committed segment permanently. *)
-let commit_states good visited segment =
+let commit_states good state visited segment =
   Array.iter
-    (fun vec ->
-      Engine3.step_binary good ~pi_words:(Array.map Word.splat vec);
-      Hashtbl.replace visited (state_signature (Engine3.state_words good)) ())
+    (fun pis ->
+      Kernel3.good_step good ~pis ~state;
+      Hashtbl.replace visited (state_signature state) ())
     segment
 
 (* [budget] (wall-clock, distinct from [config.budget]'s length cap): a
@@ -90,8 +94,8 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
   let n_pis = Circuit.n_inputs c in
   let inc = Seq_fsim.inc3_create c faults in
   (* A fault-free mirror for state-novelty accounting. *)
-  let good = Engine3.create c [] in
-  Engine3.set_state_x good;
+  let good = Kernel3.create c in
+  let good_state = Kernel3.x_state c in
   let visited = Hashtbl.create 1024 in
   let segments = ref [] in
   let seg_len = ref config.seg_len in
@@ -122,7 +126,7 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
   let fitness ind =
     Telemetry.incr tel Telemetry.Tgen_candidates;
     let detections = Seq_fsim.inc3_peek ?pool ~budget ?tel inc ind in
-    let novelty = count_novel_states good (Hashtbl.copy visited) ind in
+    let novelty = count_novel_states good good_state (Hashtbl.copy visited) ind in
     (detections, novelty)
   in
   (try
@@ -157,7 +161,7 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
       | Some ((detections, novelty), ind) when detections > 0 || novelty > 0 ->
           let (_ : int) = Seq_fsim.inc3_commit ?pool ~budget ?tel inc ind in
           Telemetry.incr tel Telemetry.Tgen_commits;
-          commit_states good visited ind;
+          commit_states good good_state visited ind;
           segments := ind :: !segments;
           if detections > 0 then fruitless := 0
           else begin

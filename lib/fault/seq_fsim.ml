@@ -33,8 +33,8 @@
 open Asc_util
 module Circuit = Asc_netlist.Circuit
 module Engine2 = Asc_sim.Engine2
-module Engine3 = Asc_sim.Engine3
 module Kernel = Asc_sim.Kernel
+module Kernel3 = Asc_sim.Kernel3
 module Sim_kernel = Asc_sim.Sim_kernel
 
 type seq = bool array array (* L vectors, each of n_pis bools *)
@@ -287,9 +287,9 @@ let detect_group engine ~si ~sw ~good ~len ~cycles (group : group) =
 
 (* Chunked parallel sweep over [groups]: each chunk simulates a contiguous
    group range on its own engine (built by [make_engine] — an Engine2 on
-   the reference path, a Kernel on the levelized one) and fills its own
-   result slot; [merge] is then applied chunk by chunk on the submitting
-   domain, in index order. *)
+   the reference path, a Kernel or Kernel3 on the levelized ones) and
+   fills its own result slot; [merge] is then applied chunk by chunk on
+   the submitting domain, in index order. *)
 let sweep_groups ?pool ~make_engine groups ~chunk ~merge ~empty =
   let n = Array.length groups in
   let ranges = Domain_pool.split ~n ~pieces:(Domain_pool.chunk_count pool n) in
@@ -376,7 +376,13 @@ let detect ?pool ?(budget = Budget.unlimited) ?tel ?only c ~si ~seq ~faults =
    differs at a PO ([max_int] if never); [state_diff_at.(k)] has bit [t]
    set when the faulty state differs from the fault-free state after the
    vector of time unit [t] — i.e. scanning out at time [t] would detect
-   the fault. *)
+   the fault.
+
+   Bits are recorded only for [t <= po_time.(k)]: a PO-detected fault is
+   detected by every truncation at or after its PO time anyway, so the
+   levelized path prunes its lane right after the first PO detection (and
+   ends the group once every lane is PO-detected), and the reference path
+   masks the same bits. *)
 type profile = {
   subset : int array;
   po_time : int array;
@@ -413,8 +419,8 @@ let profile ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset =
         let span = min total ((gstart + gcount) * Word.width) - base0 in
         let po = Array.make span max_int in
         let sdiff = Array.init span (fun _ -> Bitvec.create len) in
+        let cycles = ref 0 in
         Telemetry.add tel Telemetry.Faults_simulated span;
-        Telemetry.add tel Telemetry.Faulty_cycles (gcount * len);
         Telemetry.add tel Telemetry.Budget_polls gcount;
         for gi = gstart to gstart + gcount - 1 do
           Budget.check budget;
@@ -423,16 +429,23 @@ let profile ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset =
           Engine2.set_overrides engine group.overrides;
           Engine2.set_state_bools engine si;
           let po_seen = ref 0 in
-          for t = 0 to len - 1 do
-            Engine2.eval engine ~pi_words:sw.(t);
-            let fresh = po_diff engine good t land group.lanes land lnot !po_seen in
-            Word.iter_set (fun lane -> po.(base + lane) <- t) fresh;
-            po_seen := !po_seen lor fresh;
+          let t = ref 0 in
+          while !po_seen <> group.lanes && !t < len do
+            Engine2.eval engine ~pi_words:sw.(!t);
+            let before = !po_seen in
+            let fresh = po_diff engine good !t land group.lanes land lnot before in
+            Word.iter_set (fun lane -> po.(base + lane) <- !t) fresh;
+            po_seen := before lor fresh;
             Engine2.capture engine;
-            let sd = state_diff engine good (t + 1) land group.lanes in
-            Word.iter_set (fun lane -> Bitvec.set sdiff.(base + lane) t) sd
-          done
+            (* Only lanes not PO-detected before [t]: the levelized
+               path's pruning, reproduced. *)
+            let sd = state_diff engine good (!t + 1) land group.lanes land lnot before in
+            Word.iter_set (fun lane -> Bitvec.set sdiff.(base + lane) !t) sd;
+            incr t
+          done;
+          cycles := !cycles + !t
         done;
+        Telemetry.add tel Telemetry.Faulty_cycles !cycles;
         (po, sdiff)
       in
       sweep_groups ?pool
@@ -445,8 +458,8 @@ let profile ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset =
         let span = min total ((gstart + gcount) * Word.width) - base0 in
         let po = Array.make span max_int in
         let sdiff = Array.init span (fun _ -> Bitvec.create len) in
+        let cycles = ref 0 in
         Telemetry.add tel Telemetry.Faults_simulated span;
-        Telemetry.add tel Telemetry.Faulty_cycles (gcount * len);
         Telemetry.add tel Telemetry.Budget_polls gcount;
         for gi = gstart to gstart + gcount - 1 do
           Budget.check budget;
@@ -455,16 +468,22 @@ let profile ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset =
           Kernel.set_overrides k group.overrides;
           Kernel.reset k;
           let po_seen = ref 0 in
-          for t = 0 to len - 1 do
-            Kernel.cycle_bits k ~gb:gb.(t);
+          let t = ref 0 in
+          while !po_seen <> group.lanes && !t < len do
+            (* A lane PO-detected before [t] is pruned: its state
+               difference reads zero from here on. *)
+            Kernel.cycle_bits k ~prune:!po_seen ~gb:gb.(!t);
             let fresh = Kernel.po_diff k land group.lanes land lnot !po_seen in
-            Word.iter_set (fun lane -> po.(base + lane) <- t) fresh;
+            Word.iter_set (fun lane -> po.(base + lane) <- !t) fresh;
             po_seen := !po_seen lor fresh;
-            Kernel.finish_cycle_bits k ~gb:gb.(t);
+            Kernel.finish_cycle_bits k ~gb:gb.(!t);
             let sd = Kernel.state_diff_word k land group.lanes in
-            Word.iter_set (fun lane -> Bitvec.set sdiff.(base + lane) t) sd
-          done
+            Word.iter_set (fun lane -> Bitvec.set sdiff.(base + lane) !t) sd;
+            incr t
+          done;
+          cycles := !cycles + !t
         done;
+        Telemetry.add tel Telemetry.Faulty_cycles !cycles;
         Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
         (po, sdiff)
       in
@@ -722,8 +741,20 @@ let verify_required ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~
 
 (* --- 3-valued, unknown initial state ("without scan") ------------------ *)
 
+(* Detection word of one fault group over the good rows [gbs], from a
+   zero state difference.  3-valued detection only: a PO whose good value
+   is binary while the faulty value is the complement. *)
+let detect_group3 k ~gbs ~cycles (group : group) =
+  Kernel3.set_overrides k group.overrides;
+  Kernel3.reset k;
+  let det, n = Kernel3.detect_po k ~gbs ~want:group.lanes in
+  cycles := !cycles + n;
+  det
+
 (* A fault counts as detected only when the fault-free value at a PO is a
-   binary value and the faulty value is the complementary binary value. *)
+   binary value and the faulty value is the complementary binary value.
+   The fault-free run from the all-X state is computed once per call and
+   shared read-only by the chunks. *)
 let detect_no_scan ?pool ?(budget = Budget.unlimited) ?tel ?only c ~seq ~faults =
   let n = Array.length faults in
   let result = Bitvec.create n in
@@ -737,97 +768,69 @@ let detect_no_scan ?pool ?(budget = Budget.unlimited) ?tel ?only c ~seq ~faults 
           ("len", string_of_int (Array.length seq));
         ]
       (fun () ->
-        let len = Array.length seq in
-        let sw = seq_words c seq in
-        let n_po = Circuit.n_outputs c in
-        (* Fault-free 3-valued run from the all-X state. *)
-        let good = Engine3.create c [] in
-        Engine3.set_state_x good;
-        let good_po = Array.make len [||] in
-        for t = 0 to len - 1 do
-          Engine3.eval_binary good ~pi_words:sw.(t);
-          good_po.(t) <- Array.init n_po (Engine3.po_word good);
-          Engine3.capture good
-        done;
-        Telemetry.add tel Telemetry.Good_cycles len;
+        let gbs = Kernel3.good_trace (Kernel3.create c) ~state:(Kernel3.x_state c) ~seq in
+        Telemetry.add tel Telemetry.Good_cycles (Array.length seq);
         let groups = make_groups faults subset in
-        let detect_group3 engine ~cycles (group : group) =
-          Engine3.set_overrides engine group.overrides;
-          Engine3.set_state_x engine;
-          let det = ref 0 in
-          let t = ref 0 in
-          while !det <> group.lanes && !t < len do
-            Engine3.eval_binary engine ~pi_words:sw.(!t);
-            for i = 0 to n_po - 1 do
-              let gz, go = good_po.(!t).(i) in
-              let fz, fo = Engine3.po_word engine i in
-              det := !det lor ((gz land fo) lor (go land fz))
-            done;
-            Engine3.capture engine;
-            incr t
+        let chunk k (start, count) =
+          let hits = ref [] and nhits = ref 0 and lanes = ref 0 and cycles = ref 0 in
+          for gi = start to start + count - 1 do
+            Budget.check budget;
+            let group = groups.(gi) in
+            lanes := !lanes + Array.length group.members;
+            Word.iter_set
+              (fun lane ->
+                hits := group.members.(lane) :: !hits;
+                incr nhits)
+              (detect_group3 k ~gbs ~cycles group)
           done;
-          cycles := !cycles + !t;
-          !det land group.lanes
+          Telemetry.add tel Telemetry.Faults_simulated !lanes;
+          Telemetry.add tel Telemetry.Faulty_cycles !cycles;
+          Telemetry.add tel Telemetry.Fault_detections !nhits;
+          Telemetry.add tel Telemetry.Budget_polls count;
+          Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel3.take_evaluated k);
+          !hits
         in
-        let ng = Array.length groups in
-        let ranges = Domain_pool.split ~n:ng ~pieces:(Domain_pool.chunk_count pool ng) in
-        let parts = Array.make (Array.length ranges) [] in
-        Domain_pool.run_opt pool (Array.length ranges) (fun ci ->
-            let start, count = ranges.(ci) in
-            let engine = Engine3.create c [] in
-            let hits = ref [] and nhits = ref 0 and lanes = ref 0 and cycles = ref 0 in
-            for gi = start to start + count - 1 do
-              Budget.check budget;
-              let group = groups.(gi) in
-              lanes := !lanes + Array.length group.members;
-              Word.iter_set
-                (fun lane ->
-                  hits := group.members.(lane) :: !hits;
-                  incr nhits)
-                (detect_group3 engine ~cycles group)
-            done;
-            Telemetry.add tel Telemetry.Faults_simulated !lanes;
-            Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-            Telemetry.add tel Telemetry.Fault_detections !nhits;
-            Telemetry.add tel Telemetry.Budget_polls count;
-            parts.(ci) <- !hits);
-        Array.iter (List.iter (Bitvec.set result)) parts;
+        sweep_groups ?pool
+          ~make_engine:(fun () -> Kernel3.create c)
+          groups ~chunk ~empty:[]
+          ~merge:(fun _ hits -> List.iter (Bitvec.set result) hits);
         result)
 
 (* --- Incremental 3-valued co-simulation (for sequence generation) ------ *)
 
-(* Keeps, per fault group, the 3-valued faulty states at the end of the
-   sequence built so far, plus the fault-free state; candidate extension
-   segments can be evaluated ([peek]) or appended ([commit]) without
-   re-simulating the prefix. *)
+(* Keeps the fault-free 3-valued state at the end of the sequence built so
+   far and, per fault group, the faulty machines' state difference against
+   it; candidate extension segments can be evaluated ([peek]) or appended
+   ([commit]) without re-simulating the prefix.  A lane's difference is
+   meaningful only while its fault is undetected: detected lanes are
+   pruned from every segment. *)
 type inc3 = {
   c3 : Circuit.t;
   faults3 : Fault.t array;
   mutable groups3 : group array;
-  mutable engines : Engine3.t array; (* per group, end-of-prefix states *)
-  good3 : Engine3.t;
+  mutable diffs : (int array * int array) array; (* per group: (z, o) state diff *)
+  good_state : Bytes.t; (* fault-free state codes, per DFF *)
+  good_k : Kernel3.t; (* fault-free sweeps, submitting domain only *)
+  mutable kernels : Kernel3.t array; (* per sweep chunk, reused across sweeps *)
   detected3 : Bitvec.t;
   mutable length : int;
   mutable commits_since_compact : int;
 }
 
-let inc3_make_engines c groups =
-  Array.map
-    (fun g ->
-      let e = Engine3.create c g.overrides in
-      Engine3.set_state_x e;
-      e)
-    groups
+let zero_diffs c groups =
+  let n_ff = Circuit.n_dffs c in
+  Array.map (fun _ -> (Array.make n_ff 0, Array.make n_ff 0)) groups
 
 let inc3_create c faults =
-  let subset = all_indices (Array.length faults) in
-  let groups3 = make_groups faults subset in
+  let groups3 = make_groups faults (all_indices (Array.length faults)) in
   {
     c3 = c;
     faults3 = faults;
     groups3;
-    engines = inc3_make_engines c groups3;
-    good3 = (let e = Engine3.create c [] in Engine3.set_state_x e; e);
+    diffs = zero_diffs c groups3;
+    good_state = Kernel3.x_state c;
+    good_k = Kernel3.create c;
+    kernels = [||];
     detected3 = Bitvec.create (Array.length faults);
     length = 0;
     commits_since_compact = 0;
@@ -838,10 +841,10 @@ let inc3_detected t = t.detected3
 let inc3_length t = t.length
 
 (* Repack the still-undetected faults into as few groups as possible,
-   carrying each faulty machine's 3-valued state into its new lane.  Group
-   count tracks the undetected population, which collapses after the first
-   mass detection wave — without this, every candidate evaluation would
-   keep paying for the full fault list. *)
+   carrying each faulty machine's state difference into its new lane.
+   Group count tracks the undetected population, which collapses after
+   the first mass detection wave — without this, every candidate
+   evaluation would keep paying for the full fault list. *)
 let inc3_compact t =
   let undetected =
     Array.of_list
@@ -855,25 +858,23 @@ let inc3_compact t =
     (fun gi (g : group) ->
       Array.iteri (fun lane fi -> Hashtbl.replace coord fi (gi, lane)) g.members)
     t.groups3;
-  let old_states = Array.map Engine3.state_words t.engines in
   let groups = make_groups t.faults3 undetected in
-  let engines = inc3_make_engines t.c3 groups in
+  let diffs = zero_diffs t.c3 groups in
   Array.iteri
     (fun gi (g : group) ->
-      let z = Array.make n_ff 0 and o = Array.make n_ff 0 in
+      let z, o = diffs.(gi) in
       Array.iteri
         (fun lane fi ->
           let ogi, olane = Hashtbl.find coord fi in
-          let oz, oo = old_states.(ogi) in
+          let oz, oo = t.diffs.(ogi) in
           for i = 0 to n_ff - 1 do
             if Word.get oz.(i) olane then z.(i) <- Word.set z.(i) lane;
             if Word.get oo.(i) olane then o.(i) <- Word.set o.(i) lane
           done)
-        g.members;
-      Engine3.set_state_words engines.(gi) ~z ~o)
+        g.members)
     groups;
   t.groups3 <- groups;
-  t.engines <- engines;
+  t.diffs <- diffs;
   t.commits_since_compact <- 0
 
 (* Lanes of group [gi] not yet detected. *)
@@ -885,112 +886,96 @@ let undetected_lanes t gi =
     group.members;
   !lanes land group.lanes
 
-(* Run [segment] on group [gi] from its current state; returns the mask of
-   newly detected lanes.  Mutates the engine's state. *)
-let run_segment t gi ~sw ~good_po =
-  let n_po = Circuit.n_outputs t.c3 in
-  let engine = t.engines.(gi) in
+(* Run the segment with good rows [gbs] on group [gi] from its state
+   difference; returns the mask of newly detected lanes.  Only
+   undetected lanes are simulated, each pruned once detected, and the run
+   stops when all of them are.  [store] writes the final difference back
+   (a commit); a peek leaves the group untouched. *)
+let run_segment k t gi ~gbs ~cycles ~store =
   let want = undetected_lanes t gi in
-  let det = ref 0 in
-  let len = Array.length sw in
-  let t' = ref 0 in
-  while !t' < len do
-    Engine3.eval_binary engine ~pi_words:sw.(!t');
-    if !det land want <> want then
-      for i = 0 to n_po - 1 do
-        let gz, go = good_po.(!t').(i) in
-        let fz, fo = Engine3.po_word engine i in
-        det := !det lor ((gz land fo) lor (go land fz))
-      done;
-    Engine3.capture engine;
-    incr t'
-  done;
-  !det land want
+  if want = 0 then 0
+  else begin
+    let z, o = t.diffs.(gi) in
+    Kernel3.set_overrides k t.groups3.(gi).overrides;
+    Kernel3.load_state_diff k ~z ~o;
+    let det, n = Kernel3.detect_po k ~gbs ~want in
+    cycles := !cycles + n;
+    if store then Kernel3.store_state_diff k ~z ~o;
+    det
+  end
 
-(* Fault-free 3-valued PO trace over a segment from the good machine's
-   current state.  Also reports whether any PO is ever binary: while the
-   fault-free machine is still fully unknown at the outputs, no fault can
-   be detected and the faulty machines need not be simulated at all. *)
-let good_segment t sw =
-  let n_po = Circuit.n_outputs t.c3 in
-  let good_po = Array.make (Array.length sw) [||] in
-  let any_known = ref false in
-  for u = 0 to Array.length sw - 1 do
-    Engine3.eval_binary t.good3 ~pi_words:sw.(u);
-    good_po.(u) <-
-      Array.init n_po (fun i ->
-          let z, o = Engine3.po_word t.good3 i in
-          if z lor o <> 0 then any_known := true;
-          (z, o));
-    Engine3.capture t.good3
-  done;
-  (good_po, !any_known)
+(* Fault-free rows of a segment from the good machine's current state,
+   which is advanced only when [advance].  Also reports whether any PO is
+   ever binary: while the fault-free machine is still fully unknown at the
+   outputs, no fault can be detected. *)
+let good_segment t segment ~advance =
+  let state = if advance then t.good_state else Bytes.copy t.good_state in
+  let gbs = Kernel3.good_trace t.good_k ~state ~seq:segment in
+  let outputs = Circuit.outputs t.c3 in
+  let any_known =
+    Array.exists (fun gb -> Array.exists (fun g -> Bytes.get gb g <> Kernel3.x) outputs) gbs
+  in
+  (gbs, any_known)
 
-(* Chunked parallel sweep over the incremental engines.  Each chunk owns a
-   contiguous group range: group [gi]'s engine is touched only by the task
-   that owns [gi], the good-machine PO trace and [detected3] are read-only
-   during the sweep, and per-group results land in group-indexed slots the
-   submitter merges in index order — so peek counts and commit detections
-   are bit-identical for any domain count. *)
-let inc3_sweep ?pool t ~(f : int -> int) =
+(* Chunked parallel sweep over the fault groups.  Each chunk owns a
+   contiguous group range and a kernel kept across sweeps: group [gi]'s
+   difference is touched only by the task that owns [gi], the good rows
+   and [detected3] are read-only during the sweep, and per-group results
+   land in group-indexed slots the submitter merges in index order — so
+   peek counts and commit detections are bit-identical for any domain
+   count. *)
+let inc3_sweep ?pool ?tel t ~f =
   let n_groups = Array.length t.groups3 in
   let dets = Array.make n_groups 0 in
   let ranges =
     Domain_pool.split ~n:n_groups ~pieces:(Domain_pool.chunk_count pool n_groups)
   in
+  let nk = Array.length t.kernels in
+  if nk < Array.length ranges then
+    t.kernels <-
+      Array.init (Array.length ranges) (fun ci ->
+          if ci < nk then t.kernels.(ci) else Kernel3.create t.c3);
   Domain_pool.run_opt pool (Array.length ranges) (fun ci ->
+      let k = t.kernels.(ci) in
       let start, count = ranges.(ci) in
+      let cycles = ref 0 in
       for gi = start to start + count - 1 do
-        dets.(gi) <- f gi
-      done);
+        dets.(gi) <- f k ~cycles gi
+      done;
+      Telemetry.add tel Telemetry.Faulty_cycles !cycles;
+      Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel3.take_evaluated k));
   dets
 
 (* Evaluate a candidate segment without committing: number of newly
-   detected faults.  Engine states are saved and restored. *)
+   detected faults.  No group state is written, so an exhausted budget
+   never corrupts the incremental simulation. *)
 let inc3_peek ?pool ?(budget = Budget.unlimited) ?tel t (segment : seq) =
-  let sw = seq_words t.c3 segment in
-  let saved_good = Engine3.state_words t.good3 in
-  let good_po, any_known = good_segment t sw in
-  let z, o = saved_good in
-  Engine3.set_state_words t.good3 ~z ~o;
+  let gbs, any_known = good_segment t segment ~advance:false in
   Telemetry.add tel Telemetry.Good_cycles (Array.length segment);
   if not any_known then 0
   else begin
-    let seg_len = Array.length segment in
     let dets =
-      inc3_sweep ?pool t ~f:(fun gi ->
-          (* Polled before the engine is touched: a raise here leaves the
-             group at its committed-prefix state, so an exhausted peek
-             never corrupts the incremental simulation. *)
+      inc3_sweep ?pool ?tel t ~f:(fun k ~cycles gi ->
           Budget.check budget;
-          if undetected_lanes t gi = 0 then 0
-          else begin
-            Telemetry.add tel Telemetry.Faulty_cycles seg_len;
-            let saved = Engine3.state_words t.engines.(gi) in
-            let d = run_segment t gi ~sw ~good_po in
-            let z, o = saved in
-            Engine3.set_state_words t.engines.(gi) ~z ~o;
-            d
-          end)
+          run_segment k t gi ~gbs ~cycles ~store:false)
     in
     Array.fold_left (fun acc d -> acc + Word.popcount d) 0 dets
   end
 
-(* Append a segment: update every machine, mark newly detected faults,
-   return how many were newly detected.  The budget is polled only on
-   entry: once the sweep starts mutating engine states, the commit runs to
-   completion so the incremental state stays consistent.  (A pool with its
-   own budget may still abort the sweep mid-commit; callers must then stop
-   using [t], which the generators do — they unwind without committing.) *)
+(* Append a segment: update every undetected machine, mark newly detected
+   faults, return how many were newly detected.  The budget is polled only
+   on entry: once the sweep starts mutating group states, the commit runs
+   to completion so the incremental state stays consistent.  (A pool with
+   its own budget may still abort the sweep mid-commit; callers must then
+   stop using [t], which the generators do — they unwind without
+   committing.) *)
 let inc3_commit ?pool ?(budget = Budget.unlimited) ?tel t (segment : seq) =
   Budget.check budget;
-  let sw = seq_words t.c3 segment in
-  let good_po, _ = good_segment t sw in
+  let gbs, _ = good_segment t segment ~advance:true in
   Telemetry.add tel Telemetry.Good_cycles (Array.length segment);
-  Telemetry.add tel Telemetry.Faulty_cycles
-    (Array.length t.groups3 * Array.length segment);
-  (* Even fully-detected groups must advance their state. *)
-  let dets = inc3_sweep ?pool t ~f:(fun gi -> run_segment t gi ~sw ~good_po) in
+  let dets =
+    inc3_sweep ?pool ?tel t ~f:(fun k ~cycles gi -> run_segment k t gi ~gbs ~cycles ~store:true)
+  in
   let newly = ref 0 in
   Array.iteri
     (fun gi group ->

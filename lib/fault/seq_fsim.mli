@@ -57,7 +57,13 @@ val detect :
 (** Detection-time profile over [subset] (fault indices).  [po_time.(k)]:
     earliest PO-difference time of subset fault [k] ([max_int] if none);
     [state_diff_at.(k)]: time units after whose vector the faulty state
-    differs (scanning out there would detect the fault). *)
+    differs (scanning out there would detect the fault).
+
+    [state_diff_at.(k)] holds bits only for [t <= po_time.(k)]: a fault is
+    simulated up to its first PO detection and no further, since every
+    truncation at or after that time detects it anyway.  Readers must
+    treat later time units as detected through the PO, as
+    {!profile_detected_at} does. *)
 type profile = {
   subset : int array;
   po_time : int array;
@@ -118,9 +124,10 @@ val detect_no_scan :
   faults:Fault.t array ->
   Asc_util.Bitvec.t
 
-(** Incremental 3-valued co-simulation for sequence generation: keeps every
-    faulty machine's state at the end of the sequence built so far, so
-    candidate extensions are evaluated without re-simulating the prefix. *)
+(** Incremental 3-valued co-simulation for sequence generation: keeps the
+    fault-free state at the end of the sequence built so far and every
+    undetected faulty machine's state difference against it, so candidate
+    extensions are evaluated without re-simulating the prefix. *)
 type inc3
 
 val inc3_create : Asc_netlist.Circuit.t -> Fault.t array -> inc3
@@ -133,8 +140,8 @@ val inc3_length : inc3 -> int
 
 (** Number of new detections a candidate segment would add (no commit).
     [pool] chunks the fault groups across worker domains (each group's
-    engine stays private to one task); the count is identical for any
-    domain count. *)
+    state stays private to one task); the count is identical for any
+    domain count.  No group state is written. *)
 val inc3_peek :
   ?pool:Asc_util.Domain_pool.t ->
   ?budget:Asc_util.Budget.t ->

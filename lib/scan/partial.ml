@@ -22,7 +22,7 @@
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
-module Engine3 = Asc_sim.Engine3
+module Kernel3 = Asc_sim.Kernel3
 
 type chain = { scanned : bool array (* per DFF index *) }
 
@@ -52,6 +52,35 @@ let cycles (_ : Circuit.t) chain (tests : Scan_test.t array) =
   Time_model.cycles ~n_sv:(n_scanned chain)
     (Array.to_list (Array.map Scan_test.length tests))
 
+(* Initial good state of a test: scanned flip-flops carry the scan-in
+   bit, the rest are X. *)
+let initial_state chain (si : bool array) =
+  Bytes.init (Array.length chain.scanned) (fun i ->
+      if chain.scanned.(i) then Kernel3.of_bool si.(i) else Kernel3.x)
+
+(* Faults 62 to a word: (members, overrides, lane mask). *)
+let fault_groups faults subset =
+  let total = Array.length subset in
+  let n_groups = (total + Word.width - 1) / Word.width in
+  Array.init n_groups (fun gi ->
+      let base = gi * Word.width in
+      let count = min Word.width (total - base) in
+      ( Array.sub subset base count,
+        List.init count (fun lane ->
+            Asc_fault.Fault.to_override faults.(subset.(base + lane)) ~lanes:(1 lsl lane)),
+        if count = Word.width then Word.mask else (1 lsl count) - 1 ))
+
+(* Detection word of one fault group: PO detection with early exit, then
+   the scanned flip-flops at scan-out against the good final state
+   [final]. *)
+let detect_group k chain ~gbs ~final (overrides, lanes) =
+  Kernel3.set_overrides k overrides;
+  Kernel3.reset k;
+  let det, n = Kernel3.detect_po k ~gbs ~want:lanes in
+  if n = Array.length gbs && det <> lanes then
+    det lor (Kernel3.state_detect ~observe:chain.scanned k ~gs:final land lanes)
+  else det
+
 (* Which of [faults] does [test] detect under the partial chain?  Lanes
    are faulty machines; the scan-in value reaches scanned flip-flops only,
    the rest start X in both the fault-free and the faulty machine. *)
@@ -65,68 +94,15 @@ let detect ?only c chain (test : Scan_test.t) ~faults =
   in
   if Array.length subset = 0 then result
   else begin
-    let n_ff = Circuit.n_dffs c and n_po = Circuit.n_outputs c in
-    let len = Scan_test.length test in
-    let sw = Array.map (fun vec -> Array.map Word.splat vec) test.seq in
-    let load engine =
-      Engine3.set_state_x engine;
-      let z = Array.make n_ff 0 and o = Array.make n_ff 0 in
-      for i = 0 to n_ff - 1 do
-        if chain.scanned.(i) then
-          if test.si.(i) then o.(i) <- Word.mask else z.(i) <- Word.mask
-      done;
-      Engine3.set_state_words engine ~z ~o
-    in
-    (* Fault-free trace. *)
-    let good = Engine3.create c [] in
-    load good;
-    let good_po = Array.make len [||] in
-    for t = 0 to len - 1 do
-      Engine3.eval_binary good ~pi_words:sw.(t);
-      good_po.(t) <- Array.init n_po (Engine3.po_word good);
-      Engine3.capture good
-    done;
-    let good_final = Array.init n_ff (Engine3.state_word good) in
-    let groups =
-      let total = Array.length subset in
-      let n_groups = (total + Word.width - 1) / Word.width in
-      Array.init n_groups (fun gi ->
-          let base = gi * Word.width in
-          let count = min Word.width (total - base) in
-          (Array.sub subset base count,
-           List.init count (fun lane ->
-               Asc_fault.Fault.to_override faults.(subset.(base + lane))
-                 ~lanes:(1 lsl lane)),
-           if count = Word.width then Word.mask else (1 lsl count) - 1))
-    in
-    let engine = Engine3.create c [] in
+    let k = Kernel3.create c in
+    let final = initial_state chain test.si in
+    let gbs = Kernel3.good_trace k ~state:final ~seq:test.seq in
     Array.iter
       (fun (members, overrides, lanes) ->
-        Engine3.set_overrides engine overrides;
-        load engine;
-        let det = ref 0 in
-        let t = ref 0 in
-        while !det <> lanes && !t < len do
-          Engine3.eval_binary engine ~pi_words:sw.(!t);
-          for i = 0 to n_po - 1 do
-            let gz, go = good_po.(!t).(i) in
-            let fz, fo = Engine3.po_word engine i in
-            det := !det lor ((gz land fo) lor (go land fz))
-          done;
-          Engine3.capture engine;
-          incr t
-        done;
-        if !t = len && !det <> lanes then
-          (* Scan-out observes the scanned flip-flops only. *)
-          for i = 0 to n_ff - 1 do
-            if chain.scanned.(i) then begin
-              let gz, go = good_final.(i) in
-              let fz, fo = Engine3.state_word engine i in
-              det := !det lor ((gz land fo) lor (go land fz))
-            end
-          done;
-        Word.iter_set (fun lane -> Bitvec.set result members.(lane)) (!det land lanes))
-      groups;
+        Word.iter_set
+          (fun lane -> Bitvec.set result members.(lane))
+          (detect_group k chain ~gbs ~final (overrides, lanes)))
+      (fault_groups faults subset);
     result
   end
 
@@ -148,74 +124,26 @@ let coverage c chain (tests : Scan_test.t array) ~faults =
    partial-scan semantics (unscanned flip-flops X, scan-out observes
    scanned flip-flops only, 3-valued detection). *)
 
-(* Pack candidate scan-in states into lanes: scanned flip-flops carry the
-   candidate's bit, unscanned ones stay X in every lane. *)
-let pack_candidates c chain sis base count =
-  let n_ff = Circuit.n_dffs c in
-  let z = Array.make n_ff 0 and o = Array.make n_ff 0 in
-  for lane = 0 to count - 1 do
-    let si = sis.(base + lane) in
-    for i = 0 to n_ff - 1 do
-      if chain.scanned.(i) then
-        if si.(i) then o.(i) <- Word.set o.(i) lane else z.(i) <- Word.set z.(i) lane
-    done
-  done;
-  (z, o)
-
 (* Rows are candidate scan-in states, columns fault indices (set when the
    candidate's test detects the fault); [subset] restricts simulation —
-   the partial analogue of [Seq_fsim.candidate_detections]. *)
+   the partial analogue of [Seq_fsim.candidate_detections].  Faults ride
+   the lanes and candidates are visited one by one, so each candidate's
+   fault-free machine is a single machine. *)
 let candidate_detections c chain ~sis ~seq ~faults ~subset =
-  let n_candidates = Array.length sis in
-  let n_ff = Circuit.n_dffs c and n_po = Circuit.n_outputs c in
-  let len = Array.length seq in
-  let sw = Array.map (fun (vec : bool array) -> Array.map Word.splat vec) seq in
-  let result = Bitmat.create n_candidates (Array.length faults) in
-  let engine = Engine3.create c [] in
-  let n_cgroups = (n_candidates + Word.width - 1) / Word.width in
-  for cg = 0 to n_cgroups - 1 do
-    let base = cg * Word.width in
-    let count = min Word.width (n_candidates - base) in
-    let full = if count = Word.width then Word.mask else (1 lsl count) - 1 in
-    let z0, o0 = pack_candidates c chain sis base count in
-    (* Fault-free machines for all candidates at once. *)
-    Engine3.set_overrides engine [];
-    Engine3.set_state_words engine ~z:z0 ~o:o0;
-    let good_po = Array.make len [||] in
-    for t = 0 to len - 1 do
-      Engine3.eval_binary engine ~pi_words:sw.(t);
-      good_po.(t) <- Array.init n_po (Engine3.po_word engine);
-      Engine3.capture engine
-    done;
-    let good_final = Array.init n_ff (Engine3.state_word engine) in
-    Array.iter
-      (fun fi ->
-        Engine3.set_overrides engine
-          [ Asc_fault.Fault.to_override faults.(fi) ~lanes:Word.mask ];
-        Engine3.set_state_words engine ~z:(Array.copy z0) ~o:(Array.copy o0);
-        let det = ref 0 in
-        let t = ref 0 in
-        while !det <> full && !t < len do
-          Engine3.eval_binary engine ~pi_words:sw.(!t);
-          for i = 0 to n_po - 1 do
-            let gz, go = good_po.(!t).(i) in
-            let fz, fo = Engine3.po_word engine i in
-            det := !det lor ((gz land fo) lor (go land fz))
-          done;
-          Engine3.capture engine;
-          incr t
-        done;
-        if !t = len && !det <> full then
-          for i = 0 to n_ff - 1 do
-            if chain.scanned.(i) then begin
-              let gz, go = good_final.(i) in
-              let fz, fo = Engine3.state_word engine i in
-              det := !det lor ((gz land fo) lor (go land fz))
-            end
-          done;
-        Word.iter_set (fun lane -> Bitmat.set result (base + lane) fi) (!det land full))
-      subset
-  done;
+  let result = Bitmat.create (Array.length sis) (Array.length faults) in
+  let k = Kernel3.create c in
+  let groups = fault_groups faults subset in
+  Array.iteri
+    (fun cand si ->
+      let final = initial_state chain si in
+      let gbs = Kernel3.good_trace k ~state:final ~seq in
+      Array.iter
+        (fun (members, overrides, lanes) ->
+          Word.iter_set
+            (fun lane -> Bitmat.set result cand members.(lane))
+            (detect_group k chain ~gbs ~final (overrides, lanes)))
+        groups)
+    sis;
   result
 
 (* The partial analogue of [Seq_fsim.profile]: earliest PO detection time
@@ -228,68 +156,36 @@ type profile = {
 }
 
 let profile c chain (test : Scan_test.t) ~faults ~subset =
-  let n_ff = Circuit.n_dffs c and n_po = Circuit.n_outputs c in
   let len = Scan_test.length test in
-  let sw = Array.map (fun vec -> Array.map Word.splat vec) test.seq in
-  (* Fault-free trace. *)
-  let good = Engine3.create c [] in
-  let load engine z o =
-    Engine3.set_state_words engine ~z:(Array.copy z) ~o:(Array.copy o)
+  let k = Kernel3.create c in
+  let gbs = Kernel3.good_trace k ~state:(initial_state chain test.si) ~seq:test.seq in
+  (* Good state after each time unit's vector. *)
+  let states =
+    Array.map
+      (fun gb ->
+        let s = Kernel3.x_state c in
+        Kernel3.good_capture k ~gb ~state:s;
+        s)
+      gbs
   in
-  let z0 = Array.make n_ff 0 and o0 = Array.make n_ff 0 in
-  for i = 0 to n_ff - 1 do
-    if chain.scanned.(i) then
-      if test.si.(i) then o0.(i) <- Word.mask else z0.(i) <- Word.mask
-  done;
-  load good z0 o0;
-  let good_po = Array.make len [||] in
-  let good_state = Array.make (len + 1) [||] in
-  good_state.(0) <- Array.init n_ff (Engine3.state_word good);
-  for t = 0 to len - 1 do
-    Engine3.eval_binary good ~pi_words:sw.(t);
-    good_po.(t) <- Array.init n_po (Engine3.po_word good);
-    Engine3.capture good;
-    good_state.(t + 1) <- Array.init n_ff (Engine3.state_word good)
-  done;
   let po_time = Array.make (Array.length subset) max_int in
   let state_diff_at = Array.init (Array.length subset) (fun _ -> Bitvec.create len) in
-  let engine = Engine3.create c [] in
-  let total = Array.length subset in
-  let n_groups = (total + Word.width - 1) / Word.width in
-  for gi = 0 to n_groups - 1 do
-    let base = gi * Word.width in
-    let count = min Word.width (total - base) in
-    let lanes = if count = Word.width then Word.mask else (1 lsl count) - 1 in
-    let overrides =
-      List.init count (fun lane ->
-          Asc_fault.Fault.to_override faults.(subset.(base + lane)) ~lanes:(1 lsl lane))
-    in
-    Engine3.set_overrides engine overrides;
-    load engine z0 o0;
-    let po_seen = ref 0 in
-    for t = 0 to len - 1 do
-      Engine3.eval_binary engine ~pi_words:sw.(t);
-      let diff = ref 0 in
-      for i = 0 to n_po - 1 do
-        let gz, go = good_po.(t).(i) in
-        let fz, fo = Engine3.po_word engine i in
-        diff := !diff lor ((gz land fo) lor (go land fz))
-      done;
-      let fresh = !diff land lanes land lnot !po_seen in
-      Word.iter_set (fun lane -> po_time.(base + lane) <- t) fresh;
-      po_seen := !po_seen lor fresh;
-      Engine3.capture engine;
-      let sdiff = ref 0 in
-      for i = 0 to n_ff - 1 do
-        if chain.scanned.(i) then begin
-          let gz, go = good_state.(t + 1).(i) in
-          let fz, fo = Engine3.state_word engine i in
-          sdiff := !sdiff lor ((gz land fo) lor (go land fz))
-        end
-      done;
-      Word.iter_set
-        (fun lane -> Bitvec.set state_diff_at.(base + lane) t)
-        (!sdiff land lanes)
-    done
-  done;
+  Array.iteri
+    (fun gi (_, overrides, lanes) ->
+      let base = gi * Word.width in
+      Kernel3.set_overrides k overrides;
+      Kernel3.reset k;
+      let po_seen = ref 0 in
+      for t = 0 to len - 1 do
+        let gb = gbs.(t) in
+        Kernel3.cycle k ~gb;
+        let fresh = Kernel3.po_detect k ~gb land lanes land lnot !po_seen in
+        Word.iter_set (fun lane -> po_time.(base + lane) <- t) fresh;
+        po_seen := !po_seen lor fresh;
+        Kernel3.finish_cycle k ~gb;
+        Word.iter_set
+          (fun lane -> Bitvec.set state_diff_at.(base + lane) t)
+          (Kernel3.state_detect ~observe:chain.scanned k ~gs:states.(t) land lanes)
+      done)
+    (fault_groups faults subset);
   { subset; po_time; state_diff_at }

@@ -60,53 +60,27 @@ type t = {
 
 let create c =
   let n = Circuit.n_gates c in
-  let level_off = Circuit.level_off c in
-  let nlevels = Array.length level_off - 1 in
-  (* Fanouts with the DFF successors dropped: sequential edges are
-     handled by [finish_cycle], so the in-cycle walk never tests gate
-     kinds on the hot push path. *)
-  let oflat = Circuit.fanout_flat c and ooff = Circuit.fanout_off c in
-  let kinds = Array.init n (Circuit.kind c) in
-  let cooff = Array.make (n + 1) 0 in
-  for g = 0 to n - 1 do
-    let count = ref 0 in
-    for i = ooff.(g) to ooff.(g + 1) - 1 do
-      if kinds.(oflat.(i)) <> Gate.Dff then incr count
-    done;
-    cooff.(g + 1) <- cooff.(g) + !count
-  done;
-  let coflat = Array.make (max 1 cooff.(n)) 0 in
-  for g = 0 to n - 1 do
-    let w = ref cooff.(g) in
-    for i = ooff.(g) to ooff.(g + 1) - 1 do
-      let s = oflat.(i) in
-      if kinds.(s) <> Gate.Dff then begin
-        coflat.(!w) <- s;
-        incr w
-      end
-    done
-  done;
+  let s = Sched.create c in
   {
     c;
-    kinds;
-    flat = Circuit.fanin_flat c;
-    off = Circuit.fanin_off c;
-    coflat;
-    cooff;
-    level = Array.init n (Circuit.level c);
-    sched = Circuit.level_order c;
-    level_off;
-    spill_bar = max 16 (Array.length (Circuit.level_order c) / 6);
-    dffs = Circuit.dffs c;
-    dff_din = Array.map (Circuit.dff_input c) (Circuit.dffs c);
-    outputs = Circuit.outputs c;
+    kinds = s.kinds;
+    flat = s.flat;
+    off = s.off;
+    coflat = s.coflat;
+    cooff = s.cooff;
+    level = s.level;
+    sched = s.sched;
+    level_off = s.level_off;
+    spill_bar = s.spill_bar;
+    dffs = s.dffs;
+    dff_din = s.dff_din;
+    outputs = s.outputs;
     dv = Array.make n 0;
     keep = Word.mask;
     queued = Bytes.make n '\000';
     ovr_flag = Bytes.make n '\000';
-    buckets =
-      Array.init nlevels (fun l -> Array.make (max 1 (level_off.(l + 1) - level_off.(l))) 0);
-    blen = Array.make nlevels 0;
+    buckets = Sched.buckets s;
+    blen = Array.make (Array.length s.level_off - 1) 0;
     touched = Array.make n 0;
     ntouched = 0;
     state_diff = Array.make (Circuit.n_dffs c) 0;
@@ -119,40 +93,22 @@ let create c =
 
 let circuit t = t.c
 
-(* Group [overrides] by attachment point.  Comb-gate and DFF-pin-0 lists
-   are built by consing a left-to-right scan — the same (reversed) order
-   [Override.table] hands to Engine2 — and source overrides keep input
-   order, matching Engine2's [List.filter]; application order is
-   therefore identical to the reference engine. *)
+(* Grouping and application order match Engine2 (see [Sched.group]). *)
 let set_overrides t overrides =
   Array.iter
     (fun g ->
       Bytes.set t.ovr_flag g '\000';
       t.ovr.(g) <- [])
     t.comb_sites;
-  let rec add g o = function
-    | [] -> [ (g, [ o ]) ]
-    | (g', l) :: rest when g' = g -> (g, o :: l) :: rest
-    | e :: rest -> e :: add g o rest
-  in
-  let source = ref [] and pin0 = ref [] and comb = ref [] in
-  List.iter
-    (fun (o : Override.t) ->
-      match t.kinds.(o.gate) with
-      | Gate.Input -> source := o :: !source
-      | Gate.Dff ->
-          if o.pin = -1 then source := o :: !source
-          else pin0 := add (Circuit.dff_index t.c o.gate) o !pin0
-      | _ -> comb := add o.gate o !comb)
-    overrides;
-  t.source_ovr <- Array.of_list (List.rev !source);
-  t.dff_pin0 <- !pin0;
-  t.comb_sites <- Array.of_list (List.map fst !comb);
+  let grouped = Sched.group t.c ~kinds:t.kinds overrides in
+  t.source_ovr <- grouped.source;
+  t.dff_pin0 <- grouped.dff_pin0;
+  t.comb_sites <- Array.of_list (List.map fst grouped.comb);
   List.iter
     (fun (g, l) ->
       Bytes.set t.ovr_flag g '\001';
       t.ovr.(g) <- l)
-    !comb
+    grouped.comb
 
 (* Zero the persistent state difference and any leftover in-cycle
    difference (a detection loop may stop between [cycle] and
@@ -328,7 +284,8 @@ let eval_plain t gw g =
    so a pruned lane merely behaves fault-free from here on — sound
    exactly when the caller no longer reads that lane's differences
    (detection loops prune lanes already detected, whose result bit is a
-   monotonic OR; profile-style consumers must not prune). *)
+   monotonic OR; [Seq_fsim.profile] prunes a lane after its first PO
+   detection, past which it records nothing). *)
 let cycle ?(prune = 0) t ~gw =
   t.keep <- Word.mask land lnot prune;
   let keep = t.keep in

@@ -41,8 +41,8 @@ val reset : t -> unit
     [prune] masks lanes out of the propagation (they behave fault-free
     from here on).  Sound exactly when the caller no longer reads those
     lanes' differences — detection loops prune already-detected lanes,
-    whose result bit is a monotonic OR; profile-style consumers must
-    not prune. *)
+    whose result bit is a monotonic OR, and the profile prunes a lane
+    once it is PO-detected. *)
 val cycle : ?prune:int -> t -> gw:int array -> unit
 
 (** PO difference word of the settled cycle.  Read after {!cycle},

@@ -1,5 +1,5 @@
 (** Lane-masked value overrides — the generic fault-injection mechanism
-    shared by the 2-valued and 3-valued engines.
+    shared by the 2-valued engine and the 2- and 3-valued kernels.
 
     An override forces a signal stuck at a value in selected lanes:
     [pin = -1] forces the gate's output; [pin = k >= 0] forces the gate's

@@ -1,0 +1,34 @@
+(** Levelized schedule and override grouping shared by the difference
+    kernels ({!Kernel}, 2-valued, and {!Kernel3}, 3-valued).  Built once
+    per kernel, read-only afterwards. *)
+
+type t = {
+  kinds : Asc_netlist.Gate.kind array;
+  flat : int array;  (** fanins, CSR *)
+  off : int array;
+  coflat : int array;  (** combinational-only fanouts, CSR *)
+  cooff : int array;
+  level : int array;
+  sched : int array;  (** comb gates by ascending level *)
+  level_off : int array;  (** [sched] offsets per level *)
+  spill_bar : int;  (** queue-evaluated gates per cycle before spilling *)
+  dffs : int array;
+  dff_din : int array;  (** per DFF index: its next-state signal's gate *)
+  outputs : int array;
+}
+
+val create : Asc_netlist.Circuit.t -> t
+
+(** One empty level bucket per level, sized to the level's population. *)
+val buckets : t -> int array array
+
+type grouped = {
+  source : Override.t array;  (** output overrides on Input/Dff gates *)
+  dff_pin0 : (int * Override.t list) list;  (** DFF index -> D-pin overrides *)
+  comb : (int * Override.t list) list;  (** comb gate -> its overrides *)
+}
+
+(** Group overrides by attachment point, in the interpretive engine's
+    application order. *)
+val group :
+  Asc_netlist.Circuit.t -> kinds:Asc_netlist.Gate.kind array -> Override.t list -> grouped

@@ -18,6 +18,12 @@ the multi-domain figures are recorded in the snapshot but not gated.
 When no prior snapshot exists the gate is advisory: it warns and exits 0
 so the first run on a fresh trajectory can seed it.
 
+Every snapshot describes its host: the commit, ``nproc``, the OCaml
+version and the domain count bench ran with, next to the per-circuit
+end-to-end seconds (the bench JSON's ``circuits`` list).  A bench JSON
+without per-circuit seconds is rejected rather than snapshotted with a
+``null`` section.
+
 Usage:
     perf_trajectory.py BENCH_JSON [--out-dir DIR] [--date YYYY-MM-DD]
                        [--budget FRACTION] [--commit SHA]
@@ -30,11 +36,12 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import re
 import sys
 from pathlib import Path
 
-SNAPSHOT_SCHEMA = 1
+SNAPSHOT_SCHEMA = 2
 SNAPSHOT_RE = re.compile(r"^BENCH_(\d{4}-\d{2}-\d{2})\.json$")
 
 
@@ -54,6 +61,12 @@ def load_bench(path: Path) -> dict:
     for key in ("seconds_levelized_1", "seconds_reference", "circuit"):
         if key not in kernel:
             fail(f"{path}: kernel section missing {key!r}")
+    circuits = data.get("circuits")
+    if not isinstance(circuits, list) or not circuits:
+        fail(f"{path} has no per-circuit timings (\"circuits\")")
+    for entry in circuits:
+        if not isinstance(entry, dict) or not isinstance(entry.get("seconds"), (int, float)):
+            fail(f"{path}: circuit entry without numeric seconds: {entry!r}")
     return data
 
 
@@ -102,11 +115,13 @@ def main() -> None:
         "commit": args.commit,
         "source": "bench --quick --json",
         "bench_schema": bench.get("schema"),
+        "nproc": os.cpu_count(),
+        "ocaml_version": bench.get("ocaml_version"),
         "domains": bench.get("domains"),
         "kernel": kernel,
         "fsim": bench.get("fsim"),
         "atpg": bench.get("atpg"),
-        "timings": bench.get("timings"),
+        "circuits": bench["circuits"],
     }
     out_path = args.out_dir / f"BENCH_{date}.json"
     out_path.write_text(json.dumps(snapshot, indent=2) + "\n")

@@ -62,23 +62,17 @@ let prop_generator_connectivity =
 let test_reset_initialises () =
   let p = Option.get (Profile.find "s298") in
   let c = Generator.generate p in
-  let e = Asc_sim.Engine3.create c [] in
-  Asc_sim.Engine3.set_state_x e;
+  let k = Asc_sim.Kernel3.create c in
   let n_pis = Circuit.n_inputs c in
   (* Try all input patterns held for enough cycles; at least one must
      produce a fully binary state. *)
   let initialises v =
-    Asc_sim.Engine3.set_state_x e;
-    let pi_words = Array.init n_pis (fun i -> Asc_util.Word.splat ((v lsr i) land 1 = 1)) in
+    let state = Asc_sim.Kernel3.x_state c in
+    let pis = Array.init n_pis (fun i -> (v lsr i) land 1 = 1) in
     for _ = 1 to Circuit.n_dffs c + 4 do
-      Asc_sim.Engine3.step_binary e ~pi_words
+      Asc_sim.Kernel3.good_step k ~pis ~state
     done;
-    let binary = ref true in
-    for i = 0 to Circuit.n_dffs c - 1 do
-      let z, o = Asc_sim.Engine3.state_word e i in
-      if (z lor o) land 1 = 0 then binary := false
-    done;
-    !binary
+    not (Bytes.contains state Asc_sim.Kernel3.x)
   in
   let any = ref false in
   for v = 0 to (1 lsl n_pis) - 1 do

@@ -119,8 +119,8 @@ let small_circuit seed =
    detected-lane pruning; the reference sweep re-simulates every gate of
    every cycle.  On random circuits and random fault subsets both must
    agree on detection and on the full detection-time profile (the profile
-   runs unpruned, so it pins the cone walk everywhere, not just until
-   first detection). *)
+   prunes a lane only at its first PO detection, so scan-out-only faults
+   pin the cone walk over the whole test). *)
 let prop_cone_matches_full_resim =
   QCheck.Test.make
     ~name:"cone-limited fault evaluation matches full re-simulation" ~count:12

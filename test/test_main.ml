@@ -37,6 +37,7 @@ let () =
          Test_robustness.suite;
          Test_chaos.suite;
          Test_kernel.suite;
+         Test_oracle3.suite;
          Test_serve.suite;
          Test_route.suite;
          Test_obs.suite;

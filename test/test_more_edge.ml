@@ -7,23 +7,24 @@ module Builder = Asc_netlist.Builder
 module Circuit = Asc_netlist.Circuit
 module Scan_test = Asc_scan.Scan_test
 
-(* A stuck PI in selected lanes of the 3-valued engine. *)
-let test_engine3_source_override () =
+(* A stuck PI in selected lanes of the 3-valued kernel. *)
+let test_kernel3_source_override () =
   let b = Builder.create "src3" in
   let a = Builder.add_input b "a" in
   let g = Builder.add_gate b Gate.Not "g" [ a ] in
   Builder.add_output b g;
   let c = Builder.finalize b in
   let lanes = 0b110 in
-  let e =
-    Asc_sim.Engine3.create c
-      [ Asc_sim.Override.output ~gate:a ~stuck:true ~lanes ]
-  in
-  (* Drive a = 0 everywhere; overridden lanes see 1, so NOT a = 0 there. *)
-  Asc_sim.Engine3.eval_binary e ~pi_words:[| 0 |];
-  let z, o = Asc_sim.Engine3.po_word e 0 in
-  Alcotest.(check int) "zero lanes" lanes (z land 0b111);
-  Alcotest.(check int) "one lanes" (0b001 land Word.mask) (o land 0b111)
+  let k = Asc_sim.Kernel3.create c in
+  let gb = Bytes.make (Circuit.n_gates c) Asc_sim.Kernel3.x in
+  (* Drive a = 0 everywhere: the good NOT a is 1; overridden lanes see
+     a = 1, so NOT a = 0 there — a complementary binary value. *)
+  Asc_sim.Kernel3.good_cycle k ~pis:[| false |] ~state:Bytes.empty ~gb;
+  Alcotest.(check char) "good value" Asc_sim.Kernel3.one (Bytes.get gb g);
+  Asc_sim.Kernel3.set_overrides k [ Asc_sim.Override.output ~gate:a ~stuck:true ~lanes ];
+  Asc_sim.Kernel3.reset k;
+  Asc_sim.Kernel3.cycle k ~gb;
+  Alcotest.(check int) "detected lanes" lanes (Asc_sim.Kernel3.po_detect k ~gb land 0b111)
 
 (* Slow-to-rise on a flip-flop output: the launch comes from the state
    update, not from a PI change. *)
@@ -85,7 +86,7 @@ let suite =
   [
     ( "more-edge",
       [
-        Alcotest.test_case "engine3 source override" `Quick test_engine3_source_override;
+        Alcotest.test_case "kernel3 source override" `Quick test_kernel3_source_override;
         Alcotest.test_case "tfault dff launch" `Quick test_tfault_dff_launch;
         Alcotest.test_case "registry metadata" `Quick test_registry_metadata;
         Alcotest.test_case "coverage is union" `Quick test_coverage_is_union;

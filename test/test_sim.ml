@@ -131,61 +131,61 @@ let prop_engine2_matches_naive =
       done;
       !ok)
 
-let prop_engine3_binary_matches_engine2 =
-  QCheck.Test.make ~name:"Engine3 on binary inputs agrees with Engine2" ~count:30
+(* The 3-valued kernel's scalar good sweep, started from a binary state,
+   is the 2-valued machine: every PO code is the binary value. *)
+let prop_kernel3_binary_matches_naive =
+  QCheck.Test.make ~name:"Kernel3 on binary inputs agrees with Naive" ~count:30
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let c = random_profile seed in
       let rng = Asc_util.Rng.create (seed + 2) in
       let n_pis = Circuit.n_inputs c and n_ffs = Circuit.n_dffs c in
       let init = Asc_util.Rng.bool_array rng n_ffs in
-      let len = 5 in
-      let seq = Array.init len (fun _ -> Asc_util.Rng.bool_array rng n_pis) in
-      let e2 = Engine2.create c [] and e3 = Engine3.create c [] in
-      Engine2.set_state_bools e2 init;
-      Engine3.set_state_bools e3 init;
+      let seq = Array.init 5 (fun _ -> Asc_util.Rng.bool_array rng n_pis) in
+      let k = Kernel3.create c in
+      let state = Bytes.init n_ffs (fun i -> Kernel3.of_bool init.(i)) in
+      let gbs = Kernel3.good_trace k ~state ~seq in
+      let responses, final = Naive.run c ~init ~seq in
       let ok = ref true in
-      Array.iter
-        (fun vec ->
-          let pi_words = Array.map Asc_util.Word.splat vec in
-          Engine2.eval e2 ~pi_words;
-          Engine3.eval_binary e3 ~pi_words;
-          for po = 0 to Circuit.n_outputs c - 1 do
-            let w2 = Engine2.po_word e2 po in
-            let z, o = Engine3.po_word e3 po in
-            if o <> w2 || z <> lnot w2 land Asc_util.Word.mask then ok := false
-          done;
-          Engine2.capture e2;
-          Engine3.capture e3)
-        seq;
+      Array.iteri
+        (fun t gb ->
+          Array.iteri
+            (fun po g ->
+              if Bytes.get gb g <> Kernel3.of_bool responses.(t).(po) then ok := false)
+            (Circuit.outputs c))
+        gbs;
+      Array.iteri (fun i b -> if Bytes.get state i <> Kernel3.of_bool b then ok := false) final;
       !ok)
 
-let prop_engine3_x_state_refines =
-  QCheck.Test.make ~name:"Engine3 from X state is refined by binary runs" ~count:30
+(* From the all-X state the good sweep equals the scalar 3-valued
+   simulator, and wherever it is binary every concrete initial state
+   agrees with it. *)
+let prop_kernel3_x_state_refines =
+  QCheck.Test.make ~name:"Kernel3 from X state is refined by binary runs" ~count:30
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let c = random_profile seed in
       let rng = Asc_util.Rng.create (seed + 3) in
       let n_pis = Circuit.n_inputs c and n_ffs = Circuit.n_dffs c in
-      let len = 6 in
-      let seq = Array.init len (fun _ -> Asc_util.Rng.bool_array rng n_pis) in
-      let e3 = Engine3.create c [] in
-      Engine3.set_state_x e3;
+      let seq = Array.init 6 (fun _ -> Asc_util.Rng.bool_array rng n_pis) in
+      let k = Kernel3.create c in
+      let gbs = Kernel3.good_trace k ~state:(Kernel3.x_state c) ~seq in
       let init = Asc_util.Rng.bool_array rng n_ffs in
       let scalar, _ = Naive.run c ~init ~seq in
+      let scalar3, _ = Naive.run3 c ~init:(Array.make n_ffs None) ~seq in
       let ok = ref true in
       Array.iteri
-        (fun t vec ->
-          Engine3.eval_binary e3 ~pi_words:(Array.map Asc_util.Word.splat vec);
-          for po = 0 to Circuit.n_outputs c - 1 do
-            let z, o = Engine3.po_word e3 po in
-            (* Wherever the X-state run is binary, every concrete initial
-               state must agree. *)
-            if o land 1 = 1 && not scalar.(t).(po) then ok := false;
-            if z land 1 = 1 && scalar.(t).(po) then ok := false
-          done;
-          Engine3.capture e3)
-        seq;
+        (fun t gb ->
+          Array.iteri
+            (fun po g ->
+              let code = Bytes.get gb g in
+              let expected =
+                match scalar3.(t).(po) with None -> Kernel3.x | Some b -> Kernel3.of_bool b
+              in
+              if code <> expected then ok := false;
+              if code <> Kernel3.x && code <> Kernel3.of_bool scalar.(t).(po) then ok := false)
+            (Circuit.outputs c))
+        gbs;
       !ok)
 
 (* --- Overrides ------------------------------------------------------- *)
@@ -252,8 +252,8 @@ let suite =
         Alcotest.test_case "3-valued pessimism" `Quick test_gate3_pessimism;
         qtest prop_gate3_monotone;
         qtest prop_engine2_matches_naive;
-        qtest prop_engine3_binary_matches_engine2;
-        qtest prop_engine3_x_state_refines;
+        qtest prop_kernel3_binary_matches_naive;
+        qtest prop_kernel3_x_state_refines;
         Alcotest.test_case "override output" `Quick test_override_output_injection;
         Alcotest.test_case "override branch pin" `Quick test_override_input_pin_is_branch;
         Alcotest.test_case "override dff pin" `Quick test_override_dff_pin;

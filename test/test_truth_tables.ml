@@ -1,7 +1,8 @@
 (* Exhaustive truth-table checks: every gate kind, every input combination
    (arities 2 and 3 for the n-ary kinds), in the scalar reference, the
-   2-valued engine, the 3-valued engine, and PODEM's internal evaluator's
-   observable behaviour (via engine agreement). *)
+   2-valued engine and the 3-valued kernel (good sweep and fault
+   propagation), plus PODEM's internal evaluator's observable behaviour
+   (via engine agreement). *)
 
 open Asc_util
 module Gate = Asc_netlist.Gate
@@ -30,10 +31,22 @@ let circuit_for kind arity =
   Builder.add_output b g;
   Builder.finalize b
 
+(* Good row and PO detection word of one cycle of the 3-valued kernel
+   with [overrides] injected. *)
+let kernel3_cycle c ~pis ~state overrides =
+  let k = Asc_sim.Kernel3.create c in
+  let gb = Bytes.make (Asc_netlist.Circuit.n_gates c) Asc_sim.Kernel3.x in
+  Asc_sim.Kernel3.good_cycle k ~pis ~state ~gb;
+  Asc_sim.Kernel3.set_overrides k overrides;
+  Asc_sim.Kernel3.reset k;
+  Asc_sim.Kernel3.cycle k ~gb;
+  (gb, Asc_sim.Kernel3.po_detect k ~gb)
+
 let exhaustive_case kind arity () =
   let c = circuit_for kind arity in
   let e2 = Asc_sim.Engine2.create c [] in
-  let e3 = Asc_sim.Engine3.create c [] in
+  let g = (Asc_netlist.Circuit.outputs c).(0) in
+  let pi i = (Asc_netlist.Circuit.inputs c).(i) in
   for combo = 0 to (1 lsl arity) - 1 do
     let ins = List.init arity (fun i -> (combo lsr i) land 1 = 1) in
     let expected = reference kind ins in
@@ -49,46 +62,85 @@ let exhaustive_case kind arity () =
       (Printf.sprintf "%s/%d engine2 %d" (Gate.to_string kind) arity combo)
       (Word.splat expected)
       (Asc_sim.Engine2.po_word e2 0);
-    (* 3-valued engine with binary inputs. *)
-    Asc_sim.Engine3.eval_binary e3 ~pi_words:(Array.of_list (List.map Word.splat ins));
-    let z, o = Asc_sim.Engine3.po_word e3 0 in
-    Alcotest.(check int)
-      (Printf.sprintf "%s/%d engine3 one %d" (Gate.to_string kind) arity combo)
-      (Word.splat expected) o;
-    Alcotest.(check int)
-      (Printf.sprintf "%s/%d engine3 zero %d" (Gate.to_string kind) arity combo)
-      (Word.splat (not expected))
-      z
+    (* 3-valued kernel: the good row, and one flipped input per lane —
+       lanes [0, arity) flip the PI stem (cone propagation), lanes
+       [arity, 2*arity) the gate's input pin (override evaluation). *)
+    let overrides =
+      List.concat
+        (List.mapi
+           (fun i b ->
+             [
+               Asc_sim.Override.output ~gate:(pi i) ~stuck:(not b) ~lanes:(1 lsl i);
+               Asc_sim.Override.input ~gate:g ~pin:i ~stuck:(not b) ~lanes:(1 lsl (arity + i));
+             ])
+           ins)
+    in
+    let gb, det = kernel3_cycle c ~pis:(Array.of_list ins) ~state:Bytes.empty overrides in
+    Alcotest.(check char)
+      (Printf.sprintf "%s/%d kernel3 good %d" (Gate.to_string kind) arity combo)
+      (Asc_sim.Kernel3.of_bool expected) (Bytes.get gb g);
+    List.iteri
+      (fun i _ ->
+        let flipped = List.mapi (fun j b -> if i = j then not b else b) ins in
+        let differs = reference kind flipped <> expected in
+        Alcotest.(check (pair bool bool))
+          (Printf.sprintf "%s/%d kernel3 flip %d of %d" (Gate.to_string kind) arity i combo)
+          (differs, differs)
+          (Word.get det i, Word.get det (arity + i)))
+      ins
   done
 
-(* 3-valued exhaustive for arity 2 over {0,1,X}^2: the engine output must
-   equal the naive 3-valued evaluator's. *)
+(* 3-valued exhaustive for arity 2 over {0,1,X}^2, the gate fed by two
+   flip-flops whose state carries the values: the kernel's good value
+   must equal the naive 3-valued evaluator's, and a flip-flop stuck at
+   either value (one lane each) is detected exactly when the naive faulty
+   output is the complementary binary value. *)
 let exhaustive3_case kind () =
-  let c = circuit_for kind 2 in
-  let e3 = Asc_sim.Engine3.create c [] in
+  let b = Builder.create "tt3" in
+  let qs =
+    List.init 2 (fun i ->
+        let d = Builder.add_input b (Printf.sprintf "d%d" i) in
+        let q = Builder.add_dff b (Printf.sprintf "q%d" i) in
+        Builder.set_dff_input b q d;
+        q)
+  in
+  let g = Builder.add_gate b kind "g" qs in
+  Builder.add_output b g;
+  let c = Builder.finalize b in
+  let code = function
+    | Some v -> Asc_sim.Kernel3.of_bool v
+    | None -> Asc_sim.Kernel3.x
+  in
   let values = [ Some false; Some true; None ] in
+  let faults =
+    List.concat_map (fun (pin, q) -> [ (pin, q, false); (pin, q, true) ]) (List.mapi (fun i q -> (i, q)) qs)
+  in
   List.iter
     (fun a ->
       List.iter
-        (fun b ->
-          let expected = Asc_sim.Naive.eval_gate3 kind [ a; b ] in
-          let word_of = function
-            | Some true -> (0, Word.mask)
-            | Some false -> (Word.mask, 0)
-            | None -> (0, 0)
+        (fun bv ->
+          let expected = Asc_sim.Naive.eval_gate3 kind [ a; bv ] in
+          let overrides =
+            List.mapi
+              (fun lane (_, q, stuck) -> Asc_sim.Override.output ~gate:q ~stuck ~lanes:(1 lsl lane))
+              faults
           in
-          let az, ao = word_of a and bz, bo = word_of b in
-          Asc_sim.Engine3.eval e3 ~pi_z:[| az; bz |] ~pi_o:[| ao; bo |];
-          let z, o = Asc_sim.Engine3.po_word e3 0 in
-          let got =
-            if o = Word.mask && z = 0 then Some true
-            else if z = Word.mask && o = 0 then Some false
-            else if z = 0 && o = 0 then None
-            else Alcotest.fail "mixed lanes on uniform input"
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s 3v" (Gate.to_string kind))
-            true (got = expected))
+          let state = Bytes.init 2 (fun i -> code (if i = 0 then a else bv)) in
+          let gb, det = kernel3_cycle c ~pis:[| false; false |] ~state overrides in
+          Alcotest.(check char) (Printf.sprintf "%s 3v" (Gate.to_string kind)) (code expected)
+            (Bytes.get gb g);
+          List.iteri
+            (fun lane (pin, _, stuck) ->
+              let ins = if pin = 0 then [ Some stuck; bv ] else [ a; Some stuck ] in
+              let detected =
+                match (expected, Asc_sim.Naive.eval_gate3 kind ins) with
+                | Some e, Some f -> e <> f
+                | _ -> false
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s 3v stuck lane %d" (Gate.to_string kind) lane)
+                detected (Word.get det lane))
+            faults)
         values)
     values
 
