@@ -14,11 +14,19 @@
 
    Pair order: at-risk sets are cheap to size, so attempts are made in
    ascending |at-risk| order (easiest first), sweeping until a full sweep
-   makes no change. *)
+   makes no change.
+
+   A combined test keeps T_i as its prefix, so each live test i memoizes
+   a snapshot at the end of T_i — its final good state and, for the
+   at-risk faults of its pairs, PO-detected in T_i or the faulty state
+   difference there.  A pair (i, j) then simulates only T_j, and only for
+   at-risk faults not PO-detected in T_i.  The memo is dropped when i is
+   replaced by a combined test. *)
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
 module Scan_test = Asc_scan.Scan_test
+module Seq_fsim = Asc_fault.Seq_fsim
 
 type result = {
   tests : Scan_test.t array;
@@ -43,6 +51,30 @@ let run ?pool ?budget ?tel ?(config = default_config) c (tests : Scan_test.t arr
     let current = Array.copy tests in
     let alive = Array.make n true in
     let combinations = ref 0 and attempts = ref 0 in
+    let memo = Array.make n None in
+    (* The end-of-T_i snapshot, covering [risk].  When the memo lacks one
+       of those faults, one pass snapshots every fault a pair (i, _) can
+       put at risk under the current counts — the faults one live test
+       alone detects, and those i shares with exactly one other — so the
+       pairs of i share one well-packed pass instead of one each.  Counts
+       change only on acceptances, so re-snapshots are rare. *)
+    let end_snapshot i risk =
+      match memo.(i) with
+      | Some s when List.for_all (Seq_fsim.snapshot_covers s) risk -> s
+      | _ ->
+          let row = Bitmat.row mat i in
+          let batch = ref [] in
+          for f = Array.length counts - 1 downto 0 do
+            if counts.(f) = 1 || (counts.(f) = 2 && Bitvec.get row f) then batch := f :: !batch
+          done;
+          let t = current.(i) in
+          let _, snaps =
+            Seq_fsim.snapshots ?pool ?budget ?tel c ~si:t.si ~seq:t.seq ~faults
+              ~subset:(Array.of_list !batch) ~boundaries:[| Scan_test.length t |]
+          in
+          memo.(i) <- Some snaps.(0);
+          snaps.(0)
+    in
     (* Faults whose coverage would be lost if rows i and j both vanish. *)
     let at_risk i j =
       let union = Bitvec.union (Bitmat.row mat i) (Bitmat.row mat j) in
@@ -59,12 +91,12 @@ let run ?pool ?budget ?tel ?(config = default_config) c (tests : Scan_test.t arr
     let try_combine i j =
       incr attempts;
       let risk = at_risk i j in
-      let combined = Scan_test.combine current.(i) current.(j) in
-      let subset = Array.of_list risk in
       if
-        Asc_fault.Seq_fsim.verify_required ?pool ?budget ?tel c ~si:combined.si ~seq:combined.seq
-          ~faults ~subset
+        risk = []
+        || Seq_fsim.resume_verify ?pool ?budget ?tel c (end_snapshot i risk)
+             ~suffix:current.(j).seq ~faults ~subset:(Array.of_list risk)
       then begin
+        let combined = Scan_test.combine current.(i) current.(j) in
         (* Re-derive row i over everything the two tests used to detect
            (the combined test may detect more; that only helps and is left
            uncounted, keeping the bookkeeping conservative). *)
@@ -74,6 +106,8 @@ let run ?pool ?budget ?tel ?(config = default_config) c (tests : Scan_test.t arr
         Bitvec.iter_set (fun f -> counts.(f) <- counts.(f) - 1) (Bitmat.row mat j);
         Bitvec.iter_set (fun f -> counts.(f) <- counts.(f) + 1) row';
         current.(i) <- combined;
+        memo.(i) <- None;
+        memo.(j) <- None;
         Bitmat.set_row mat i row';
         Bitmat.set_row mat j (Bitvec.create (Array.length faults));
         alive.(j) <- false;

@@ -8,10 +8,18 @@
 
    Each trial runs the cheap early-exit verifier over the affected faults,
    most fragile first (scan-out-detected, then latest PO detection), so
-   failing trials die quickly; only *accepted* omissions pay for a full
-   profile pass to refresh the detection times.  Trials proceed in aligned
-   chunks of halving size from the tail, under both a trial-count budget
-   and a simulation-work budget (large circuits hit the work budget first). *)
+   failing trials die quickly; only *accepted* omissions pay for a
+   profile-style pass to refresh the detection times.  Trials proceed in
+   aligned chunks of halving size from the tail, under both a trial-count
+   budget and a simulation-work budget (large circuits hit the work budget
+   first).
+
+   Neither pays for the untouched prefix.  Each chunk-size pass starts
+   with one snapshot pass over the current test at every trial position
+   p = len - k*chunk, and a trial at p resumes from the snapshot at p over
+   the candidate's suffix only.  The snapshots stay valid for the whole
+   pass: an acceptance at p' changes positions >= p' only, and later
+   trials of the pass sit at p < p'. *)
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
@@ -41,14 +49,13 @@ let run ?pool ?budget ?tel ?(config = default_config) c (test : Scan_test.t) ~fa
     let current = ref test in
     let checks = ref 0 and omitted = ref 0 and work = ref 0 in
     (* Earliest PO detection time per required fault under the current
-       test; [max_int] for faults that rely on the scan-out. *)
-    let po_time =
-      let p = Seq_fsim.profile ?pool ?budget ?tel c ~si:test.si ~seq:test.seq ~faults ~subset:required in
-      Array.copy p.po_time
-    in
+       test; [max_int] for faults that rely on the scan-out.  Each pass's
+       snapshot pass refreshes it. *)
+    let po_time = Array.make (Array.length required) max_int in
     let budget_left () = !checks < config.max_checks && !work < config.max_work in
-    (* Try removing [count] vectors at [p]. *)
-    let try_omit ~p ~count =
+    (* Try removing [count] vectors at [p], resuming from [snap] (the
+       snapshot at [p]). *)
+    let try_omit snap ~p ~count =
       let len = Scan_test.length !current in
       if count >= len || p + count > len then false
       else begin
@@ -65,23 +72,19 @@ let run ?pool ?budget ?tel ?(config = default_config) c (test : Scan_test.t) ~fa
           |> Array.of_list
         in
         let candidate = Scan_test.omit_span !current ~p ~count in
+        let suffix = Array.sub !current.seq (p + count) (len - p - count) in
         let subset = Array.map (fun k -> required.(k)) affected in
         let new_len = Scan_test.length candidate in
         let groups = (Array.length subset + Word.width - 1) / Word.width in
         work := !work + (groups * new_len * n_gates);
-        let ok =
-          Seq_fsim.verify_required ?pool ?budget ?tel c ~si:candidate.si ~seq:candidate.seq ~faults
-            ~subset
-        in
+        let ok = Seq_fsim.resume_verify ?pool ?budget ?tel c snap ~suffix ~faults ~subset in
         if ok then begin
           (* Refresh the detection times of the re-verified faults. *)
-          let prof =
-            Seq_fsim.profile ?pool ?budget ?tel c ~si:candidate.si ~seq:candidate.seq ~faults ~subset
-          in
+          let times = Seq_fsim.resume_po_time ?pool ?budget ?tel c snap ~suffix ~faults ~subset in
           work := !work + (groups * new_len * n_gates);
           current := candidate;
           omitted := !omitted + count;
-          Array.iteri (fun a k -> po_time.(k) <- prof.po_time.(a)) affected
+          Array.iteri (fun a k -> po_time.(k) <- times.(a)) affected
         end;
         ok
       end
@@ -95,10 +98,24 @@ let run ?pool ?budget ?tel ?(config = default_config) c (test : Scan_test.t) ~fa
     let continue_ = ref true in
     while !continue_ do
       let len = Scan_test.length !current in
+      (* Trial k of the pass sits at p = len - (k+1)*chunk. *)
+      let snaps =
+        if !chunk >= len || not (budget_left ()) then [||]
+        else begin
+          let boundaries = Array.init (len / !chunk) (fun k -> len - ((k + 1) * !chunk)) in
+          let times, snaps =
+            Seq_fsim.snapshots ?pool ?budget ?tel c ~si:!current.si ~seq:!current.seq ~faults
+              ~subset:required ~boundaries
+          in
+          Array.blit times 0 po_time 0 (Array.length times);
+          snaps
+        end
+      in
       let p = ref (len - !chunk) in
       while !p >= 0 && budget_left () do
-        ignore (try_omit ~p:!p ~count:!chunk);
-        p := !p - !chunk
+        let count = !chunk in
+        if count < len then ignore (try_omit snaps.((len - count - !p) / count) ~p:!p ~count);
+        p := !p - count
       done;
       if !chunk = 1 || not (budget_left ()) then continue_ := false
       else chunk := !chunk / 2

@@ -22,8 +22,10 @@
 
    [profile] additionally records, per fault, the earliest PO detection
    time and the set of time units at which the faulty state differs — the
-   single-pass data from which Phase 1 picks its scan-out time and the
-   vector-omission procedure re-verifies suffixes.
+   single-pass data from which Phase 1 picks its scan-out time.
+   [snapshots] records, in the same kind of pass, every faulty machine's
+   state at chosen time boundaries, from which vector omission and test
+   combining verify candidate suffixes without re-simulating the prefix.
 
    Every entry point also takes an optional [budget] (Asc_util.Budget),
    polled once per fault group: a fired deadline or cancellation raises
@@ -112,8 +114,10 @@ let subset_of_only n = function
    candidate traces (lanes = candidate scan-in states) store full words.
    The cache is process-global, mutex-protected and LRU-bounded by a byte
    budget; circuits are keyed by physical identity, so a rebuilt netlist
-   never aliases a stale trace.  Only the levelized kernel uses it — the
-   reference path recomputes traces, keeping the escape hatch honest. *)
+   never aliases a stale trace, and (scan-in, seq) by a hash confirmed by
+   exact equality.  Only the levelized kernel uses it — the reference
+   path recomputes traces, keeping the escape hatch honest — and resumed
+   runs keep their suffix rows out of it (see the snapshot section). *)
 module Trace_cache = struct
   type flavor = Splat of bool array | Packed of int array
 
@@ -127,34 +131,50 @@ module Trace_cache = struct
 
   let max_bytes = 32 * 1024 * 1024
 
-  (* MRU-first: (circuit, key, data, size in bytes). *)
-  let entries : (Circuit.t * key * data * int) list ref = ref []
+  (* A hash of every scan-in bit (or candidate word) and every vector
+     bit: lookups compare hashes and confirm a match by exact equality,
+     instead of structurally comparing whole sequences entry by entry. *)
+  let hash { flavor; seq } =
+    let h = ref 0 in
+    let mix x = h := (!h * 1_000_003) lxor x in
+    (match flavor with
+    | Splat si -> Array.iter (fun b -> mix (Bool.to_int b)) si
+    | Packed words -> mix (-1); Array.iter mix words);
+    Array.iter
+      (fun v ->
+        mix (Array.length v);
+        Array.iter (fun b -> mix (Bool.to_int b)) v)
+      seq;
+    !h
+
+  (* MRU-first: (circuit, key hash, key, data, size in bytes). *)
+  let entries : (Circuit.t * int * key * data * int) list ref = ref []
 
   let clear () = Mutex.protect lock (fun () -> entries := [])
 
-  let find c key =
+  let find c ~hash key =
     Mutex.protect lock (fun () ->
         let rec go acc = function
           | [] -> None
-          | ((c', k', d, _) as e) :: rest when c' == c && k' = key ->
+          | ((c', h, k', d, _) as e) :: rest when c' == c && h = hash && k' = key ->
               entries := e :: List.rev_append acc rest;
               Some d
           | e :: rest -> go (e :: acc) rest
         in
         go [] !entries)
 
-  let add c key data size =
+  let add c ~hash key data size =
     Mutex.protect lock (fun () ->
         let used = ref 0 in
         entries :=
           List.filter
-            (fun (_, _, _, sz) ->
+            (fun (_, _, _, _, sz) ->
               if !used = 0 || !used + sz <= max_bytes then begin
                 used := !used + sz;
                 true
               end
               else false)
-            ((c, key, data, size) :: !entries))
+            ((c, hash, key, data, size) :: !entries))
 end
 
 let clear_trace_cache = Trace_cache.clear
@@ -185,7 +205,8 @@ let good_trace_bits k c ~sw ~si ~len =
 let good_gb tel k c ~si ~sw ~seq ~len =
   let n = Circuit.n_gates c in
   let lookup = { Trace_cache.flavor = Trace_cache.Splat si; seq } in
-  match Trace_cache.find c lookup with
+  let hash = Trace_cache.hash lookup in
+  match Trace_cache.find c ~hash lookup with
   | Some (Trace_cache.Bits bits) ->
       Telemetry.incr tel Telemetry.Trace_cache_hits;
       bits
@@ -194,7 +215,7 @@ let good_gb tel k c ~si ~sw ~seq ~len =
       Telemetry.incr tel Telemetry.Trace_cache_misses;
       Telemetry.add tel Telemetry.Good_cycles len;
       let bits = good_trace_bits k c ~sw ~si ~len in
-      Trace_cache.add c
+      Trace_cache.add c ~hash
         { Trace_cache.flavor = Trace_cache.Splat (Array.copy si);
           seq = deep_copy_seq seq }
         (Trace_cache.Bits bits) (len * n);
@@ -204,7 +225,8 @@ let good_gb tel k c ~si ~sw ~seq ~len =
 let good_cand_gw tel k c ~init_words ~sw ~seq ~len =
   let n = Circuit.n_gates c in
   let lookup = { Trace_cache.flavor = Trace_cache.Packed init_words; seq } in
-  match Trace_cache.find c lookup with
+  let hash = Trace_cache.hash lookup in
+  match Trace_cache.find c ~hash lookup with
   | Some (Trace_cache.Words ws) ->
       Telemetry.incr tel Telemetry.Trace_cache_hits;
       ws
@@ -221,7 +243,7 @@ let good_cand_gw tel k c ~init_words ~sw ~seq ~len =
             Kernel.good_capture k ~v ~state;
             snapshot)
       in
-      Trace_cache.add c
+      Trace_cache.add c ~hash
         { Trace_cache.flavor = Trace_cache.Packed (Array.copy init_words);
           seq = deep_copy_seq seq }
         (Trace_cache.Words ws)
@@ -233,10 +255,14 @@ let good_cand_gw tel k c ~init_words ~sw ~seq ~len =
    per-cycle work cone-limited by the kernel.  Lanes already detected
    are pruned from the propagation — their detection bit is a monotonic
    OR, so the result word is unchanged while the cone shrinks to the
-   still-undetected faults. *)
-let detect_group_lv k ~gb ~len ~cycles (group : group) =
+   still-undetected faults.  [start] sets the group's starting state
+   difference: zero from the scan-in ([from_scan_in]), or one recorded
+   in a snapshot. *)
+let from_scan_in k (_ : group) = Kernel.reset k
+
+let detect_group_lv k ~gb ~len ~cycles ~start (group : group) =
   Kernel.set_overrides k group.overrides;
-  Kernel.reset k;
+  start k group;
   let det = ref 0 in
   let t = ref 0 in
   while !det <> group.lanes && !t < len do
@@ -350,7 +376,7 @@ let detect ?pool ?(budget = Budget.unlimited) ?tel ?only c ~si ~seq ~faults =
               for gi = start to start + count - 1 do
                 Budget.check budget;
                 let group = groups.(gi) in
-                let d = detect_group_lv k ~gb ~len ~cycles group in
+                let d = detect_group_lv k ~gb ~len ~cycles ~start:from_scan_in group in
                 lanes := !lanes + Array.length group.members;
                 Word.iter_set
                   (fun lane ->
@@ -388,6 +414,28 @@ type profile = {
   po_time : int array;
   state_diff_at : Bitvec.t array;
 }
+
+(* The levelized profile loop of one group whose starting state is
+   loaded: runs until every lane is PO-detected or the rows run out, and
+   prunes each lane after its first PO detection.  [on_po lane t] reports
+   a first PO detection at row [t]; [after t po_seen] runs after the clock
+   edge of row [t], with the state difference entering [t + 1] in the
+   kernel and [po_seen] the lanes PO-detected so far. *)
+let profile_group_lv k ~gb ~len ~cycles ~on_po ~after (group : group) =
+  let po_seen = ref 0 in
+  let t = ref 0 in
+  while !po_seen <> group.lanes && !t < len do
+    (* A lane PO-detected before [t] is pruned: its state difference
+       reads zero from here on. *)
+    Kernel.cycle_bits k ~prune:!po_seen ~gb:gb.(!t);
+    let fresh = Kernel.po_diff k land group.lanes land lnot !po_seen in
+    Word.iter_set (fun lane -> on_po lane !t) fresh;
+    po_seen := !po_seen lor fresh;
+    Kernel.finish_cycle_bits k ~gb:gb.(!t);
+    after !t !po_seen;
+    incr t
+  done;
+  cycles := !cycles + !t
 
 let profile ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset =
   Telemetry.span tel "fsim:profile"
@@ -467,21 +515,11 @@ let profile ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset =
           let base = (gi * Word.width) - base0 in
           Kernel.set_overrides k group.overrides;
           Kernel.reset k;
-          let po_seen = ref 0 in
-          let t = ref 0 in
-          while !po_seen <> group.lanes && !t < len do
-            (* A lane PO-detected before [t] is pruned: its state
-               difference reads zero from here on. *)
-            Kernel.cycle_bits k ~prune:!po_seen ~gb:gb.(!t);
-            let fresh = Kernel.po_diff k land group.lanes land lnot !po_seen in
-            Word.iter_set (fun lane -> po.(base + lane) <- !t) fresh;
-            po_seen := !po_seen lor fresh;
-            Kernel.finish_cycle_bits k ~gb:gb.(!t);
-            let sd = Kernel.state_diff_word k land group.lanes in
-            Word.iter_set (fun lane -> Bitvec.set sdiff.(base + lane) !t) sd;
-            incr t
-          done;
-          cycles := !cycles + !t
+          profile_group_lv k ~gb ~len ~cycles group
+            ~on_po:(fun lane t -> po.(base + lane) <- t)
+            ~after:(fun t _ ->
+              let sd = Kernel.state_diff_word k land group.lanes in
+              Word.iter_set (fun lane -> Bitvec.set sdiff.(base + lane) t) sd)
         done;
         Telemetry.add tel Telemetry.Faulty_cycles !cycles;
         Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
@@ -677,9 +715,38 @@ let candidate_detections ?pool ?(budget = Budget.unlimited) ?tel c ~sis ~seq ~fa
         meta);
   result
 
+(* The levelized verify loop: does every group, started by [start] and
+   run over the good rows [gb], detect all its lanes?  Any failing group
+   stops the sweep: sequentially via the loop condition, across domains
+   via a shared flag checked between groups. *)
+let verify_lv ?pool ~budget ?tel c ~gb ~len ~start groups =
+  let failed = Atomic.make false in
+  let chunk k (first, count) =
+    let gi = ref first in
+    let lanes = ref 0 and cycles = ref 0 and polls = ref 0 in
+    while (not (Atomic.get failed)) && !gi < first + count do
+      Budget.check budget;
+      incr polls;
+      let group = groups.(!gi) in
+      let d = detect_group_lv k ~gb ~len ~cycles ~start group in
+      lanes := !lanes + Array.length group.members;
+      if d <> group.lanes then Atomic.set failed true;
+      incr gi
+    done;
+    Telemetry.add tel Telemetry.Faults_simulated !lanes;
+    Telemetry.add tel Telemetry.Faulty_cycles !cycles;
+    Telemetry.add tel Telemetry.Budget_polls !polls;
+    Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k)
+  in
+  sweep_groups ?pool
+    ~make_engine:(fun () -> Kernel.create c)
+    groups ~chunk ~empty:()
+    ~merge:(fun _ () -> ());
+  not (Atomic.get failed)
+
 (* Verification: does (si, seq) detect *every* fault index in [subset]?
-   Any failing group stops the sweep: sequentially via the loop condition,
-   across domains via a shared flag checked between groups. *)
+   The levelized path is [verify_lv] from the scan-in — the time-0
+   snapshot: state [si], zero differences. *)
 let verify_required ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset =
   if Array.length subset = 0 then true
   else
@@ -689,9 +756,9 @@ let verify_required ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~
         let sw = seq_words c seq in
         let len = Array.length seq in
         let groups = make_groups faults subset in
-        let failed = Atomic.make false in
-        (match Sim_kernel.current () with
+        match Sim_kernel.current () with
         | Sim_kernel.Reference ->
+            let failed = Atomic.make false in
             let good = good_run c ~si ~seq in
             Telemetry.add tel Telemetry.Good_cycles len;
             let chunk engine (start, count) =
@@ -713,31 +780,200 @@ let verify_required ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~
             sweep_groups ?pool
               ~make_engine:(fun () -> Engine2.create c [])
               groups ~chunk ~empty:()
-              ~merge:(fun _ () -> ())
+              ~merge:(fun _ () -> ());
+            not (Atomic.get failed)
         | Sim_kernel.Levelized ->
             let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
-            let chunk k (start, count) =
-              let gi = ref start in
-              let lanes = ref 0 and cycles = ref 0 and polls = ref 0 in
-              while (not (Atomic.get failed)) && !gi < start + count do
-                Budget.check budget;
-                incr polls;
-                let group = groups.(!gi) in
-                let d = detect_group_lv k ~gb ~len ~cycles group in
-                lanes := !lanes + Array.length group.members;
-                if d <> group.lanes then Atomic.set failed true;
-                incr gi
-              done;
-              Telemetry.add tel Telemetry.Faults_simulated !lanes;
-              Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-              Telemetry.add tel Telemetry.Budget_polls !polls;
-              Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k)
-            in
-            sweep_groups ?pool
-              ~make_engine:(fun () -> Kernel.create c)
-              groups ~chunk ~empty:()
-              ~merge:(fun _ () -> ()));
-        not (Atomic.get failed))
+            verify_lv ?pool ~budget ?tel c ~gb ~len ~start:from_scan_in groups)
+
+(* --- Prefix snapshots and resumed verification ------------------------ *)
+
+(* A candidate that keeps the prefix [0, b) of a simulated test — a
+   vector-omission trial (SI, T[0,p) . T[p+c,L)), a combination
+   (SI_i, T_i . T_j) — need not re-simulate that prefix.  A snapshot at
+   boundary [b] holds the fault-free state entering [b] and, per fault,
+   either "PO-detected before [b]" (detected by any such candidate, so
+   skipped) or the faulty machine's state difference at [b], from which
+   the suffix resumes.
+
+   Positions index the snapshotted fault subset; [po_time] (shared by
+   the snapshots of one pass) decides "PO-detected before [b]", and
+   [diffs] holds the other faults' non-zero differences only, so a pass
+   with many boundaries costs memory in proportion to the faulty
+   machines still diverged there.  Resumed runs are levelized only and
+   compute their suffix rows without the trace cache: every trial suffix
+   is a new sequence, so caching it would only evict the traces that do
+   repeat. *)
+type snapshot = {
+  boundary : int;
+  good_state : bool array; (* fault-free state entering [boundary] *)
+  index : int array; (* fault index -> position; -1 when absent *)
+  po_time : int array; (* per position: first PO detection time *)
+  diffs : (int, int array) Hashtbl.t; (* position -> flip-flops whose state differs *)
+}
+
+let snapshots ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset ~boundaries =
+  let len = Array.length seq in
+  let slot = Array.make (len + 1) (-1) in
+  Array.iteri
+    (fun bi b ->
+      if b < 0 || b > len || slot.(b) >= 0 then invalid_arg "Seq_fsim.snapshots: boundaries";
+      slot.(b) <- bi)
+    boundaries;
+  Telemetry.span tel "fsim:snapshot"
+    ~args:
+      [
+        ("faults", string_of_int (Array.length subset));
+        ("len", string_of_int len);
+        ("boundaries", string_of_int (Array.length boundaries));
+      ]
+  @@ fun () ->
+  let total = Array.length subset in
+  let index = Array.make (Array.length faults) (-1) in
+  Array.iteri (fun pos f -> index.(f) <- pos) subset;
+  let po_time = Array.make total max_int in
+  let diffs = Array.map (fun _ -> Hashtbl.create 64) boundaries in
+  let dffs = Circuit.dffs c in
+  let n_ff = Array.length dffs in
+  let sw = seq_words c seq in
+  let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
+  let good_state b =
+    if b = 0 then Array.copy si
+    else if b < len then Array.map (fun g -> Bytes.get gb.(b) g = '\001') dffs
+    else Array.map (fun g -> Bytes.get gb.(len - 1) (Circuit.dff_input c g) = '\001') dffs
+  in
+  let groups = make_groups faults subset in
+  (* Chunks write disjoint positions of [po_time] directly and return
+     their differences per boundary; the submitter files those. *)
+  let chunk k (gstart, gcount) =
+    let cycles = ref 0 and lanes = ref 0 in
+    let acc = Array.make Word.width [] in
+    let found = Array.map (fun _ -> []) boundaries in
+    for gi = gstart to gstart + gcount - 1 do
+      Budget.check budget;
+      let group = groups.(gi) in
+      let base = gi * Word.width in
+      lanes := !lanes + Array.length group.members;
+      Kernel.set_overrides k group.overrides;
+      Kernel.reset k;
+      profile_group_lv k ~gb ~len ~cycles group
+        ~on_po:(fun lane t -> po_time.(base + lane) <- t)
+        ~after:(fun t po_seen ->
+          let bi = slot.(t + 1) in
+          if bi >= 0 then begin
+            let live = group.lanes land lnot po_seen in
+            for i = n_ff - 1 downto 0 do
+              Word.iter_set (fun lane -> acc.(lane) <- i :: acc.(lane)) (Kernel.state_diff k i land live)
+            done;
+            Word.iter_set
+              (fun lane ->
+                if acc.(lane) <> [] then begin
+                  found.(bi) <- (base + lane, Array.of_list acc.(lane)) :: found.(bi);
+                  acc.(lane) <- []
+                end)
+              live
+          end)
+    done;
+    Telemetry.add tel Telemetry.Faults_simulated !lanes;
+    Telemetry.add tel Telemetry.Faulty_cycles !cycles;
+    Telemetry.add tel Telemetry.Budget_polls gcount;
+    Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
+    found
+  in
+  sweep_groups ?pool
+    ~make_engine:(fun () -> Kernel.create c)
+    groups ~chunk ~empty:[||]
+    ~merge:(fun _ found ->
+      Array.iteri (fun bi l -> List.iter (fun (pos, d) -> Hashtbl.replace diffs.(bi) pos d) l) found);
+  ( po_time,
+    Array.mapi
+      (fun bi b -> { boundary = b; good_state = good_state b; index; po_time; diffs = diffs.(bi) })
+      boundaries )
+
+let snapshot_covers s f = f < Array.length s.index && s.index.(f) >= 0
+
+let position s f =
+  if not (snapshot_covers s f) then invalid_arg "Seq_fsim: fault not in snapshot";
+  s.index.(f)
+
+(* Subset positions whose fault is not PO-detected before the boundary:
+   the only ones a resumed run simulates. *)
+let live_positions s subset =
+  List.filter (fun k -> s.po_time.(position s subset.(k)) >= s.boundary)
+    (List.init (Array.length subset) Fun.id)
+  |> Array.of_list
+
+(* Load a group's state differences from the snapshot, lane by lane. *)
+let from_snapshot c s =
+  let n_ff = Circuit.n_dffs c in
+  fun k (group : group) ->
+    let diff = Array.make n_ff 0 in
+    Array.iteri
+      (fun lane f ->
+        Option.iter
+          (Array.iter (fun i -> diff.(i) <- diff.(i) lor (1 lsl lane)))
+          (Hashtbl.find_opt s.diffs (position s f)))
+      group.members;
+    Kernel.load_state_diff k ~diff
+
+(* Fault-free rows of the suffix from the snapshot's good state, outside
+   the trace cache. *)
+let suffix_rows tel c s suffix =
+  let len = Array.length suffix in
+  Telemetry.add tel Telemetry.Good_cycles len;
+  good_trace_bits (Kernel.create c) c ~sw:(seq_words c suffix) ~si:s.good_state ~len
+
+let resume_verify ?pool ?(budget = Budget.unlimited) ?tel c s ~suffix ~faults ~subset =
+  let live = Array.map (fun k -> subset.(k)) (live_positions s subset) in
+  if Array.length live = 0 then true
+  else
+    Telemetry.span tel "fsim:verify"
+      ~args:[ ("faults", string_of_int (Array.length live)); ("from", string_of_int s.boundary) ]
+      (fun () ->
+        let gb = suffix_rows tel c s suffix in
+        verify_lv ?pool ~budget ?tel c ~gb ~len:(Array.length suffix) ~start:(from_snapshot c s)
+          (make_groups faults live))
+
+let resume_po_time ?pool ?(budget = Budget.unlimited) ?tel c s ~suffix ~faults ~subset =
+  let result =
+    Array.map
+      (fun f ->
+        let t = s.po_time.(position s f) in
+        if t < s.boundary then t else max_int)
+      subset
+  in
+  let live = live_positions s subset in
+  if Array.length live > 0 then
+    Telemetry.span tel "fsim:profile"
+      ~args:[ ("faults", string_of_int (Array.length live)); ("from", string_of_int s.boundary) ]
+      (fun () ->
+        let len = Array.length suffix in
+        let gb = suffix_rows tel c s suffix in
+        let groups = make_groups faults (Array.map (fun k -> subset.(k)) live) in
+        let start = from_snapshot c s in
+        (* Chunks write disjoint entries of [result]. *)
+        let chunk k (gstart, gcount) =
+          let cycles = ref 0 and lanes = ref 0 in
+          for gi = gstart to gstart + gcount - 1 do
+            Budget.check budget;
+            let group = groups.(gi) in
+            lanes := !lanes + Array.length group.members;
+            Kernel.set_overrides k group.overrides;
+            start k group;
+            profile_group_lv k ~gb ~len ~cycles group
+              ~on_po:(fun lane t -> result.(live.((gi * Word.width) + lane)) <- s.boundary + t)
+              ~after:(fun _ _ -> ())
+          done;
+          Telemetry.add tel Telemetry.Faults_simulated !lanes;
+          Telemetry.add tel Telemetry.Faulty_cycles !cycles;
+          Telemetry.add tel Telemetry.Budget_polls gcount;
+          Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k)
+        in
+        sweep_groups ?pool
+          ~make_engine:(fun () -> Kernel.create c)
+          groups ~chunk ~empty:()
+          ~merge:(fun _ () -> ()));
+  result
 
 (* --- 3-valued, unknown initial state ("without scan") ------------------ *)
 

@@ -112,6 +112,76 @@ val verify_required :
   subset:int array ->
   bool
 
+(** {1 Prefix snapshots and resumed verification}
+
+    A candidate test that keeps the prefix [T[0,b)] of a simulated scan
+    test [(SI, T)] — a vector-omission trial [(SI, T[0,p) . T[p+c,L))]
+    at [b = p], a combination [(SI_i, T_i . T_j)] at [b = L(T_i)] — is
+    verified from a snapshot at [b] over its suffix only.  A snapshot
+    holds the fault-free state entering [b] and, for each snapshotted
+    fault, either "PO-detected before [b]" or the faulty machine's state
+    difference at [b].
+
+    Contract: for a snapshot of [(si, seq)] at [b] and any [suffix],
+    [resume_verify s ~suffix] equals {!verify_required} on
+    [(si, seq[0,b) . suffix)], and [resume_po_time s ~suffix] equals that
+    sequence's {!profile} [po_time], over any [subset] of the snapshotted
+    faults (a fault outside it raises [Invalid_argument]).  Resumed runs
+    skip faults PO-detected before [b], run the levelized kernel whatever
+    {!Asc_sim.Sim_kernel.current} says, and compute the suffix's
+    fault-free rows from the snapshot's good state without entering
+    them in the trace cache.  Results are identical for any domain
+    count. *)
+
+type snapshot
+
+(** [snapshots ~si ~seq ~faults ~subset ~boundaries] records, in one
+    profile-style pass over [(si, seq)] (span ["fsim:snapshot"]; each
+    lane stops at its first PO detection), one snapshot of the [subset]
+    faults per boundary [b] ([0 <= b <= L], distinct, any order), in
+    [boundaries] order.  The first component is the pass's per-fault
+    earliest PO time over [subset], as {!profile}'s [po_time]. *)
+val snapshots :
+  ?pool:Asc_util.Domain_pool.t ->
+  ?budget:Asc_util.Budget.t ->
+  ?tel:Asc_util.Telemetry.t ->
+  Asc_netlist.Circuit.t ->
+  si:bool array ->
+  seq:seq ->
+  faults:Fault.t array ->
+  subset:int array ->
+  boundaries:int array ->
+  int array * snapshot array
+
+(** Whether fault index [f] is in the snapshot. *)
+val snapshot_covers : snapshot -> int -> bool
+
+(** {!verify_required} of [(si, seq[0,b) . suffix)], simulating only
+    [suffix] (span ["fsim:verify"]). *)
+val resume_verify :
+  ?pool:Asc_util.Domain_pool.t ->
+  ?budget:Asc_util.Budget.t ->
+  ?tel:Asc_util.Telemetry.t ->
+  Asc_netlist.Circuit.t ->
+  snapshot ->
+  suffix:seq ->
+  faults:Fault.t array ->
+  subset:int array ->
+  bool
+
+(** {!profile}'s [po_time] of [(si, seq[0,b) . suffix)] over [subset],
+    simulating only [suffix] (span ["fsim:profile"]). *)
+val resume_po_time :
+  ?pool:Asc_util.Domain_pool.t ->
+  ?budget:Asc_util.Budget.t ->
+  ?tel:Asc_util.Telemetry.t ->
+  Asc_netlist.Circuit.t ->
+  snapshot ->
+  suffix:seq ->
+  faults:Fault.t array ->
+  subset:int array ->
+  int array
+
 (** Faults detected by [seq] from an unknown initial state, no scan-out
     (3-valued; detection requires complementary binary values at a PO). *)
 val detect_no_scan :

@@ -110,15 +110,21 @@ let set_overrides t overrides =
       t.ovr.(g) <- l)
     grouped.comb
 
-(* Zero the persistent state difference and any leftover in-cycle
-   difference (a detection loop may stop between [cycle] and
-   [finish_cycle] on its early exit). *)
-let reset t =
-  Array.fill t.state_diff 0 (Array.length t.state_diff) 0;
+(* Clear any leftover in-cycle difference (a detection loop may stop
+   between [cycle] and [finish_cycle] on its early exit). *)
+let clear_cycle t =
   for k = 0 to t.ntouched - 1 do
     t.dv.(t.touched.(k)) <- 0
   done;
   t.ntouched <- 0
+
+let reset t =
+  Array.fill t.state_diff 0 (Array.length t.state_diff) 0;
+  clear_cycle t
+
+let load_state_diff t ~diff =
+  clear_cycle t;
+  Array.blit diff 0 t.state_diff 0 (Array.length t.state_diff)
 
 let[@inline] set_dv t g ndv =
   if t.dv.(g) = 0 && ndv <> 0 then begin

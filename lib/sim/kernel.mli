@@ -34,6 +34,11 @@ val set_overrides : t -> Override.t list -> unit
     good one.  Call before simulating a new fault group or test. *)
 val reset : t -> unit
 
+(** Start the faulty machines from the state difference [diff] (one word
+    per flip-flop index, as {!state_diff} reads it) instead of zero, like
+    {!Kernel3.load_state_diff}; clears any in-cycle leftovers. *)
+val load_state_diff : t -> diff:int array -> unit
+
 (** [cycle t ~gw]: settle the faulty machine's combinational difference
     against the good values [gw] of this time unit (one word per gate,
     sources included).  Only the fanout cone of the seeds is evaluated.

@@ -179,6 +179,88 @@ let prop_comb_matrix_kernel_independent =
       done;
       !ok)
 
+(* --- Property: resumed verification = simulation from time 0 -------- *)
+
+(* Snapshot (si, seq) at a random cut [p] (plus other random boundaries),
+   then resume over a random suffix: the resumed verdict and PO times
+   must equal [verify_required] and [profile] of seq[0,p) . suffix, for a
+   random fault subset that includes every scan-out-only fault of that
+   sequence, both on the whole subset (usually failing) and on its
+   detected part (passing).  A snapshot of that subset alone (fault
+   positions no longer equal fault indices) must behave the same. *)
+let resume_matches c ~seed ~pool =
+  let faults = Collapse.reps (Collapse.run c) in
+  let all = Array.init (Array.length faults) Fun.id in
+  let rng = Rng.create (seed + 31) in
+  let vec () = Rng.bool_array rng (Circuit.n_inputs c) in
+  let len = 1 + Rng.int rng 8 in
+  let si = Rng.bool_array rng (Circuit.n_dffs c) in
+  let seq = Array.init len (fun _ -> vec ()) in
+  let p = match Rng.int rng 4 with 0 -> 0 | 1 -> len | _ -> Rng.int rng (len + 1) in
+  let suffix = Array.init (Rng.int rng 6 + if p = 0 then 1 else 0) (fun _ -> vec ()) in
+  let joined = Array.append (Array.sub seq 0 p) suffix in
+  let prof_joined = Seq_fsim.profile ?pool c ~si ~seq:joined ~faults ~subset:all in
+  let detected = Seq_fsim.detect ?pool c ~si ~seq:joined ~faults in
+  let pick f = Array.of_list (List.filter f (Array.to_list all)) in
+  let subset =
+    pick (fun f ->
+        Rng.int rng 3 = 0
+        || (Bitvec.get detected f && prof_joined.Seq_fsim.po_time.(f) = max_int))
+  in
+  let det_subset = Array.of_list (List.filter (Bitvec.get detected) (Array.to_list subset)) in
+  (* [p] first, then up to three more distinct boundaries. *)
+  let others = List.sort_uniq compare (List.init 3 (fun _ -> Rng.int rng (len + 1))) in
+  let boundaries = Array.of_list (p :: List.filter (( <> ) p) others) in
+  let po_time, snaps = Seq_fsim.snapshots ?pool c ~si ~seq ~faults ~subset:all ~boundaries in
+  let of_subset =
+    (snd (Seq_fsim.snapshots ?pool c ~si ~seq ~faults ~subset ~boundaries:[| p |])).(0)
+  in
+  let agrees snap =
+    List.for_all
+      (fun sub ->
+        Seq_fsim.resume_verify ?pool c snap ~suffix ~faults ~subset:sub
+        = Seq_fsim.verify_required ?pool c ~si ~seq:joined ~faults ~subset:sub
+        && Seq_fsim.resume_po_time ?pool c snap ~suffix ~faults ~subset:sub
+           = Array.map (fun f -> prof_joined.Seq_fsim.po_time.(f)) sub)
+      [ subset; det_subset ]
+  in
+  po_time = (Seq_fsim.profile ?pool c ~si ~seq ~faults ~subset:all).Seq_fsim.po_time
+  && agrees snaps.(0) && agrees of_subset
+
+let prop_resume_matches_from_scratch =
+  QCheck.Test.make ~name:"resumed verify/po_time match simulation from time 0" ~count:10
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let s298 = Asc_circuits.Registry.get "s298" in
+      List.for_all
+        (fun domains ->
+          with_pool domains (fun pool ->
+              resume_matches (small_circuit seed) ~seed ~pool
+              && resume_matches s298 ~seed ~pool))
+        [ 1; 2 ])
+
+(* The trace cache recalls a test's good trace by (scan-in, seq): a
+   repeated detect -> profile of one test misses once and hits once, a
+   snapshot pass over it hits again, and a resumed verify computes its
+   suffix rows without a lookup. *)
+let test_trace_cache_counts () =
+  let c = Asc_circuits.Registry.get "s298" in
+  let faults = Collapse.reps (Collapse.run c) in
+  let subset = Array.init (Array.length faults) Fun.id in
+  let si, seq = stimulus c "s298" ~len:8 in
+  let tel = Telemetry.create () in
+  with_kernel SK.Levelized (fun () ->
+      Seq_fsim.clear_trace_cache ();
+      ignore (Seq_fsim.detect ~tel c ~si ~seq ~faults);
+      ignore (Seq_fsim.profile ~tel c ~si ~seq ~faults ~subset);
+      let _, snaps = Seq_fsim.snapshots ~tel c ~si ~seq ~faults ~subset ~boundaries:[| 4 |] in
+      ignore (Seq_fsim.resume_verify ~tel c snaps.(0) ~suffix:seq ~faults ~subset);
+      ignore (Seq_fsim.verify_required ~tel c ~si ~seq:(Array.sub seq 0 4) ~faults ~subset));
+  let snap = Telemetry.drain tel in
+  Alcotest.(check (pair int int))
+    "hits, misses" (2, 2)
+    (Telemetry.counter_value snap "trace_cache_hits", Telemetry.counter_value snap "trace_cache_misses")
+
 let suite =
   [
     ( "kernel",
@@ -189,6 +271,8 @@ let suite =
         Alcotest.test_case "profile/candidates/verify: levelized = reference"
           `Quick test_rich_ops_equivalence;
         qtest prop_cone_matches_full_resim;
+        qtest prop_resume_matches_from_scratch;
+        Alcotest.test_case "trace cache hit/miss counts" `Quick test_trace_cache_counts;
         qtest prop_comb_matrix_kernel_independent;
       ] );
   ]

@@ -65,6 +65,21 @@ let test_golden_s27 () =
     (Array.length p.comb_tests)
     (Array.length again.prepared.comb_tests)
 
+(* Mid-size pins: [Pipeline.run] at seed 1 — final test count, N_cyc and
+   the CRC-32 of the saved test-set text.  A drifted vector-omission or
+   test-combination decision moves at least one of them. *)
+let golden_mid =
+  [ ("s298", 14, 258, "8e709bde"); ("s344", 15, 315, "4fbc3e50"); ("s382", 5, 209, "68588ae5") ]
+
+let test_golden_mid (name, tests, cycles, crc) () =
+  let c = Asc_circuits.Registry.get name in
+  let r = Asc_core.Pipeline.run (Asc_core.Pipeline.prepare c) in
+  let text = Asc_scan.Tset_io.to_string c r.final_tests in
+  Alcotest.(check int) (name ^ " tests") tests (Array.length r.final_tests);
+  Alcotest.(check int) (name ^ " N_cyc") cycles r.cycles_final;
+  Alcotest.(check string) (name ^ " tset crc") crc
+    (Asc_util.Crc.to_hex (Asc_util.Crc.crc32 text))
+
 let test_seed_changes_everything () =
   let a = Asc_core.Experiments.run_circuit ~seed:1 "s27" in
   let b = Asc_core.Experiments.run_circuit ~seed:2 "s27" in
@@ -83,6 +98,12 @@ let suite =
         Alcotest.test_case "tables render" `Quick test_tables_render;
         Alcotest.test_case "table3 totals" `Quick test_table3_totals_exclude_s35932;
         Alcotest.test_case "golden s27" `Quick test_golden_s27;
+      ]
+      @ List.map
+          (fun ((name, _, _, _) as pin) ->
+            Alcotest.test_case ("golden " ^ name) `Quick (test_golden_mid pin))
+          golden_mid
+      @ [
         Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_everything;
       ] );
   ]
