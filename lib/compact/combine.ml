@@ -6,15 +6,17 @@
    re-running T_j from whatever state T_i leaves behind.  A combination is
    accepted only if the fault coverage of the whole test set does not drop.
 
-   Coverage bookkeeping: with the tests x faults detection matrix and
-   per-fault detection counts, the only faults at risk when combining
-   (i, j) are those detected by tau_i or tau_j and by no other test; the
-   combined test is simulated over the union of the two rows, and accepted
+   Coverage bookkeeping ([Pair_book]): the only faults at risk when
+   combining (i, j) are those detected by tau_i or tau_j and by no other
+   test.  The book derives them word by word from the count classes
+   "one live test detects f" and "two do"; the combined test is accepted
    iff every at-risk fault is still detected.
 
    Pair order: at-risk sets are cheap to size, so attempts are made in
    ascending |at-risk| order (easiest first), sweeping until a full sweep
-   makes no change.
+   makes no change.  A pair that failed is not simulated again until one
+   of its tests changes or a count it depends on moves — its answer
+   cannot differ — but it still counts as an attempt.
 
    A combined test keeps T_i as its prefix, so each live test i memoizes
    a snapshot at the end of T_i — its final good state and, for the
@@ -31,7 +33,7 @@ module Seq_fsim = Asc_fault.Seq_fsim
 type result = {
   tests : Scan_test.t array;
   combinations : int; (* accepted combinations *)
-  attempts : int; (* simulated candidate pairs *)
+  attempts : int; (* candidate pairs tried, remembered failures included *)
 }
 
 type config = { max_sweeps : int; max_attempts : int }
@@ -43,78 +45,57 @@ let run ?pool ?budget ?tel ?(config = default_config) c (tests : Scan_test.t arr
   if n = 0 then { tests; combinations = 0; attempts = 0 }
   else begin
     let mat = Asc_scan.Tset.detection_matrix ?pool ?budget ?tel ~only:targets c tests ~faults in
-    (* Restrict every row to the target faults. *)
-    for i = 0 to n - 1 do
-      Bitvec.inter_into ~into:(Bitmat.row mat i) targets
-    done;
-    let counts = Bitmat.column_counts mat in
-    let current = Array.copy tests in
-    let alive = Array.make n true in
+    let book = Pair_book.create ~targets tests (Array.init n (Bitmat.row mat)) in
     let combinations = ref 0 and attempts = ref 0 in
-    let memo = Array.make n None in
-    (* The end-of-T_i snapshot, covering [risk].  When the memo lacks one
-       of those faults, one pass snapshots every fault a pair (i, _) can
-       put at risk under the current counts — the faults one live test
-       alone detects, and those i shares with exactly one other — so the
-       pairs of i share one well-packed pass instead of one each.  Counts
-       change only on acceptances, so re-snapshots are rare. *)
+    let snaps = Array.make n None in
+    (* The end-of-T_i snapshot, covering [risk].  When the memoized one
+       lacks one of those faults, one pass snapshots every fault a pair
+       (i, _) can put at risk under the current counts, so the pairs of i
+       share one well-packed pass instead of one each.  Counts change only
+       on acceptances, so re-snapshots are rare. *)
     let end_snapshot i risk =
-      match memo.(i) with
+      match snaps.(i) with
       | Some s when List.for_all (Seq_fsim.snapshot_covers s) risk -> s
       | _ ->
-          let row = Bitmat.row mat i in
-          let batch = ref [] in
-          for f = Array.length counts - 1 downto 0 do
-            if counts.(f) = 1 || (counts.(f) = 2 && Bitvec.get row f) then batch := f :: !batch
-          done;
-          let t = current.(i) in
-          let _, snaps =
+          let t = Pair_book.test book i in
+          let _, s =
             Seq_fsim.snapshots ?pool ?budget ?tel c ~si:t.si ~seq:t.seq ~faults
-              ~subset:(Array.of_list !batch) ~boundaries:[| Scan_test.length t |]
+              ~subset:(Array.of_list (Bitvec.to_list (Pair_book.exposed book i)))
+              ~boundaries:[| Scan_test.length t |]
           in
-          memo.(i) <- Some snaps.(0);
-          snaps.(0)
+          snaps.(i) <- Some s.(0);
+          s.(0)
     in
-    (* Faults whose coverage would be lost if rows i and j both vanish. *)
-    let at_risk i j =
-      let union = Bitvec.union (Bitmat.row mat i) (Bitmat.row mat j) in
-      Bitvec.fold_set
-        (fun acc f ->
-          let own =
-            (if Bitvec.get (Bitmat.row mat i) f then 1 else 0)
-            + if Bitvec.get (Bitmat.row mat j) f then 1 else 0
-          in
-          if counts.(f) = own then f :: acc else acc)
-        [] union
-      |> List.rev
+    let keeps_coverage i j =
+      let risk = Bitvec.to_list (Pair_book.at_risk book i j) in
+      risk = []
+      || Seq_fsim.resume_verify ?pool ?budget ?tel c (end_snapshot i risk)
+           ~suffix:(Pair_book.test book j).seq ~faults ~subset:(Array.of_list risk)
     in
+    (* A remembered failure still counts as an attempt but is not
+       simulated: its answer cannot have changed. *)
     let try_combine i j =
       incr attempts;
-      let risk = at_risk i j in
-      if
-        risk = []
-        || Seq_fsim.resume_verify ?pool ?budget ?tel c (end_snapshot i risk)
-             ~suffix:current.(j).seq ~faults ~subset:(Array.of_list risk)
-      then begin
-        let combined = Scan_test.combine current.(i) current.(j) in
+      if Pair_book.failed book i j then false
+      else if keeps_coverage i j then begin
+        let combined =
+          Scan_test.combine (Pair_book.test book i) (Pair_book.test book j)
+        in
         (* Re-derive row i over everything the two tests used to detect
            (the combined test may detect more; that only helps and is left
            uncounted, keeping the bookkeeping conservative). *)
-        let union = Bitvec.union (Bitmat.row mat i) (Bitmat.row mat j) in
-        let row' = Scan_test.detect ?pool ?budget ?tel ~only:union c combined ~faults in
-        Bitvec.iter_set (fun f -> counts.(f) <- counts.(f) - 1) (Bitmat.row mat i);
-        Bitvec.iter_set (fun f -> counts.(f) <- counts.(f) - 1) (Bitmat.row mat j);
-        Bitvec.iter_set (fun f -> counts.(f) <- counts.(f) + 1) row';
-        current.(i) <- combined;
-        memo.(i) <- None;
-        memo.(j) <- None;
-        Bitmat.set_row mat i row';
-        Bitmat.set_row mat j (Bitvec.create (Array.length faults));
-        alive.(j) <- false;
+        let union = Bitvec.union (Pair_book.row book i) (Pair_book.row book j) in
+        let row = Scan_test.detect ?pool ?budget ?tel ~only:union c combined ~faults in
+        Pair_book.replace book i j combined row;
+        snaps.(i) <- None;
+        snaps.(j) <- None;
         incr combinations;
         true
       end
-      else false
+      else begin
+        Pair_book.mark_failed book i j;
+        false
+      end
     in
     let progress = ref true in
     let sweep = ref 0 in
@@ -124,24 +105,24 @@ let run ?pool ?budget ?tel ?(config = default_config) c (tests : Scan_test.t arr
       (* Order candidate pairs by at-risk size (cheap to compute). *)
       let pairs = ref [] in
       for i = 0 to n - 1 do
-        if alive.(i) then
+        if Pair_book.alive book i then
           for j = 0 to n - 1 do
-            if j <> i && alive.(j) then begin
-              let risk_size = List.length (at_risk i j) in
-              pairs := (risk_size, i, j) :: !pairs
-            end
+            if j <> i && Pair_book.alive book j then
+              pairs := (Bitvec.count (Pair_book.at_risk book i j), i, j) :: !pairs
           done
       done;
       let pairs = List.sort compare !pairs in
       List.iter
         (fun (_, i, j) ->
-          if alive.(i) && alive.(j) && !attempts < config.max_attempts then
-            if try_combine i j then progress := true)
+          if
+            Pair_book.alive book i && Pair_book.alive book j
+            && !attempts < config.max_attempts
+          then if try_combine i j then progress := true)
         pairs
     done;
-    let kept = ref [] in
-    for i = n - 1 downto 0 do
-      if alive.(i) then kept := current.(i) :: !kept
-    done;
-    { tests = Array.of_list !kept; combinations = !combinations; attempts = !attempts }
+    {
+      tests = Pair_book.survivors book;
+      combinations = !combinations;
+      attempts = !attempts;
+    }
   end

@@ -7,7 +7,9 @@
 type result = {
   tests : Asc_scan.Scan_test.t array;
   combinations : int;  (** Accepted combinations. *)
-  attempts : int;  (** Simulated candidate pairs. *)
+  attempts : int;
+      (** Candidate pairs tried, including those a remembered failure
+          answers without simulation. *)
 }
 
 type config = { max_sweeps : int; max_attempts : int }

@@ -68,27 +68,10 @@ let run ?(config = default_config) c (tests : Scan_test.t array) ~faults ~target
     { tests = base.tests; combinations = base.combinations; transfers = 0;
       transfer_cycles = 0 }
   else begin
-    let current = Array.copy base.tests in
-    let alive = Array.make n true in
     let transfers = ref 0 and transfer_cycles = ref 0 and attempts = ref 0 in
     (* Coverage bookkeeping, as in Combine. *)
-    let mat = Asc_scan.Tset.detection_matrix ~only:targets c current ~faults in
-    for i = 0 to n - 1 do
-      Bitvec.inter_into ~into:(Bitmat.row mat i) targets
-    done;
-    let counts = Bitmat.column_counts mat in
-    let at_risk i j =
-      let union = Bitvec.union (Bitmat.row mat i) (Bitmat.row mat j) in
-      Bitvec.fold_set
-        (fun acc f ->
-          let own =
-            (if Bitvec.get (Bitmat.row mat i) f then 1 else 0)
-            + if Bitvec.get (Bitmat.row mat j) f then 1 else 0
-          in
-          if counts.(f) = own then f :: acc else acc)
-        [] union
-      |> List.rev |> Array.of_list
-    in
+    let mat = Asc_scan.Tset.detection_matrix ~only:targets c base.tests ~faults in
+    let book = Pair_book.create ~targets base.tests (Array.init n (Bitmat.row mat)) in
     let n_pis = Circuit.n_inputs c in
     let make_candidate len last =
       match Rng.int rng 3 with
@@ -100,7 +83,7 @@ let run ?(config = default_config) c (tests : Scan_test.t array) ~faults ~target
     in
     let try_pair i j =
       incr attempts;
-      let ti = current.(i) and tj = current.(j) in
+      let ti = Pair_book.test book i and tj = Pair_book.test book j in
       let from_state = Scan_test.scan_out c ti in
       (* Rank candidate transfers by how close they park the state to
          SI_j; [None] stands for the empty transfer (plain combining
@@ -114,6 +97,7 @@ let run ?(config = default_config) c (tests : Scan_test.t array) ~faults ~target
         scored := (hamming final tj.si + Array.length tx, tx) :: !scored
       done;
       let ranked = List.sort (fun (a, _) (b, _) -> compare a b) !scored in
+      let risk = Array.of_list (Bitvec.to_list (Pair_book.at_risk book i j)) in
       let rec verify k = function
         | [] -> false
         | (_, tx) :: rest ->
@@ -122,20 +106,13 @@ let run ?(config = default_config) c (tests : Scan_test.t array) ~faults ~target
               let combined =
                 Scan_test.create ~si:ti.si ~seq:(Array.concat [ ti.seq; tx; tj.seq ])
               in
-              let risk = at_risk i j in
               if
                 Asc_fault.Seq_fsim.verify_required c ~si:combined.si ~seq:combined.seq
                   ~faults ~subset:risk
               then begin
-                let union = Bitvec.union (Bitmat.row mat i) (Bitmat.row mat j) in
-                let row' = Scan_test.detect ~only:union c combined ~faults in
-                Bitvec.iter_set (fun f -> counts.(f) <- counts.(f) - 1) (Bitmat.row mat i);
-                Bitvec.iter_set (fun f -> counts.(f) <- counts.(f) - 1) (Bitmat.row mat j);
-                Bitvec.iter_set (fun f -> counts.(f) <- counts.(f) + 1) row';
-                current.(i) <- combined;
-                Bitmat.set_row mat i row';
-                Bitmat.set_row mat j (Bitvec.create (Array.length faults));
-                alive.(j) <- false;
+                let union = Bitvec.union (Pair_book.row book i) (Pair_book.row book j) in
+                let row = Scan_test.detect ~only:union c combined ~faults in
+                Pair_book.replace book i j combined row;
                 incr transfers;
                 transfer_cycles := !transfer_cycles + Array.length tx;
                 true
@@ -150,16 +127,13 @@ let run ?(config = default_config) c (tests : Scan_test.t array) ~faults ~target
        for i = 0 to n - 1 do
          for j = 0 to n - 1 do
            if !attempts >= config.max_pairs then raise Exit;
-           if i <> j && alive.(i) && alive.(j) then ignore (try_pair i j)
+           if i <> j && Pair_book.alive book i && Pair_book.alive book j then
+             ignore (try_pair i j)
          done
        done
      with Exit -> ());
-    let kept = ref [] in
-    for i = n - 1 downto 0 do
-      if alive.(i) then kept := current.(i) :: !kept
-    done;
     {
-      tests = Array.of_list !kept;
+      tests = Pair_book.survivors book;
       combinations = base.combinations;
       transfers = !transfers;
       transfer_cycles = !transfer_cycles;

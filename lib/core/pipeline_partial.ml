@@ -27,6 +27,7 @@ open Asc_util
 module Circuit = Asc_netlist.Circuit
 module Scan_test = Asc_scan.Scan_test
 module Partial = Asc_scan.Partial
+module Pair_book = Asc_compact.Pair_book
 
 type config = {
   seed : int;
@@ -139,62 +140,47 @@ let omit c chain (test : Scan_test.t) ~faults ~required ~config =
   !current
 
 (* Phase 4 under partial scan: greedy pair combining with partial-semantics
-   verification. *)
+   verification.  The combined test's row is everything it detects, so an
+   acceptance can raise counts; the book forgets the failures that may
+   depend on them. *)
 let combine c chain tests ~faults ~targets ~config =
   let n = Array.length tests in
   if n <= 1 then tests
   else begin
-    let current = Array.copy tests in
-    let alive = Array.make n true in
-    let rows =
-      Array.map (fun t -> Bitvec.inter (Partial.detect ~only:targets c chain t ~faults) targets) current
-    in
-    let counts = Array.make (Array.length faults) 0 in
-    Array.iter (fun row -> Bitvec.iter_set (fun f -> counts.(f) <- counts.(f) + 1) row) rows;
+    let detect t = Partial.detect ~only:targets c chain t ~faults in
+    let book = Pair_book.create ~targets tests (Array.map detect tests) in
     let attempts = ref 0 in
     let try_combine i j =
       incr attempts;
-      let risk =
-        Bitvec.fold_set
-          (fun acc f ->
-            let own =
-              (if Bitvec.get rows.(i) f then 1 else 0)
-              + if Bitvec.get rows.(j) f then 1 else 0
-            in
-            if counts.(f) = own then f :: acc else acc)
-          []
-          (Bitvec.union rows.(i) rows.(j))
-      in
-      let combined = Scan_test.combine current.(i) current.(j) in
-      let det = Partial.detect ~only:targets c chain combined ~faults in
-      if List.for_all (fun f -> Bitvec.get det f) risk then begin
-        let row' = Bitvec.inter det targets in
-        Bitvec.iter_set (fun f -> counts.(f) <- counts.(f) - 1) rows.(i);
-        Bitvec.iter_set (fun f -> counts.(f) <- counts.(f) - 1) rows.(j);
-        Bitvec.iter_set (fun f -> counts.(f) <- counts.(f) + 1) row';
-        current.(i) <- combined;
-        rows.(i) <- row';
-        rows.(j) <- Bitvec.create (Array.length faults);
-        alive.(j) <- false;
-        true
+      if Pair_book.failed book i j then false
+      else begin
+        let combined =
+          Scan_test.combine (Pair_book.test book i) (Pair_book.test book j)
+        in
+        let det = detect combined in
+        if Bitvec.subset (Pair_book.at_risk book i j) det then begin
+          Pair_book.replace book i j combined det;
+          true
+        end
+        else begin
+          Pair_book.mark_failed book i j;
+          false
+        end
       end
-      else false
     in
     let progress = ref true in
     while !progress && !attempts < config.combine_attempts do
       progress := false;
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
-          if i <> j && alive.(i) && alive.(j) && !attempts < config.combine_attempts
+          if
+            i <> j && Pair_book.alive book i && Pair_book.alive book j
+            && !attempts < config.combine_attempts
           then if try_combine i j then progress := true
         done
       done
     done;
-    let kept = ref [] in
-    for i = n - 1 downto 0 do
-      if alive.(i) then kept := current.(i) :: !kept
-    done;
-    Array.of_list !kept
+    Pair_book.survivors book
   end
 
 let run ?(config = default_config) (p : Pipeline.prepared) ~chain =

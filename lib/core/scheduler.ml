@@ -430,7 +430,11 @@ let cleanup_checkpoints path =
     if Sys.file_exists f then (try Sys.remove f with Sys_error _ -> ())
   done
 
+(* A job's good-machine traces could only be hit again by the same spec,
+   and the result cache answers that spec: drop them when the job ends,
+   so a long-lived worker carries no stale traces. *)
 let execute t job =
+  Fun.protect ~finally:Asc_fault.Seq_fsim.clear_trace_cache @@ fun () ->
   let budget = Budget.create ?timeout:job.j_timeout () in
   let config = job.j_config in
   let resumed = ref false in

@@ -184,7 +184,9 @@ val job_of_spec : id:int -> source:int -> spec -> (job, string) Stdlib.result
 
 (** Run one job to its outcome on the calling domain (blocking) — the
     execution half of {!run_next}, with identical telemetry, checkpoint
-    and chaos behaviour. *)
+    and chaos behaviour.  Whether it returns or raises, the job leaves
+    the shared good-trace cache empty
+    ({!Asc_fault.Seq_fsim.clear_trace_cache}). *)
 val execute : t -> job -> result
 
 (** Record a finished job's result: [Complete] results (which always

@@ -1,0 +1,35 @@
+#!/bin/sh
+# Check that the saved seed-1 test sets keep their golden CRC-32: s1423
+# with directed and random T0 at 1 and 2 domains, and s5378 at 2 domains.
+# An edit that changes a compaction decision changes at least one file.
+#
+# Usage: sh scripts/golden_tsets.sh [ASC]
+#   ASC  the asc binary (default: _build/default/bin/asc.exe; build it
+#        first with `dune build bin/asc.exe`)
+# Exits 1 when any CRC differs.  s5378 takes about 20-30 s on 2 cores.
+set -eu
+asc=${1:-_build/default/bin/asc.exe}
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
+status=0
+
+check() {
+  want=$1 label=$2 circuit=$3
+  shift 3
+  file="$dir/$label.tset"
+  "$asc" save-tests "$circuit" "$file" "$@" >/dev/null
+  got=$(python3 -c 'import sys, zlib; print("%08x" % zlib.crc32(open(sys.argv[1], "rb").read()))' "$file")
+  if [ "$got" = "$want" ]; then
+    echo "ok   $label $got"
+  else
+    echo "FAIL $label: crc $got, want $want"
+    status=1
+  fi
+}
+
+for d in 1 2; do
+  check 85addbe9 "s1423-directed-d$d" s1423 --domains "$d"
+  check 6c7eb203 "s1423-random-d$d" s1423 --t0 random --domains "$d"
+done
+check 300e7ab3 s5378-d2 s5378 --domains 2
+exit $status

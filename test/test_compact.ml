@@ -86,6 +86,143 @@ let test_combine_single_test_noop () =
   Alcotest.(check int) "unchanged" 1 (Array.length r.tests);
   Alcotest.(check int) "no attempts" 0 r.combinations
 
+(* Differential oracle for Combine.run: the procedure of [4] written out
+   plainly — the at-risk set by a per-fault fold over the detection
+   counts, every pair verified from time 0 on the whole combined test, no
+   failed-pair memo and no snapshots.  Combine.run must make exactly the
+   same decisions and the same number of attempts. *)
+let reference_combine c (tests : Scan_test.t array) ~faults ~targets =
+  let config = Asc_compact.Combine.default_config in
+  let n = Array.length tests and n_faults = Array.length faults in
+  let rows =
+    Array.map (fun t -> Bitvec.inter (Scan_test.detect ~only:targets c t ~faults) targets) tests
+  in
+  let counts = Array.make n_faults 0 in
+  let bump d row = Bitvec.iter_set (fun f -> counts.(f) <- counts.(f) + d) row in
+  Array.iter (bump 1) rows;
+  let current = Array.copy tests and alive = Array.make n true in
+  let at_risk i j =
+    List.filter
+      (fun f ->
+        let own = Bool.to_int (Bitvec.get rows.(i) f) + Bool.to_int (Bitvec.get rows.(j) f) in
+        own > 0 && counts.(f) = own)
+      (List.init n_faults Fun.id)
+  in
+  let combinations = ref 0 and attempts = ref 0 in
+  let try_combine i j =
+    incr attempts;
+    let combined = Scan_test.combine current.(i) current.(j) in
+    let risk = Array.of_list (at_risk i j) in
+    if Asc_fault.Seq_fsim.verify_required c ~si:combined.si ~seq:combined.seq ~faults ~subset:risk
+    then begin
+      let row = Scan_test.detect ~only:(Bitvec.union rows.(i) rows.(j)) c combined ~faults in
+      bump (-1) rows.(i);
+      bump (-1) rows.(j);
+      bump 1 row;
+      current.(i) <- combined;
+      rows.(i) <- row;
+      rows.(j) <- Bitvec.create n_faults;
+      alive.(j) <- false;
+      incr combinations;
+      true
+    end
+    else false
+  in
+  let progress = ref true and sweep = ref 0 in
+  while !progress && !sweep < config.max_sweeps && !attempts < config.max_attempts do
+    incr sweep;
+    progress := false;
+    let pairs = ref [] in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if i <> j && alive.(i) && alive.(j) then
+          pairs := (List.length (at_risk i j), i, j) :: !pairs
+      done
+    done;
+    List.iter
+      (fun (_, i, j) ->
+        if alive.(i) && alive.(j) && !attempts < config.max_attempts && try_combine i j then
+          progress := true)
+      (List.sort compare !pairs)
+  done;
+  let kept = List.filter (fun i -> alive.(i)) (List.init n Fun.id) in
+  (Array.of_list (List.map (fun i -> current.(i)) kept), !combinations, !attempts)
+
+(* Combine.run at 1 and 2 domains against the reference. *)
+let combine_matches_reference c tests ~faults ~targets =
+  let want_tests, want_combinations, want_attempts =
+    reference_combine c tests ~faults ~targets
+  in
+  List.for_all
+    (fun domains ->
+      let pool = Domain_pool.create ~domains () in
+      Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
+      let r = Asc_compact.Combine.run ~pool c tests ~faults ~targets in
+      r.combinations = want_combinations
+      && r.attempts = want_attempts
+      && Array.length r.tests = Array.length want_tests
+      && Array.for_all2 Scan_test.equal r.tests want_tests)
+    [ 1; 2 ]
+
+(* Random tests of 1-3 vectors that each detect something, so combined
+   tests grow and later sweeps meet changed partners. *)
+let random_multi_vector_tests c ~faults rng n =
+  let n_pis = Circuit.n_inputs c and n_ffs = Circuit.n_dffs c in
+  let tests = ref [] in
+  while List.length !tests < n do
+    let seq = Array.init (1 + Rng.int rng 3) (fun _ -> Rng.bool_array rng n_pis) in
+    let t = Scan_test.create ~si:(Rng.bool_array rng n_ffs) ~seq in
+    if not (Bitvec.is_empty (Scan_test.detect c t ~faults)) then tests := t :: !tests
+  done;
+  Array.of_list !tests
+
+let prop_combine_matches_reference =
+  QCheck.Test.make ~name:"combine matches the plain reference at 1 and 2 domains"
+    ~count:25
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let c = small_circuit seed in
+      let faults = Collapse.reps (Collapse.run c) in
+      let rng = Rng.create (seed + 34) in
+      let tests = random_multi_vector_tests c ~faults rng (8 + Rng.int rng 10) in
+      let targets = Asc_scan.Tset.coverage c tests ~faults in
+      combine_matches_reference c tests ~faults ~targets)
+
+let test_combine_matches_reference_iscas () =
+  List.iter
+    (fun name ->
+      let c = Asc_circuits.Registry.get name in
+      let p = Asc_core.Pipeline.prepare c in
+      let tests = Array.map Scan_test.of_pattern p.comb_tests in
+      Alcotest.(check bool) (name ^ " matches the reference") true
+        (combine_matches_reference c tests ~faults:p.faults ~targets:p.targets))
+    [ "s298"; "s344" ]
+
+(* Pair_book on hand-made rows: the count classes give the at-risk sets,
+   and an acceptance forgets exactly the failures whose answer may change —
+   those of the surviving test, and those of every test holding a fault
+   the new row gains beyond the two old rows (the partial-scan Phase 4
+   counts everything a combined test detects). *)
+let test_pair_book_forgetting () =
+  let module Pb = Asc_compact.Pair_book in
+  let t = Scan_test.create ~si:[||] ~seq:[| [||] |] in
+  let rows = List.map (Bitvec.of_list 3) [ [ 0 ]; [ 1 ]; [ 2 ]; [ 2 ]; [ 1 ]; [] ] in
+  let book = Pb.create ~targets:(Bitvec.create ~default:true 3) (Array.make 6 t) (Array.of_list rows) in
+  let risk i j = Bitvec.to_list (Pb.at_risk book i j) in
+  Alcotest.(check (list int)) "fault 0 only test 0 detects" [ 0 ] (risk 0 1);
+  Alcotest.(check (list int)) "fault 1 shared by exactly tests 1 and 4" [ 1 ] (risk 1 4);
+  Alcotest.(check (list int)) "exposed by test 1" [ 0; 1 ] (Bitvec.to_list (Pb.exposed book 1));
+  List.iter (fun (i, j) -> Pb.mark_failed book i j) [ (0, 1); (1, 4); (5, 2) ];
+  (* (2, 3) becomes one test that also detects fault 0. *)
+  Pb.replace book 2 3 t (Bitvec.of_list 3 [ 0; 2 ]);
+  Alcotest.(check bool) "test 0 holds a gained fault" false (Pb.failed book 0 1);
+  Alcotest.(check bool) "untouched pair still failed" true (Pb.failed book 1 4);
+  Alcotest.(check bool) "the surviving test's failures are forgotten" false (Pb.failed book 5 2);
+  Alcotest.(check (list int)) "fault 0 now has a second detector" [] (risk 0 1);
+  Alcotest.(check (list int)) "fault 2 only the combined test detects" [ 2 ] (risk 2 5);
+  Alcotest.(check bool) "test 3 is gone" false (Pb.alive book 3);
+  Alcotest.(check int) "survivors" 5 (Array.length (Pb.survivors book))
+
 (* --- Vector omission ([8]) --------------------------------------------- *)
 
 let prop_omission_preserves_required =
@@ -209,6 +346,11 @@ let suite =
         qtest prop_combine_preserves_coverage;
         Alcotest.test_case "combine chained pair" `Quick test_combine_chained_pair;
         Alcotest.test_case "combine single noop" `Quick test_combine_single_test_noop;
+        qtest prop_combine_matches_reference;
+        Alcotest.test_case "combine matches the reference on s298, s344" `Quick
+          test_combine_matches_reference_iscas;
+        Alcotest.test_case "pair book forgets only changeable failures" `Quick
+          test_pair_book_forgetting;
         qtest prop_omission_preserves_required;
         Alcotest.test_case "omission removes padding" `Quick test_omission_removes_padding;
         Alcotest.test_case "set cover paper rules" `Quick test_set_cover_paper_rules;

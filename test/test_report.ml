@@ -71,14 +71,63 @@ let test_golden_s27 () =
 let golden_mid =
   [ ("s298", 14, 258, "8e709bde"); ("s344", 15, 315, "4fbc3e50"); ("s382", 5, 209, "68588ae5") ]
 
+let tset_crc c tests =
+  Asc_util.Crc.to_hex (Asc_util.Crc.crc32 (Asc_scan.Tset_io.to_string c tests))
+
+(* One seed-1 preparation and run per circuit, shared by the pins below. *)
+let mid_runs =
+  List.map
+    (fun (name, _, _, _) ->
+      ( name,
+        lazy
+          (let c = Asc_circuits.Registry.get name in
+           let p = Asc_core.Pipeline.prepare c in
+           (c, p, Asc_core.Pipeline.run p)) ))
+    golden_mid
+
+let check_pin name (tests, cycles, crc) c final cycles_final =
+  Alcotest.(check int) (name ^ " tests") tests (Array.length final);
+  Alcotest.(check int) (name ^ " N_cyc") cycles cycles_final;
+  Alcotest.(check string) (name ^ " tset crc") crc (tset_crc c final)
+
 let test_golden_mid (name, tests, cycles, crc) () =
-  let c = Asc_circuits.Registry.get name in
-  let r = Asc_core.Pipeline.run (Asc_core.Pipeline.prepare c) in
-  let text = Asc_scan.Tset_io.to_string c r.final_tests in
-  Alcotest.(check int) (name ^ " tests") tests (Array.length r.final_tests);
-  Alcotest.(check int) (name ^ " N_cyc") cycles r.cycles_final;
-  Alcotest.(check string) (name ^ " tset crc") crc
-    (Asc_util.Crc.to_hex (Asc_util.Crc.crc32 text))
+  let c, _, r = Lazy.force (List.assoc name mid_runs) in
+  check_pin name (tests, cycles, crc) c r.final_tests r.cycles_final
+
+(* Phase 4 pins: [Combine.run] on the end-of-Phase-3 set, which must keep
+   both its decisions and the number of pairs it tries. *)
+let golden_combine = [ ("s298", 182, 0); ("s344", 424, 1); ("s382", 42, 1) ]
+
+let test_golden_combine (name, attempts, combinations) () =
+  let c, p, r = Lazy.force (List.assoc name mid_runs) in
+  let cb =
+    Asc_compact.Combine.run c r.initial_tests ~faults:p.faults ~targets:p.targets
+  in
+  Alcotest.(check int) (name ^ " attempts") attempts cb.attempts;
+  Alcotest.(check int) (name ^ " combinations") combinations cb.combinations
+
+(* The other combining loops at seed 1: the partial-scan pipeline over the
+   half-fanout chain, and transfer compaction of C as ablation C runs it.
+   Each pin is (tests, N_cyc, CRC-32 of the Tset_io text). *)
+let golden_partial = [ ("s298", 2, 71, "a287b8be"); ("s344", 7, 131, "42b0674b") ]
+let golden_transfer = [ ("s298", 16, 269, "3e00577a"); ("s344", 25, 428, "a837ab83") ]
+
+let test_golden_partial (name, tests, cycles, crc) () =
+  let c, p, _ = Lazy.force (List.assoc name mid_runs) in
+  let chain = Asc_scan.Partial.by_fanout c ~ratio:0.5 in
+  let r = Asc_core.Pipeline_partial.run p ~chain in
+  check_pin name (tests, cycles, crc) c r.final_tests r.cycles_final
+
+let test_golden_transfer (name, tests, cycles, crc) () =
+  let c, p, _ = Lazy.force (List.assoc name mid_runs) in
+  let rng = Asc_util.Rng.of_name ~seed:1 (name ^ "/transfer") in
+  let r =
+    Asc_compact.Transfer.run c
+      (Array.map Asc_scan.Scan_test.of_pattern p.comb_tests)
+      ~faults:p.faults ~targets:p.targets ~rng
+  in
+  check_pin name (tests, cycles, crc) c r.tests
+    (Asc_scan.Time_model.cycles_of_tests c r.tests)
 
 let test_seed_changes_everything () =
   let a = Asc_core.Experiments.run_circuit ~seed:1 "s27" in
@@ -103,6 +152,18 @@ let suite =
           (fun ((name, _, _, _) as pin) ->
             Alcotest.test_case ("golden " ^ name) `Quick (test_golden_mid pin))
           golden_mid
+      @ List.map
+          (fun ((name, _, _) as pin) ->
+            Alcotest.test_case ("golden combine " ^ name) `Quick (test_golden_combine pin))
+          golden_combine
+      @ List.map
+          (fun ((name, _, _, _) as pin) ->
+            Alcotest.test_case ("golden partial " ^ name) `Quick (test_golden_partial pin))
+          golden_partial
+      @ List.map
+          (fun ((name, _, _, _) as pin) ->
+            Alcotest.test_case ("golden transfer " ^ name) `Quick (test_golden_transfer pin))
+          golden_transfer
       @ [
         Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_everything;
       ] );

@@ -115,6 +115,33 @@ let test_scheduler_cache_and_counters () =
   Alcotest.(check int) "result_cache_hits" 1 (count "result_cache_hits");
   Alcotest.(check int) "result_cache_misses" 1 (count "result_cache_misses")
 
+(* A finished job leaves the good-trace cache empty: its traces could
+   only be hit again by the same spec, which the result cache answers.
+   Simulating the job's first final test afterwards must miss. *)
+let test_execute_clears_trace_cache () =
+  let module SK = Asc_sim.Sim_kernel in
+  let saved = SK.current () in
+  SK.set SK.Levelized;
+  Fun.protect ~finally:(fun () -> SK.set saved) @@ fun () ->
+  let sched = Scheduler.create () in
+  (match Scheduler.submit sched ~source:0 (spec ~circuit:"s298" ()) with
+  | Scheduler.Accepted _ -> ()
+  | _ -> Alcotest.fail "submit should queue");
+  match Scheduler.run_next sched with
+  | None -> Alcotest.fail "job did not run"
+  | Some (job, r) ->
+      let c = job.Scheduler.j_circuit in
+      let _, tests = Tset_io.of_string (Option.get r.Scheduler.r_tset) in
+      let t = tests.(0) in
+      let faults = Asc_fault.Collapse.reps (Asc_fault.Collapse.run c) in
+      let tel = Telemetry.create () in
+      ignore (Asc_fault.Seq_fsim.detect ~tel c ~si:t.Scan_test.si ~seq:t.Scan_test.seq ~faults);
+      let snap = Telemetry.drain tel in
+      Alcotest.(check (pair int int))
+        "hits, misses" (0, 1)
+        ( Telemetry.counter_value snap "trace_cache_hits",
+          Telemetry.counter_value snap "trace_cache_misses" )
+
 let test_scheduler_key_canonical () =
   let key sp =
     match Scheduler.key_of_spec sp with
@@ -600,13 +627,14 @@ let shutdown_server c =
   Alcotest.(check string) "shutdown golden response"
     "{\"ok\":true,\"op\":\"shutdown\",\"drained\":0}" (client_recv c)
 
-let submit_line ?(tset = false) ?timeout ?(seed = 1) circuit =
+let submit_line ?(tset = false) ?timeout ?(seed = 1) ?id circuit =
   let timeout_part =
     match timeout with None -> "" | Some t -> Printf.sprintf ",\"timeout\":%g" t
   in
-  Printf.sprintf "{\"op\":\"submit\",\"circuit\":%S,\"seed\":%d%s%s}" circuit seed
+  Printf.sprintf "{\"op\":\"submit\",\"circuit\":%S,\"seed\":%d%s%s%s}" circuit seed
     timeout_part
     (if tset then ",\"tset\":true" else "")
+    (match id with None -> "" | Some i -> Printf.sprintf ",\"id\":%d" i)
 
 let response_member resp key =
   match Json.parse resp with
@@ -868,24 +896,27 @@ let test_server_supervised () =
     let ref_s298 = reference "s298" and ref_s344 = reference "s344" in
     let state = Filename.concat dir "state" in
     (* Round 1: two jobs in flight on two workers, then shutdown — the
-       server must drain both before answering. *)
+       server must drain both before answering.  Both submits and the
+       shutdown go out in one write, so the server reads them in one loop
+       turn and the shutdown finds both jobs outstanding however fast
+       they run. *)
     let st =
       with_server ~state_dir:state ~args:[ "--workers"; "2" ] (fun sock ->
-          let c1 = client_connect sock in
-          let c2 = client_connect sock in
-          let c3 = client_connect sock in
-          Fun.protect ~finally:(fun () -> List.iter client_close [ c1; c2; c3 ])
-          @@ fun () ->
-          client_request c1 (submit_line ~tset:true "s298");
-          client_request c2 (submit_line ~tset:true "s344");
-          (* Give the server a moment to read both submits so the
-             shutdown finds work outstanding. *)
-          Unix.sleepf 0.3;
-          client_request c3 "{\"op\":\"shutdown\"}";
-          let r1 = client_recv c1 in
-          let r2 = client_recv c2 in
-          let sh = client_recv c3 in
-          List.iter (fun r -> check_bool_member r "ok" true) [ r1; r2; sh ];
+          let c = client_connect sock in
+          Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
+          client_send c
+            (String.concat "\n"
+               [ submit_line ~tset:true ~id:1 "s298"; submit_line ~tset:true ~id:2 "s344";
+                 "{\"op\":\"shutdown\"}\n" ]);
+          (* The job responses come back in completion order, the
+             shutdown response after both. *)
+          let r_a = client_recv c in
+          let r_b = client_recv c in
+          let sh = client_recv c in
+          List.iter (fun r -> check_bool_member r "ok" true) [ r_a; r_b; sh ];
+          let r1, r2 = if int_member r_a "id" = 1 then (r_a, r_b) else (r_b, r_a) in
+          Alcotest.(check (list int)) "one response per job" [ 1; 2 ]
+            [ int_member r1 "id"; int_member r2 "id" ];
           Alcotest.(check string) "supervised s298 = one-shot" ref_s298
             (str_member r1 "tset");
           Alcotest.(check string) "supervised s344 = one-shot" ref_s344
@@ -1471,6 +1502,8 @@ let suite =
           test_scheduler_cache_and_counters;
         Alcotest.test_case "cache key is canonical" `Quick
           test_scheduler_key_canonical;
+        Alcotest.test_case "a finished job leaves no trace cache" `Quick
+          test_execute_clears_trace_cache;
         Alcotest.test_case "deadline job cannot poison or starve a peer" `Quick
           test_contention_deadline_isolation;
         Alcotest.test_case "kill mid-checkpoint, resume bit-identically" `Quick
