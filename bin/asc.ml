@@ -94,35 +94,6 @@ let domains_arg =
   in
   Arg.(value & opt (some domain_count) None & info [ "domains" ] ~doc ~docv:"N")
 
-let sim_kernel_conv =
-  let parse s =
-    match Asc_sim.Sim_kernel.of_string s with
-    | Some k -> Ok k
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown kernel %S (expected levelized or reference)"
-                s))
-  in
-  let print ppf k = Format.pp_print_string ppf (Asc_sim.Sim_kernel.to_string k) in
-  Arg.conv (parse, print)
-
-let sim_kernel_arg =
-  let doc =
-    "Simulation kernel: $(b,levelized) (default; cone-limited event-driven) \
-     or $(b,reference) (interpretive full sweep — the bit-identical escape \
-     hatch for bisection and equivalence checks).  Also settable via the \
-     ASC_SIM_KERNEL environment variable."
-  in
-  Arg.(
-    value
-    & opt (some sim_kernel_conv) None
-    & info [ "sim-kernel" ] ~doc ~docv:"KERNEL")
-
-let apply_sim_kernel = function
-  | Some k -> Asc_sim.Sim_kernel.set k
-  | None -> ()
-
 (* Resolve the --domains flag to an optional pool; [None] keeps every
    simulation on the calling domain.  [budget] makes the pool fail fast
    once the run's deadline or a signal fires; [chaos] arms the pool's
@@ -309,12 +280,11 @@ let counters_arg =
   Arg.(value & flag & info [ "counters" ] ~doc)
 
 let run_cmd =
-  let run name t0 seed domains sim_kernel timeout checkpoint keep resume json
-      trace counters verbose =
+  let run name t0 seed domains timeout checkpoint keep resume json trace
+      counters verbose =
     guard @@ fun () ->
     setup_logs verbose;
     check_name name;
-    apply_sim_kernel sim_kernel;
     let budget = Budget.create ?timeout () in
     install_signal_handlers budget;
     (* Telemetry rides along whenever some consumer asked for it; it is
@@ -454,9 +424,9 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run the proposed compaction procedure")
     Term.(
-      const run $ name_arg $ t0_arg $ seed_arg $ domains_arg $ sim_kernel_arg
-      $ timeout_arg $ checkpoint_arg $ checkpoint_keep_arg $ resume_arg
-      $ json_arg $ trace_arg $ counters_arg $ verbose_arg)
+      const run $ name_arg $ t0_arg $ seed_arg $ domains_arg $ timeout_arg
+      $ checkpoint_arg $ checkpoint_keep_arg $ resume_arg $ json_arg
+      $ trace_arg $ counters_arg $ verbose_arg)
 
 let baseline_cmd =
   let run name seed domains verbose =
@@ -509,10 +479,9 @@ let save_cmd =
 
 let verify_cmd =
   let file_arg = Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE") in
-  let run name file seed domains sim_kernel =
+  let run name file seed domains =
     guard @@ fun () ->
     check_name name;
-    apply_sim_kernel sim_kernel;
     let pool = make_pool domains in
     let chaos = chaos_of_env () in
     let c = Asc_circuits.Registry.get ~seed name in
@@ -528,7 +497,7 @@ let verify_cmd =
       (Bv.count cov) (Array.length faults)
   in
   Cmd.v (Cmd.info "verify-tests" ~doc:"Fault-simulate a saved test set")
-    Term.(const run $ name_arg $ file_arg $ seed_arg $ domains_arg $ sim_kernel_arg)
+    Term.(const run $ name_arg $ file_arg $ seed_arg $ domains_arg)
 
 let import_cmd =
   let file_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
@@ -594,10 +563,9 @@ let partial_cmd =
 
 let audit_cmd =
   let file_arg = Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE") in
-  let run name file seed sim_kernel =
+  let run name file seed =
     guard @@ fun () ->
     check_name name;
-    apply_sim_kernel sim_kernel;
     let c = Asc_circuits.Registry.get ~seed name in
     let chaos = chaos_of_env () in
     let tests =
@@ -614,7 +582,7 @@ let audit_cmd =
       report.incremental
   in
   Cmd.v (Cmd.info "audit" ~doc:"Audit a saved test set (duplicates, useless tests)")
-    Term.(const run $ name_arg $ file_arg $ seed_arg $ sim_kernel_arg)
+    Term.(const run $ name_arg $ file_arg $ seed_arg)
 
 let waveform_cmd =
   let file_arg = Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE") in
@@ -750,11 +718,9 @@ let serve_cmd =
     Arg.(value & opt (some string) None & info [ "prom-file" ] ~doc ~docv:"FILE")
   in
   let run socket tcp state_dir domains workers job_retries max_pending
-      max_pending_per_source log_file log_level trace prom_file sim_kernel
-      verbose =
+      max_pending_per_source log_file log_level trace prom_file verbose =
     guard @@ fun () ->
     setup_logs verbose;
-    apply_sim_kernel sim_kernel;
     if workers < 0 then die exit_usage "--workers must be >= 0";
     let listen = resolve_listen socket tcp in
     (* The pool carries no budget: deadlines are per-job, created by the
@@ -815,7 +781,7 @@ let serve_cmd =
       const run $ socket_arg $ tcp_arg $ state_dir_arg $ domains_arg
       $ workers_arg $ job_retries_arg $ max_pending_arg
       $ max_pending_per_source_arg $ log_file_arg $ log_level_arg
-      $ trace_arg $ prom_file_arg $ sim_kernel_arg $ verbose_arg)
+      $ trace_arg $ prom_file_arg $ verbose_arg)
 
 (* A backend address: HOST:PORT when the suffix parses as a port,
    otherwise a Unix-socket path.  The literal argument string is the

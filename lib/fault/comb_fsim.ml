@@ -9,9 +9,7 @@
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
-module Engine2 = Asc_sim.Engine2
 module Kernel = Asc_sim.Kernel
-module Sim_kernel = Asc_sim.Sim_kernel
 module Pattern = Asc_sim.Pattern
 
 type group = {
@@ -45,76 +43,31 @@ let pack c (patterns : Pattern.t array) =
       let lanes = if count = Word.width then Word.mask else (1 lsl count) - 1 in
       { pi_words; state_words; lanes; base; count })
 
-(* Fault-free responses of one packed group. *)
-type good = { po : int array; next_state : int array }
-
-let good_of_group engine group =
-  Engine2.set_overrides engine [];
-  Engine2.set_state_words engine group.state_words;
-  Engine2.eval engine ~pi_words:group.pi_words;
-  let c = Engine2.circuit engine in
-  {
-    po = Array.init (Circuit.n_outputs c) (Engine2.po_word engine);
-    next_state = Array.init (Circuit.n_dffs c) (Engine2.next_state_word engine);
-  }
-
-(* Lanes of [group] on which [fault] is detected. *)
-let detect_word engine group (good : good) fault =
-  Engine2.set_overrides engine [ Fault.to_override fault ~lanes:Word.mask ];
-  Engine2.set_state_words engine group.state_words;
-  Engine2.eval engine ~pi_words:group.pi_words;
-  let c = Engine2.circuit engine in
-  let det = ref 0 in
-  for i = 0 to Circuit.n_outputs c - 1 do
-    det := !det lor (Engine2.po_word engine i lxor good.po.(i))
-  done;
-  for i = 0 to Circuit.n_dffs c - 1 do
-    det := !det lor (Engine2.next_state_word engine i lxor good.next_state.(i))
-  done;
-  !det land group.lanes
-
-(* Per-chunk simulator, chosen by the active kernel: [prep] derives the
-   fault-free response of a pattern group, [det] the detection word of
-   one fault against it, [flush] drains engine-local counters into
-   telemetry at chunk end.
-
-   The reference path re-evaluates the whole circuit per fault
-   (Engine2); the levelized path evaluates the group's good machine once
-   with the closure-free schedule sweep, then runs each fault as a
-   cone-limited difference against it — the captured-state difference
-   from Kernel.finish_cycle matches Engine2's next_state_word comparison
-   bit for bit, DFF pin-0 overrides included. *)
-let make_sim kern c tel =
-  match (kern : Sim_kernel.which) with
-  | Sim_kernel.Reference ->
-      let engine = Engine2.create c [] in
-      let good = ref None in
-      let prep group = good := Some (good_of_group engine group) in
-      let det group fault =
-        match !good with
-        | Some g -> detect_word engine group g fault
-        | None -> invalid_arg "Comb_fsim: detection before group prep"
-      in
-      (prep, det, fun () -> ())
-  | Sim_kernel.Levelized ->
-      let k = Kernel.create c in
-      let gv = Array.make (Circuit.n_gates c) 0 in
-      let prep group =
-        Kernel.good_cycle k ~pi_words:group.pi_words ~state:group.state_words ~v:gv
-      in
-      let det group fault =
-        Kernel.set_overrides k [ Fault.to_override fault ~lanes:Word.mask ];
-        Kernel.reset k;
-        Kernel.cycle k ~gw:gv;
-        let d = ref (Kernel.po_diff k) in
-        Kernel.finish_cycle k ~gw:gv;
-        d := !d lor Kernel.state_diff_word k;
-        !d land group.lanes
-      in
-      let flush () =
-        Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k)
-      in
-      (prep, det, flush)
+(* Per-chunk simulator: [prep] evaluates a pattern group's good machine
+   once with the closure-free schedule sweep, [det] runs one fault as a
+   cone-limited difference against it and returns its detection word —
+   a difference at a PO or in the captured state, DFF pin-0 overrides
+   included — and [flush] drains kernel-local counters into telemetry at
+   chunk end. *)
+let make_sim c tel =
+  let k = Kernel.create c in
+  let gv = Array.make (Circuit.n_gates c) 0 in
+  let prep group =
+    Kernel.good_cycle k ~pi_words:group.pi_words ~state:group.state_words ~v:gv
+  in
+  let det group fault =
+    Kernel.set_overrides k [ Fault.to_override fault ~lanes:Word.mask ];
+    Kernel.reset k;
+    Kernel.cycle k ~gw:gv;
+    let d = ref (Kernel.po_diff k) in
+    Kernel.finish_cycle k ~gw:gv;
+    d := !d lor Kernel.state_diff_word k;
+    !d land group.lanes
+  in
+  let flush () =
+    Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k)
+  in
+  (prep, det, flush)
 
 (* Chunked parallel sweep over pattern groups (see Asc_util.Domain_pool):
    each chunk simulates a contiguous group range on a private engine and
@@ -139,9 +92,8 @@ let detect_matrix ?pool ?(budget = Budget.unlimited) ?tel ?only c ~patterns ~fau
   let n_faults = Array.length faults in
   let mat = Bitmat.create (Array.length patterns) n_faults in
   let groups = pack c patterns in
-  let kern = Sim_kernel.current () in
   let chunk (start, count) =
-    let prep, det, flush = make_sim kern c tel in
+    let prep, det, flush = make_sim c tel in
     let base0 = groups.(start).base in
     let last = groups.(start + count - 1) in
     let rows =
@@ -194,9 +146,8 @@ let detect_union ?pool ?(budget = Budget.unlimited) ?tel ?only c ~patterns ~faul
   let n_faults = Array.length faults in
   let det = Bitvec.create n_faults in
   let groups = pack c patterns in
-  let kern = Sim_kernel.current () in
   let chunk (start, count) =
-    let prep, detw, flush = make_sim kern c tel in
+    let prep, detw, flush = make_sim c tel in
     let local = Bitvec.create n_faults in
     let sims = ref 0 in
     for gi = start to start + count - 1 do
@@ -231,7 +182,7 @@ let detect_union ?pool ?(budget = Budget.unlimited) ?tel ?only c ~patterns ~faul
 (* Per-pattern detection of a *single* fault: which patterns detect it. *)
 let patterns_detecting c ~patterns ~fault =
   let result = Bitvec.create (Array.length patterns) in
-  let prep, det, _flush = make_sim (Sim_kernel.current ()) c None in
+  let prep, det, _flush = make_sim c None in
   Array.iter
     (fun group ->
       prep group;

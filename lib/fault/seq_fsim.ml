@@ -11,10 +11,13 @@
    lane each.  Phase 1's scan-in selection instead runs one fault across 62
    *candidate initial states* per word; both modes share the same engine.
 
+   Each faulty machine runs on the levelized kernel (Asc_sim.Kernel) as a
+   cone-limited difference against the fault-free trace.
+
    On top of the word-level parallelism, every entry point takes an
    optional [pool] (see Asc_util.Domain_pool): fault groups (or, in
    [candidate_detections], fault indices) are split into contiguous chunks
-   and simulated on worker domains.  Each chunk owns a private engine — no
+   and simulated on worker domains.  Each chunk owns a private kernel — no
    simulation state is shared between domains; the fault-free trace and the
    packed PI words are shared read-only.  Chunks report results into
    chunk-indexed slots which the submitting domain merges in index order,
@@ -34,10 +37,8 @@
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
-module Engine2 = Asc_sim.Engine2
 module Kernel = Asc_sim.Kernel
 module Kernel3 = Asc_sim.Kernel3
-module Sim_kernel = Asc_sim.Sim_kernel
 
 type seq = bool array array (* L vectors, each of n_pis bools *)
 
@@ -58,17 +59,17 @@ type good = { po : int array array; states : int array array }
 let good_run c ~si ~seq =
   let sw = seq_words c seq in
   let len = Array.length seq in
-  let engine = Engine2.create c [] in
-  Engine2.set_state_bools engine si;
-  let n_po = Circuit.n_outputs c and n_ff = Circuit.n_dffs c in
+  let k = Kernel.create c in
+  let v = Array.make (Circuit.n_gates c) 0 in
+  let state = Array.map Word.splat si in
   let po = Array.make len [||] in
   let states = Array.make (len + 1) [||] in
-  states.(0) <- Engine2.state_words engine;
+  states.(0) <- Array.copy state;
   for t = 0 to len - 1 do
-    Engine2.eval engine ~pi_words:sw.(t);
-    po.(t) <- Array.init n_po (Engine2.po_word engine);
-    Engine2.capture engine;
-    states.(t + 1) <- Array.init n_ff (Engine2.state_word engine)
+    Kernel.good_cycle k ~pi_words:sw.(t) ~state ~v;
+    po.(t) <- Array.map (fun g -> v.(g)) (Circuit.outputs c);
+    Kernel.good_capture k ~v ~state;
+    states.(t + 1) <- Array.copy state
   done;
   { po; states }
 
@@ -104,10 +105,9 @@ let subset_of_only n = function
 (* Compaction re-simulates the same scan test (si, seq) many times against
    different fault subsets — detect, then profile, then verify — and
    Phase 1 re-runs the same candidate scan-in groups.  The fault-free
-   trace depends only on (circuit, scan-in, seq), so the levelized path
-   computes it once and shares it read-only: across calls through this
-   cache, and across domains because only the submitting domain ever
-   writes it.
+   trace depends only on (circuit, scan-in, seq), so it is computed once
+   and shared read-only: across calls through this cache, and across
+   domains because only the submitting domain ever writes it.
 
    Scan-test traces carry one faulty-machine test per call, so their good
    words are splat and stored compactly (one byte per gate per cycle);
@@ -115,9 +115,8 @@ let subset_of_only n = function
    The cache is process-global, mutex-protected and LRU-bounded by a byte
    budget; circuits are keyed by physical identity, so a rebuilt netlist
    never aliases a stale trace, and (scan-in, seq) by a hash confirmed by
-   exact equality.  Only the levelized kernel uses it — the reference
-   path recomputes traces, keeping the escape hatch honest — and resumed
-   runs keep their suffix rows out of it (see the snapshot section). *)
+   exact equality.  Resumed runs keep their suffix rows out of it (see
+   the snapshot section). *)
 module Trace_cache = struct
   type flavor = Splat of bool array | Packed of int array
 
@@ -181,7 +180,7 @@ let clear_trace_cache = Trace_cache.clear
 
 let deep_copy_seq (s : seq) = Array.map Array.copy s
 
-(* Fault-free levelized run recording every gate's good bit per cycle. *)
+(* Fault-free run recording every gate's good bit per cycle. *)
 let good_trace_bits k c ~sw ~si ~len =
   let n = Circuit.n_gates c in
   let v = Array.make n 0 in
@@ -250,17 +249,18 @@ let good_cand_gw tel k c ~init_words ~sw ~seq ~len =
         (len * n * 8);
       ws
 
-(* Levelized detection of one fault group: same loop structure (and so
-   the same early exit and detection words) as [detect_group], with the
-   per-cycle work cone-limited by the kernel.  Lanes already detected
-   are pruned from the propagation — their detection bit is a monotonic
-   OR, so the result word is unchanged while the cone shrinks to the
-   still-undetected faults.  [start] sets the group's starting state
-   difference: zero from the scan-in ([from_scan_in]), or one recorded
-   in a snapshot. *)
+(* Detection word of one fault group over the good rows [gb], with an
+   early exit once every lane has seen a PO difference; the scan-out
+   (final state) difference is folded in only when the early exit did
+   not fire.  Lanes already detected are pruned from the propagation —
+   their detection bit is a monotonic OR, so the result word is
+   unchanged while the cone shrinks to the still-undetected faults.
+   [start] sets the group's starting state difference: zero from the
+   scan-in ([from_scan_in]), or one recorded in a snapshot.  [cycles]
+   accumulates the evaluated time units (telemetry). *)
 let from_scan_in k (_ : group) = Kernel.reset k
 
-let detect_group_lv k ~gb ~len ~cycles ~start (group : group) =
+let detect_group k ~gb ~len ~cycles ~start (group : group) =
   Kernel.set_overrides k group.overrides;
   start k group;
   let det = ref 0 in
@@ -275,47 +275,11 @@ let detect_group_lv k ~gb ~len ~cycles ~start (group : group) =
   if !t = len && !det <> group.lanes then det := !det lor Kernel.state_diff_word k;
   !det land group.lanes
 
-(* Accumulate PO differences of one evaluated cycle. *)
-let po_diff engine (good : good) t =
-  let diff = ref 0 in
-  let gpo = good.po.(t) in
-  for i = 0 to Array.length gpo - 1 do
-    diff := !diff lor (Engine2.po_word engine i lxor gpo.(i))
-  done;
-  !diff
-
-let state_diff engine (good : good) boundary =
-  let diff = ref 0 in
-  let gst = good.states.(boundary) in
-  for i = 0 to Array.length gst - 1 do
-    diff := !diff lor (Engine2.state_word engine i lxor gst.(i))
-  done;
-  !diff
-
-(* Detection word of one fault group over the whole test, with an early
-   exit once every lane has seen a PO difference; the scan-out (final
-   state) difference is folded in only when the early exit did not fire.
-   [cycles] accumulates the evaluated time units (telemetry). *)
-let detect_group engine ~si ~sw ~good ~len ~cycles (group : group) =
-  Engine2.set_overrides engine group.overrides;
-  Engine2.set_state_bools engine si;
-  let det = ref 0 in
-  let t = ref 0 in
-  while !det <> group.lanes && !t < len do
-    Engine2.eval engine ~pi_words:sw.(!t);
-    det := !det lor po_diff engine good !t;
-    Engine2.capture engine;
-    incr t
-  done;
-  cycles := !cycles + !t;
-  if !t = len && !det <> group.lanes then det := !det lor state_diff engine good len;
-  !det land group.lanes
-
 (* Chunked parallel sweep over [groups]: each chunk simulates a contiguous
-   group range on its own engine (built by [make_engine] — an Engine2 on
-   the reference path, a Kernel or Kernel3 on the levelized ones) and
-   fills its own result slot; [merge] is then applied chunk by chunk on
-   the submitting domain, in index order. *)
+   group range on its own engine (built by [make_engine] — a Kernel, or a
+   Kernel3 for the 3-valued entry points) and fills its own result slot;
+   [merge] is then applied chunk by chunk on the submitting domain, in
+   index order. *)
 let sweep_groups ?pool ~make_engine groups ~chunk ~merge ~empty =
   let n = Array.length groups in
   let ranges = Domain_pool.split ~n ~pieces:(Domain_pool.chunk_count pool n) in
@@ -343,57 +307,30 @@ let detect ?pool ?(budget = Budget.unlimited) ?tel ?only c ~si ~seq ~faults =
         let len = Array.length seq in
         let groups = make_groups faults subset in
         let merge _range hits = List.iter (Bitvec.set result) hits in
-        (match Sim_kernel.current () with
-        | Sim_kernel.Reference ->
-            let good = good_run c ~si ~seq in
-            Telemetry.add tel Telemetry.Good_cycles len;
-            let chunk engine (start, count) =
-              let hits = ref [] and nhits = ref 0 and lanes = ref 0 and cycles = ref 0 in
-              for gi = start to start + count - 1 do
-                Budget.check budget;
-                let group = groups.(gi) in
-                let d = detect_group engine ~si ~sw ~good ~len ~cycles group in
-                lanes := !lanes + Array.length group.members;
-                Word.iter_set
-                  (fun lane ->
-                    hits := group.members.(lane) :: !hits;
-                    incr nhits)
-                  d
-              done;
-              Telemetry.add tel Telemetry.Faults_simulated !lanes;
-              Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-              Telemetry.add tel Telemetry.Fault_detections !nhits;
-              Telemetry.add tel Telemetry.Budget_polls count;
-              !hits
-            in
-            sweep_groups ?pool
-              ~make_engine:(fun () -> Engine2.create c [])
-              groups ~chunk ~empty:[] ~merge
-        | Sim_kernel.Levelized ->
-            let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
-            let chunk k (start, count) =
-              let hits = ref [] and nhits = ref 0 and lanes = ref 0 and cycles = ref 0 in
-              for gi = start to start + count - 1 do
-                Budget.check budget;
-                let group = groups.(gi) in
-                let d = detect_group_lv k ~gb ~len ~cycles ~start:from_scan_in group in
-                lanes := !lanes + Array.length group.members;
-                Word.iter_set
-                  (fun lane ->
-                    hits := group.members.(lane) :: !hits;
-                    incr nhits)
-                  d
-              done;
-              Telemetry.add tel Telemetry.Faults_simulated !lanes;
-              Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-              Telemetry.add tel Telemetry.Fault_detections !nhits;
-              Telemetry.add tel Telemetry.Budget_polls count;
-              Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
-              !hits
-            in
-            sweep_groups ?pool
-              ~make_engine:(fun () -> Kernel.create c)
-              groups ~chunk ~empty:[] ~merge);
+        let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
+        let chunk k (start, count) =
+          let hits = ref [] and nhits = ref 0 and lanes = ref 0 and cycles = ref 0 in
+          for gi = start to start + count - 1 do
+            Budget.check budget;
+            let group = groups.(gi) in
+            let d = detect_group k ~gb ~len ~cycles ~start:from_scan_in group in
+            lanes := !lanes + Array.length group.members;
+            Word.iter_set
+              (fun lane ->
+                hits := group.members.(lane) :: !hits;
+                incr nhits)
+              d
+          done;
+          Telemetry.add tel Telemetry.Faults_simulated !lanes;
+          Telemetry.add tel Telemetry.Faulty_cycles !cycles;
+          Telemetry.add tel Telemetry.Fault_detections !nhits;
+          Telemetry.add tel Telemetry.Budget_polls count;
+          Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
+          !hits
+        in
+        sweep_groups ?pool
+          ~make_engine:(fun () -> Kernel.create c)
+          groups ~chunk ~empty:[] ~merge;
         result)
 
 (* Detection-time profile over a fault subset.
@@ -405,23 +342,22 @@ let detect ?pool ?(budget = Budget.unlimited) ?tel ?only c ~si ~seq ~faults =
    the fault.
 
    Bits are recorded only for [t <= po_time.(k)]: a PO-detected fault is
-   detected by every truncation at or after its PO time anyway, so the
-   levelized path prunes its lane right after the first PO detection (and
-   ends the group once every lane is PO-detected), and the reference path
-   masks the same bits. *)
+   detected by every truncation at or after its PO time anyway, so its
+   lane is pruned right after the first PO detection (and the group ends
+   once every lane is PO-detected). *)
 type profile = {
   subset : int array;
   po_time : int array;
   state_diff_at : Bitvec.t array;
 }
 
-(* The levelized profile loop of one group whose starting state is
-   loaded: runs until every lane is PO-detected or the rows run out, and
-   prunes each lane after its first PO detection.  [on_po lane t] reports
+(* The profile loop of one group whose starting state is loaded: runs
+   until every lane is PO-detected or the rows run out, and prunes each
+   lane after its first PO detection.  [on_po lane t] reports
    a first PO detection at row [t]; [after t po_seen] runs after the clock
    edge of row [t], with the state difference entering [t + 1] in the
    kernel and [po_seen] the lanes PO-detected so far. *)
-let profile_group_lv k ~gb ~len ~cycles ~on_po ~after (group : group) =
+let profile_group k ~gb ~len ~cycles ~on_po ~after (group : group) =
   let po_seen = ref 0 in
   let t = ref 0 in
   while !po_seen <> group.lanes && !t < len do
@@ -456,78 +392,36 @@ let profile ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset =
     Array.blit po 0 po_time base0 (Array.length po);
     Array.blit sdiff 0 state_diff_at base0 (Array.length sdiff)
   in
+  let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
   (* A chunk covers subset positions [gstart*W, gstart*W + span) and
      returns its profile slices; the submitter blits them into place. *)
-  (match Sim_kernel.current () with
-  | Sim_kernel.Reference ->
-      let good = good_run c ~si ~seq in
-      Telemetry.add tel Telemetry.Good_cycles len;
-      let chunk engine (gstart, gcount) =
-        let base0 = gstart * Word.width in
-        let span = min total ((gstart + gcount) * Word.width) - base0 in
-        let po = Array.make span max_int in
-        let sdiff = Array.init span (fun _ -> Bitvec.create len) in
-        let cycles = ref 0 in
-        Telemetry.add tel Telemetry.Faults_simulated span;
-        Telemetry.add tel Telemetry.Budget_polls gcount;
-        for gi = gstart to gstart + gcount - 1 do
-          Budget.check budget;
-          let group = groups.(gi) in
-          let base = (gi * Word.width) - base0 in
-          Engine2.set_overrides engine group.overrides;
-          Engine2.set_state_bools engine si;
-          let po_seen = ref 0 in
-          let t = ref 0 in
-          while !po_seen <> group.lanes && !t < len do
-            Engine2.eval engine ~pi_words:sw.(!t);
-            let before = !po_seen in
-            let fresh = po_diff engine good !t land group.lanes land lnot before in
-            Word.iter_set (fun lane -> po.(base + lane) <- !t) fresh;
-            po_seen := before lor fresh;
-            Engine2.capture engine;
-            (* Only lanes not PO-detected before [t]: the levelized
-               path's pruning, reproduced. *)
-            let sd = state_diff engine good (!t + 1) land group.lanes land lnot before in
-            Word.iter_set (fun lane -> Bitvec.set sdiff.(base + lane) !t) sd;
-            incr t
-          done;
-          cycles := !cycles + !t
-        done;
-        Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-        (po, sdiff)
-      in
-      sweep_groups ?pool
-        ~make_engine:(fun () -> Engine2.create c [])
-        groups ~chunk ~empty:([||], [||]) ~merge
-  | Sim_kernel.Levelized ->
-      let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
-      let chunk k (gstart, gcount) =
-        let base0 = gstart * Word.width in
-        let span = min total ((gstart + gcount) * Word.width) - base0 in
-        let po = Array.make span max_int in
-        let sdiff = Array.init span (fun _ -> Bitvec.create len) in
-        let cycles = ref 0 in
-        Telemetry.add tel Telemetry.Faults_simulated span;
-        Telemetry.add tel Telemetry.Budget_polls gcount;
-        for gi = gstart to gstart + gcount - 1 do
-          Budget.check budget;
-          let group = groups.(gi) in
-          let base = (gi * Word.width) - base0 in
-          Kernel.set_overrides k group.overrides;
-          Kernel.reset k;
-          profile_group_lv k ~gb ~len ~cycles group
-            ~on_po:(fun lane t -> po.(base + lane) <- t)
-            ~after:(fun t _ ->
-              let sd = Kernel.state_diff_word k land group.lanes in
-              Word.iter_set (fun lane -> Bitvec.set sdiff.(base + lane) t) sd)
-        done;
-        Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-        Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
-        (po, sdiff)
-      in
-      sweep_groups ?pool
-        ~make_engine:(fun () -> Kernel.create c)
-        groups ~chunk ~empty:([||], [||]) ~merge);
+  let chunk k (gstart, gcount) =
+    let base0 = gstart * Word.width in
+    let span = min total ((gstart + gcount) * Word.width) - base0 in
+    let po = Array.make span max_int in
+    let sdiff = Array.init span (fun _ -> Bitvec.create len) in
+    let cycles = ref 0 in
+    Telemetry.add tel Telemetry.Faults_simulated span;
+    Telemetry.add tel Telemetry.Budget_polls gcount;
+    for gi = gstart to gstart + gcount - 1 do
+      Budget.check budget;
+      let group = groups.(gi) in
+      let base = (gi * Word.width) - base0 in
+      Kernel.set_overrides k group.overrides;
+      Kernel.reset k;
+      profile_group k ~gb ~len ~cycles group
+        ~on_po:(fun lane t -> po.(base + lane) <- t)
+        ~after:(fun t _ ->
+          let sd = Kernel.state_diff_word k land group.lanes in
+          Word.iter_set (fun lane -> Bitvec.set sdiff.(base + lane) t) sd)
+    done;
+    Telemetry.add tel Telemetry.Faulty_cycles !cycles;
+    Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
+    (po, sdiff)
+  in
+  sweep_groups ?pool
+    ~make_engine:(fun () -> Kernel.create c)
+    groups ~chunk ~empty:([||], [||]) ~merge;
   { subset; po_time; state_diff_at }
 
 (* Faults detected by the test truncated to end (and scan out) at time
@@ -549,16 +443,8 @@ let profile_detected_at p ~u =
    (one per candidate group) are cheap and stay on the submitting domain;
    the [subset] faults — the heavy dimension — are chunked across the
    pool, each chunk simulating its faults against every candidate group on
-   a private engine.  Chunks return raw detection words; the submitter
+   a private kernel.  Chunks return raw detection words; the submitter
    alone writes the result matrix. *)
-type cand_group = {
-  cbase : int; (* index of the first candidate of this group *)
-  cfull : int; (* mask of lanes carrying a real candidate *)
-  init_words : int array; (* packed candidate states, per DFF *)
-  good_po : int array array; (* fault-free PO words per time unit *)
-  good_final : int array; (* fault-free final state words *)
-}
-
 let candidate_detections ?pool ?(budget = Budget.unlimited) ?tel c ~sis ~seq ~faults ~subset =
   Telemetry.span tel "fsim:candidates"
     ~args:
@@ -569,7 +455,6 @@ let candidate_detections ?pool ?(budget = Budget.unlimited) ?tel c ~sis ~seq ~fa
   @@ fun () ->
   let n_candidates = Array.length sis in
   let n_ff = Circuit.n_dffs c in
-  let n_po = Circuit.n_outputs c in
   let len = Array.length seq in
   let sw = seq_words c seq in
   let result = Bitmat.create n_candidates (Array.length faults) in
@@ -589,137 +474,78 @@ let candidate_detections ?pool ?(budget = Budget.unlimited) ?tel c ~sis ~seq ~fa
     done;
     (cbase, cfull, init_words)
   in
+  let meta = Array.init n_cgroups pack_group in
+  (* Per-group fault-free word traces, computed (or recalled) on the
+     submitter and shared read-only with every chunk. *)
+  let traces =
+    let k0 = Kernel.create c in
+    Array.map (fun (_, _, init_words) -> good_cand_gw tel k0 c ~init_words ~sw ~seq ~len) meta
+  in
+  (* One fault at a time, injected in every candidate lane.  [cycles]
+     accumulates evaluated time units for the chunk's telemetry. *)
+  let detect_cand k ~cycles fi cgi =
+    let _, cfull, _ = meta.(cgi) in
+    let gwt = traces.(cgi) in
+    Kernel.set_overrides k [ Fault.to_override faults.(fi) ~lanes:Word.mask ];
+    Kernel.reset k;
+    let det = ref 0 in
+    let t = ref 0 in
+    while !det <> cfull && !t < len do
+      Kernel.cycle k ~prune:!det ~gw:gwt.(!t);
+      det := !det lor Kernel.po_diff k;
+      Kernel.finish_cycle k ~gw:gwt.(!t);
+      incr t
+    done;
+    cycles := !cycles + !t;
+    if !t = len && !det <> cfull then det := !det lor Kernel.state_diff_word k;
+    !det land cfull
+  in
   (* Chunk the [subset] faults — the heavy dimension — across the pool;
      each chunk returns raw per-(fault, cgroup) detection words and the
      submitter alone writes the result matrix, in index order. *)
-  let sweep_fault_chunks ~make_engine ~detect_cand ~flush cgroup_meta =
-    let nf = Array.length subset in
-    let ranges = Domain_pool.split ~n:nf ~pieces:(Domain_pool.chunk_count pool nf) in
-    let parts = Array.make (Array.length ranges) [||] in
-    Domain_pool.run_opt pool (Array.length ranges) (fun ci ->
-        let start, count = ranges.(ci) in
-        let engine = make_engine () in
-        let dets = Array.make_matrix count n_cgroups 0 in
-        let cycles = ref 0 and nhits = ref 0 in
-        for k = 0 to count - 1 do
-          Budget.check budget;
-          let fi = subset.(start + k) in
-          for cgi = 0 to n_cgroups - 1 do
-            let d = detect_cand engine ~cycles fi cgi in
-            nhits := !nhits + Word.popcount d;
-            dets.(k).(cgi) <- d
-          done
-        done;
-        Telemetry.add tel Telemetry.Faults_simulated count;
-        Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-        Telemetry.add tel Telemetry.Fault_detections !nhits;
-        Telemetry.add tel Telemetry.Budget_polls count;
-        flush engine;
-        parts.(ci) <- dets);
-    Array.iteri
-      (fun ci dets ->
-        let start, _ = ranges.(ci) in
-        Array.iteri
-          (fun k per_cg ->
-            let fi = subset.(start + k) in
-            Array.iteri
-              (fun cgi det ->
-                let cbase, _, _ = cgroup_meta.(cgi) in
-                Word.iter_set (fun lane -> Bitmat.set result (cbase + lane) fi) det)
-              per_cg)
-          dets)
-      parts
-  in
-  (match Sim_kernel.current () with
-  | Sim_kernel.Reference ->
-      let engine0 = Engine2.create c [] in
-      let meta = Array.init n_cgroups pack_group in
-      let cgroups =
-        Array.map
-          (fun (cbase, cfull, init_words) ->
-            (* Fault-free machines for all candidates at once. *)
-            Engine2.set_overrides engine0 [];
-            Engine2.set_state_words engine0 init_words;
-            let good_po = Array.make len [||] in
-            for t = 0 to len - 1 do
-              Engine2.eval engine0 ~pi_words:sw.(t);
-              good_po.(t) <- Array.init n_po (Engine2.po_word engine0);
-              Engine2.capture engine0
-            done;
-            let good_final = Array.init n_ff (Engine2.state_word engine0) in
-            { cbase; cfull; init_words; good_po; good_final })
-          meta
-      in
-      Telemetry.add tel Telemetry.Good_cycles (n_cgroups * len);
-      (* One fault at a time, injected in every candidate lane.  [cycles]
-         accumulates evaluated time units for the chunk's telemetry. *)
-      let detect_cand engine ~cycles fi cgi =
-        let cg = cgroups.(cgi) in
-        Engine2.set_overrides engine [ Fault.to_override faults.(fi) ~lanes:Word.mask ];
-        Engine2.set_state_words engine cg.init_words;
-        let det = ref 0 in
-        let t = ref 0 in
-        while !det <> cg.cfull && !t < len do
-          Engine2.eval engine ~pi_words:sw.(!t);
-          let gpo = cg.good_po.(!t) in
-          for i = 0 to n_po - 1 do
-            det := !det lor (Engine2.po_word engine i lxor gpo.(i))
-          done;
-          Engine2.capture engine;
-          incr t
-        done;
-        cycles := !cycles + !t;
-        if !t = len && !det <> cg.cfull then
-          for i = 0 to n_ff - 1 do
-            det := !det lor (Engine2.state_word engine i lxor cg.good_final.(i))
-          done;
-        !det land cg.cfull
-      in
-      sweep_fault_chunks
-        ~make_engine:(fun () -> Engine2.create c [])
-        ~detect_cand
-        ~flush:(fun _ -> ())
-        meta
-  | Sim_kernel.Levelized ->
-      let k0 = Kernel.create c in
-      let meta = Array.init n_cgroups pack_group in
-      (* Per-group fault-free word traces, computed (or recalled) on the
-         submitter and shared read-only with every chunk. *)
-      let traces =
-        Array.map
-          (fun (_, _, init_words) -> good_cand_gw tel k0 c ~init_words ~sw ~seq ~len)
-          meta
-      in
-      let detect_cand k ~cycles fi cgi =
-        let _, cfull, _ = meta.(cgi) in
-        let gwt = traces.(cgi) in
-        Kernel.set_overrides k [ Fault.to_override faults.(fi) ~lanes:Word.mask ];
-        Kernel.reset k;
-        let det = ref 0 in
-        let t = ref 0 in
-        while !det <> cfull && !t < len do
-          Kernel.cycle k ~prune:!det ~gw:gwt.(!t);
-          det := !det lor Kernel.po_diff k;
-          Kernel.finish_cycle k ~gw:gwt.(!t);
-          incr t
-        done;
-        cycles := !cycles + !t;
-        if !t = len && !det <> cfull then det := !det lor Kernel.state_diff_word k;
-        !det land cfull
-      in
-      sweep_fault_chunks
-        ~make_engine:(fun () -> Kernel.create c)
-        ~detect_cand
-        ~flush:(fun k ->
-          Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k))
-        meta);
+  let nf = Array.length subset in
+  let ranges = Domain_pool.split ~n:nf ~pieces:(Domain_pool.chunk_count pool nf) in
+  let parts = Array.make (Array.length ranges) [||] in
+  Domain_pool.run_opt pool (Array.length ranges) (fun ci ->
+      let start, count = ranges.(ci) in
+      let k = Kernel.create c in
+      let dets = Array.make_matrix count n_cgroups 0 in
+      let cycles = ref 0 and nhits = ref 0 in
+      for j = 0 to count - 1 do
+        Budget.check budget;
+        let fi = subset.(start + j) in
+        for cgi = 0 to n_cgroups - 1 do
+          let d = detect_cand k ~cycles fi cgi in
+          nhits := !nhits + Word.popcount d;
+          dets.(j).(cgi) <- d
+        done
+      done;
+      Telemetry.add tel Telemetry.Faults_simulated count;
+      Telemetry.add tel Telemetry.Faulty_cycles !cycles;
+      Telemetry.add tel Telemetry.Fault_detections !nhits;
+      Telemetry.add tel Telemetry.Budget_polls count;
+      Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
+      parts.(ci) <- dets);
+  Array.iteri
+    (fun ci dets ->
+      let start, _ = ranges.(ci) in
+      Array.iteri
+        (fun j per_cg ->
+          let fi = subset.(start + j) in
+          Array.iteri
+            (fun cgi det ->
+              let cbase, _, _ = meta.(cgi) in
+              Word.iter_set (fun lane -> Bitmat.set result (cbase + lane) fi) det)
+            per_cg)
+        dets)
+    parts;
   result
 
-(* The levelized verify loop: does every group, started by [start] and
+(* The verify loop: does every group, started by [start] and
    run over the good rows [gb], detect all its lanes?  Any failing group
    stops the sweep: sequentially via the loop condition, across domains
    via a shared flag checked between groups. *)
-let verify_lv ?pool ~budget ?tel c ~gb ~len ~start groups =
+let verify_groups ?pool ~budget ?tel c ~gb ~len ~start groups =
   let failed = Atomic.make false in
   let chunk k (first, count) =
     let gi = ref first in
@@ -728,7 +554,7 @@ let verify_lv ?pool ~budget ?tel c ~gb ~len ~start groups =
       Budget.check budget;
       incr polls;
       let group = groups.(!gi) in
-      let d = detect_group_lv k ~gb ~len ~cycles ~start group in
+      let d = detect_group k ~gb ~len ~cycles ~start group in
       lanes := !lanes + Array.length group.members;
       if d <> group.lanes then Atomic.set failed true;
       incr gi
@@ -745,8 +571,8 @@ let verify_lv ?pool ~budget ?tel c ~gb ~len ~start groups =
   not (Atomic.get failed)
 
 (* Verification: does (si, seq) detect *every* fault index in [subset]?
-   The levelized path is [verify_lv] from the scan-in — the time-0
-   snapshot: state [si], zero differences. *)
+   It is [verify_groups] from the scan-in — the time-0 snapshot: state
+   [si], zero differences. *)
 let verify_required ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset =
   if Array.length subset = 0 then true
   else
@@ -755,36 +581,9 @@ let verify_required ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~
       (fun () ->
         let sw = seq_words c seq in
         let len = Array.length seq in
-        let groups = make_groups faults subset in
-        match Sim_kernel.current () with
-        | Sim_kernel.Reference ->
-            let failed = Atomic.make false in
-            let good = good_run c ~si ~seq in
-            Telemetry.add tel Telemetry.Good_cycles len;
-            let chunk engine (start, count) =
-              let gi = ref start in
-              let lanes = ref 0 and cycles = ref 0 and polls = ref 0 in
-              while (not (Atomic.get failed)) && !gi < start + count do
-                Budget.check budget;
-                incr polls;
-                let group = groups.(!gi) in
-                let d = detect_group engine ~si ~sw ~good ~len ~cycles group in
-                lanes := !lanes + Array.length group.members;
-                if d <> group.lanes then Atomic.set failed true;
-                incr gi
-              done;
-              Telemetry.add tel Telemetry.Faults_simulated !lanes;
-              Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-              Telemetry.add tel Telemetry.Budget_polls !polls
-            in
-            sweep_groups ?pool
-              ~make_engine:(fun () -> Engine2.create c [])
-              groups ~chunk ~empty:()
-              ~merge:(fun _ () -> ());
-            not (Atomic.get failed)
-        | Sim_kernel.Levelized ->
-            let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
-            verify_lv ?pool ~budget ?tel c ~gb ~len ~start:from_scan_in groups)
+        let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
+        verify_groups ?pool ~budget ?tel c ~gb ~len ~start:from_scan_in
+          (make_groups faults subset))
 
 (* --- Prefix snapshots and resumed verification ------------------------ *)
 
@@ -800,10 +599,9 @@ let verify_required ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~
    the snapshots of one pass) decides "PO-detected before [b]", and
    [diffs] holds the other faults' non-zero differences only, so a pass
    with many boundaries costs memory in proportion to the faulty
-   machines still diverged there.  Resumed runs are levelized only and
-   compute their suffix rows without the trace cache: every trial suffix
-   is a new sequence, so caching it would only evict the traces that do
-   repeat. *)
+   machines still diverged there.  Resumed runs compute their suffix
+   rows without the trace cache: every trial suffix is a new sequence, so
+   caching it would only evict the traces that do repeat. *)
 type snapshot = {
   boundary : int;
   good_state : bool array; (* fault-free state entering [boundary] *)
@@ -856,7 +654,7 @@ let snapshots ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset
       lanes := !lanes + Array.length group.members;
       Kernel.set_overrides k group.overrides;
       Kernel.reset k;
-      profile_group_lv k ~gb ~len ~cycles group
+      profile_group k ~gb ~len ~cycles group
         ~on_po:(fun lane t -> po_time.(base + lane) <- t)
         ~after:(fun t po_seen ->
           let bi = slot.(t + 1) in
@@ -931,7 +729,7 @@ let resume_verify ?pool ?(budget = Budget.unlimited) ?tel c s ~suffix ~faults ~s
       ~args:[ ("faults", string_of_int (Array.length live)); ("from", string_of_int s.boundary) ]
       (fun () ->
         let gb = suffix_rows tel c s suffix in
-        verify_lv ?pool ~budget ?tel c ~gb ~len:(Array.length suffix) ~start:(from_snapshot c s)
+        verify_groups ?pool ~budget ?tel c ~gb ~len:(Array.length suffix) ~start:(from_snapshot c s)
           (make_groups faults live))
 
 let resume_po_time ?pool ?(budget = Budget.unlimited) ?tel c s ~suffix ~faults ~subset =
@@ -960,7 +758,7 @@ let resume_po_time ?pool ?(budget = Budget.unlimited) ?tel c s ~suffix ~faults ~
             lanes := !lanes + Array.length group.members;
             Kernel.set_overrides k group.overrides;
             start k group;
-            profile_group_lv k ~gb ~len ~cycles group
+            profile_group k ~gb ~len ~cycles group
               ~on_po:(fun lane t -> result.(live.((gi * Word.width) + lane)) <- s.boundary + t)
               ~after:(fun _ _ -> ())
           done;

@@ -8,9 +8,10 @@
 
     Bit-parallel: up to 62 faulty machines per word — or, in
     {!candidate_detections}, one fault across up to 62 candidate scan-in
-    states per word.  Every entry point additionally takes an optional
+    states per word.  Faulty machines run on the levelized kernel
+    ({!Asc_sim.Kernel}).  Every entry point additionally takes an optional
     [pool]: fault groups are chunked across worker domains, each chunk on
-    a private engine, and the results are merged deterministically — the
+    a private kernel, and the results are merged deterministically — the
     output is bit-identical for any domain count.
 
     Every entry point also takes an optional [budget]
@@ -25,12 +26,12 @@
 type seq = bool array array
 (** A primary-input sequence: [L] vectors of [n_pis] values. *)
 
-(** Empty the shared good-machine trace cache (levelized kernel only):
-    the fault-free trace of a scan test depends only on
-    (circuit, scan-in, seq), so the levelized path computes it once and
-    recalls it across calls — detect, profile, verify of the same test —
-    and across domains.  Benchmarks call this between repetitions to
-    measure cold-cache behaviour; results never depend on cache state. *)
+(** Empty the shared good-machine trace cache: the fault-free trace of a
+    scan test depends only on (circuit, scan-in, seq), so it is computed
+    once and recalled across calls — detect, profile, verify of the same
+    test — and across domains.  Benchmarks call this between repetitions
+    to measure cold-cache behaviour; results never depend on cache
+    state. *)
 val clear_trace_cache : unit -> unit
 
 (** Fault-free trace.  [po.(t)] are splat PO words at time [t];
@@ -127,8 +128,7 @@ val verify_required :
     [(si, seq[0,b) . suffix)], and [resume_po_time s ~suffix] equals that
     sequence's {!profile} [po_time], over any [subset] of the snapshotted
     faults (a fault outside it raises [Invalid_argument]).  Resumed runs
-    skip faults PO-detected before [b], run the levelized kernel whatever
-    {!Asc_sim.Sim_kernel.current} says, and compute the suffix's
+    skip faults PO-detected before [b] and compute the suffix's
     fault-free rows from the snapshot's good state without entering
     them in the trace cache.  Results are identical for any domain
     count. *)

@@ -1,7 +1,7 @@
 (* Levelized event-driven fault-simulation kernel.
 
-   The interpretive engines re-evaluate every gate every cycle.  This
-   kernel instead simulates a faulty machine as a *difference* against a
+   Rather than re-evaluating every gate every cycle, the kernel
+   simulates a faulty machine as a *difference* against a
    precomputed fault-free trace: [dv.(g)] holds [faulty XOR good] for gate
    [g], zero almost everywhere.  Each cycle seeds the difference at the
    fault sites and at flip-flops whose state diverged, then propagates it
@@ -19,10 +19,10 @@
    each gate at most once per cycle, after all its fanins.
 
    Equivalence contract: for any override set, the detection words
-   derived from [po_diff]/[state_diff] are bit-identical to comparing an
-   interpretive {!Engine2} faulty run against the fault-free run — the
-   kernel-equivalence test suite pins this against the
-   [--sim-kernel=reference] path. *)
+   derived from [po_diff]/[state_diff] equal those of a full scalar
+   re-simulation of each faulty machine against the fault-free one — the
+   kernel test suite pins this against a faulty simulator built on
+   {!Naive}, which shares no code with this module. *)
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
@@ -93,7 +93,7 @@ let create c =
 
 let circuit t = t.c
 
-(* Grouping and application order match Engine2 (see [Sched.group]). *)
+(* Grouping and application order: see [Sched.group]. *)
 let set_overrides t overrides =
   Array.iter
     (fun g ->
@@ -150,66 +150,71 @@ let[@inline] push_comb_fanouts t g =
     push t (Array.unsafe_get coflat i)
   done
 
-(* Faulty value of an overridden combinational gate (cold path): the body
-   over faulty fanin words with pin overrides, then output overrides —
-   mirroring Engine2.eval_overridden. *)
-let eval_overridden t gw g =
+(* [eval_body kind get n]: the word-parallel gate function over [n]
+   fanin words supplied by [get], masked to the lane width.  Overridden
+   gates evaluate through it (inlined there), and so do engines built on
+   top (the transition-fault simulator's delay sweep). *)
+let[@inline] eval_body kind get n =
+  match (kind : Gate.kind) with
+  | Gate.And ->
+      let acc = ref (get 0) in
+      for i = 1 to n - 1 do
+        acc := !acc land get i
+      done;
+      !acc
+  | Gate.Nand ->
+      let acc = ref (get 0) in
+      for i = 1 to n - 1 do
+        acc := !acc land get i
+      done;
+      lnot !acc land Word.mask
+  | Gate.Or ->
+      let acc = ref (get 0) in
+      for i = 1 to n - 1 do
+        acc := !acc lor get i
+      done;
+      !acc
+  | Gate.Nor ->
+      let acc = ref (get 0) in
+      for i = 1 to n - 1 do
+        acc := !acc lor get i
+      done;
+      lnot !acc land Word.mask
+  | Gate.Xor ->
+      let acc = ref (get 0) in
+      for i = 1 to n - 1 do
+        acc := !acc lxor get i
+      done;
+      !acc
+  | Gate.Xnor ->
+      let acc = ref (get 0) in
+      for i = 1 to n - 1 do
+        acc := !acc lxor get i
+      done;
+      lnot !acc land Word.mask
+  | Gate.Not -> lnot (get 0) land Word.mask
+  | Gate.Buf -> get 0
+  | Gate.Const0 -> 0
+  | Gate.Const1 -> Word.mask
+  | Gate.Input | Gate.Dff -> invalid_arg "Kernel.eval_body: source gate"
+
+(* The overrides of [overrides] on pin [i] (pin -1: the output) applied
+   to [w] in list order — a plain walk, so the overridden-gate path
+   allocates nothing per fanin. *)
+let rec apply_pin i w = function
+  | [] -> w
+  | (o : Override.t) :: rest ->
+      apply_pin i (if o.pin = i then Override.apply o w else w) rest
+
+(* Faulty value of an overridden combinational gate: the body over the
+   faulty fanin words [fanin f] with pin overrides, then output
+   overrides.  Every fault site of a group is evaluated each cycle, so
+   this path is as hot as the cone walk itself. *)
+let eval_overridden t ~fanin g =
   let lo = t.off.(g) in
   let overrides = t.ovr.(g) in
-  let get i =
-    let f = t.flat.(lo + i) in
-    let w = ref (gw.(f) lxor t.dv.(f)) in
-    List.iter (fun (o : Override.t) -> if o.pin = i then w := Override.apply o !w) overrides;
-    !w
-  in
-  let n = t.off.(g + 1) - lo in
-  let body =
-    match t.kinds.(g) with
-    | Gate.And ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc land get i
-        done;
-        !acc
-    | Gate.Nand ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc land get i
-        done;
-        lnot !acc land Word.mask
-    | Gate.Or ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lor get i
-        done;
-        !acc
-    | Gate.Nor ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lor get i
-        done;
-        lnot !acc land Word.mask
-    | Gate.Xor ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lxor get i
-        done;
-        !acc
-    | Gate.Xnor ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lxor get i
-        done;
-        lnot !acc land Word.mask
-    | Gate.Not -> lnot (get 0) land Word.mask
-    | Gate.Buf -> get 0
-    | Gate.Const0 -> 0
-    | Gate.Const1 -> Word.mask
-    | Gate.Input | Gate.Dff -> invalid_arg "Kernel: source gate in cone"
-  in
-  List.fold_left
-    (fun w (o : Override.t) -> if o.pin = -1 then Override.apply o w else w)
-    body overrides
+  let get i = apply_pin i (fanin t.flat.(lo + i)) overrides in
+  apply_pin (-1) (eval_body t.kinds.(g) get (t.off.(g + 1) - lo)) overrides
 
 (* Faulty value of a plain combinational gate: the body over
    [good XOR dv] fanin words, with a 2-input fast path. *)
@@ -296,6 +301,7 @@ let cycle ?(prune = 0) t ~gw =
   t.keep <- Word.mask land lnot prune;
   let keep = t.keep in
   let dv = t.dv in
+  let fanin f = gw.(f) lxor dv.(f) in
   for i = 0 to Array.length t.state_diff - 1 do
     let sd = Array.unsafe_get t.state_diff i land keep in
     if sd <> 0 then set_dv t t.dffs.(i) sd
@@ -324,7 +330,7 @@ let cycle ?(prune = 0) t ~gw =
       let g = Array.unsafe_get bucket bi in
       incr evaluated;
       let fv =
-        if Bytes.unsafe_get t.ovr_flag g = '\001' then eval_overridden t gw g
+        if Bytes.unsafe_get t.ovr_flag g = '\001' then eval_overridden t ~fanin g
         else eval_plain t gw g
       in
       let ndv = (fv lxor Array.unsafe_get gw g) land keep in
@@ -358,7 +364,7 @@ let cycle ?(prune = 0) t ~gw =
       let g = Array.unsafe_get sched idx in
       incr evaluated;
       let fv =
-        if Bytes.unsafe_get ovr_flag g = '\001' then eval_overridden t gw g
+        if Bytes.unsafe_get ovr_flag g = '\001' then eval_overridden t ~fanin g
         else eval_plain t gw g
       in
       let ndv = (fv lxor Array.unsafe_get gw g) land keep in
@@ -374,70 +380,13 @@ let cycle ?(prune = 0) t ~gw =
    arrays, so a whole cycle's good values live in a handful of cache
    lines.  The word of gate [g] is recovered on the fly:
    [(-byte) land Word.mask] is 0 for byte 0 and the all-lanes word for
-   byte 1.  These are exact duplicates of [eval_plain]/[eval_overridden]/
-   [cycle]/[finish_cycle] over that accessor — kept as copies because the
+   byte 1.  These are exact duplicates of [eval_plain]/[cycle]/
+   [finish_cycle] over that accessor — kept as copies because the
    per-access indirection of a shared abstraction is what they exist to
-   avoid. *)
+   avoid.  Overridden gates are the cold path and share
+   [eval_overridden] through its [fanin] accessor. *)
 
 let[@inline] gword gb g = (0 - Char.code (Bytes.unsafe_get gb g)) land Word.mask
-
-let eval_overridden_bits t gb g =
-  let lo = t.off.(g) in
-  let overrides = t.ovr.(g) in
-  let get i =
-    let f = t.flat.(lo + i) in
-    let w = ref (gword gb f lxor t.dv.(f)) in
-    List.iter (fun (o : Override.t) -> if o.pin = i then w := Override.apply o !w) overrides;
-    !w
-  in
-  let n = t.off.(g + 1) - lo in
-  let body =
-    match t.kinds.(g) with
-    | Gate.And ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc land get i
-        done;
-        !acc
-    | Gate.Nand ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc land get i
-        done;
-        lnot !acc land Word.mask
-    | Gate.Or ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lor get i
-        done;
-        !acc
-    | Gate.Nor ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lor get i
-        done;
-        lnot !acc land Word.mask
-    | Gate.Xor ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lxor get i
-        done;
-        !acc
-    | Gate.Xnor ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lxor get i
-        done;
-        lnot !acc land Word.mask
-    | Gate.Not -> lnot (get 0) land Word.mask
-    | Gate.Buf -> get 0
-    | Gate.Const0 -> 0
-    | Gate.Const1 -> Word.mask
-    | Gate.Input | Gate.Dff -> invalid_arg "Kernel: source gate in cone"
-  in
-  List.fold_left
-    (fun w (o : Override.t) -> if o.pin = -1 then Override.apply o w else w)
-    body overrides
 
 let eval_plain_bits t gb g =
   let flat = t.flat and dv = t.dv in
@@ -509,6 +458,7 @@ let cycle_bits ?(prune = 0) t ~gb =
   t.keep <- Word.mask land lnot prune;
   let keep = t.keep in
   let dv = t.dv in
+  let fanin f = gword gb f lxor dv.(f) in
   for i = 0 to Array.length t.state_diff - 1 do
     let sd = Array.unsafe_get t.state_diff i land keep in
     if sd <> 0 then set_dv t t.dffs.(i) sd
@@ -538,7 +488,7 @@ let cycle_bits ?(prune = 0) t ~gb =
       let g = Array.unsafe_get bucket bi in
       incr evaluated;
       let fv =
-        if Bytes.unsafe_get t.ovr_flag g = '\001' then eval_overridden_bits t gb g
+        if Bytes.unsafe_get t.ovr_flag g = '\001' then eval_overridden t ~fanin g
         else eval_plain_bits t gb g
       in
       let ndv = (fv lxor gword gb g) land keep in
@@ -567,7 +517,7 @@ let cycle_bits ?(prune = 0) t ~gb =
       let g = Array.unsafe_get sched idx in
       incr evaluated;
       let fv =
-        if Bytes.unsafe_get ovr_flag g = '\001' then eval_overridden_bits t gb g
+        if Bytes.unsafe_get ovr_flag g = '\001' then eval_overridden t ~fanin g
         else eval_plain_bits t gb g
       in
       let ndv = (fv lxor gword gb g) land keep in
@@ -585,9 +535,8 @@ let finish_cycle_bits t ~gb =
     (fun (i, ovrs) ->
       let d = din.(i) in
       let good = gword gb d in
-      let fv = ref (good lxor t.dv.(d)) in
-      List.iter (fun (o : Override.t) -> if o.pin = 0 then fv := Override.apply o !fv) ovrs;
-      t.state_diff.(i) <- (!fv lxor good) land t.keep)
+      let fv = apply_pin 0 (good lxor t.dv.(d)) ovrs in
+      t.state_diff.(i) <- (fv lxor good) land t.keep)
     t.dff_pin0;
   for k = 0 to t.ntouched - 1 do
     t.dv.(t.touched.(k)) <- 0
@@ -615,9 +564,8 @@ let finish_cycle t ~gw =
     (fun (i, ovrs) ->
       let d = din.(i) in
       let good = gw.(d) in
-      let fv = ref (good lxor t.dv.(d)) in
-      List.iter (fun (o : Override.t) -> if o.pin = 0 then fv := Override.apply o !fv) ovrs;
-      t.state_diff.(i) <- (!fv lxor good) land t.keep)
+      let fv = apply_pin 0 (good lxor t.dv.(d)) ovrs in
+      t.state_diff.(i) <- (fv lxor good) land t.keep)
     t.dff_pin0;
   for k = 0 to t.ntouched - 1 do
     t.dv.(t.touched.(k)) <- 0
@@ -644,7 +592,7 @@ let take_evaluated t =
 
 (* Evaluate the fault-free machine for one cycle into [v] (every gate,
    sources included): the 62-wide good-machine kernel.  No overrides, no
-   per-gate override test — leaner than Engine2's sweep. *)
+   per-gate override test. *)
 let good_cycle t ~pi_words ~state ~v =
   let c = t.c in
   let inputs = Circuit.inputs c in

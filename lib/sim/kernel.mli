@@ -11,13 +11,12 @@
     ({!Asc_netlist.Circuit.level_order}) — ints, not closures — computed
     once per netlist and shared read-only across kernels and domains.
 
-    Detection results are bit-identical to comparing an interpretive
-    {!Engine2} faulty run against the fault-free run (the
-    [--sim-kernel=reference] path); the kernel-equivalence suite pins
-    this.
+    Detection results equal those of a full scalar re-simulation of
+    each faulty machine against the fault-free one; the kernel test
+    suite pins this against a faulty simulator built on {!Naive}.
 
     A kernel instance is single-domain mutable state: create one per
-    pool chunk, like {!Engine2}. *)
+    pool chunk. *)
 
 type t
 
@@ -25,9 +24,8 @@ val create : Asc_netlist.Circuit.t -> t
 
 val circuit : t -> Asc_netlist.Circuit.t
 
-(** Swap the injected fault set (no state-array reallocation).  Override
-    application order matches {!Engine2}, so grouped fault lanes behave
-    identically. *)
+(** Swap the injected fault set (no state-array reallocation).  Overrides
+    are applied in {!Sched.group}'s order, shared with {!Kernel3}. *)
 val set_overrides : t -> Override.t list -> unit
 
 (** Zero all difference state: the faulty machine restarts equal to the
@@ -93,3 +91,10 @@ val good_cycle : t -> pi_words:int array -> state:int array -> v:int array -> un
 (** [good_capture t ~v ~state] clocks the fault-free machine:
     [state.(i) <- v.(dff_input i)]. *)
 val good_capture : t -> v:int array -> state:int array -> unit
+
+(** [eval_body kind get n] — the word-parallel gate function over [n]
+    fanin words supplied by [get], masked to the lane width.  Overridden
+    gates evaluate through it, and so do engines built on top (the
+    transition-fault simulator's delay sweep).  Raises [Invalid_argument]
+    on a source kind ([Input], [Dff]). *)
+val eval_body : Asc_netlist.Gate.kind -> (int -> int) -> int -> int

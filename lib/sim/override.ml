@@ -5,8 +5,8 @@
    - [pin = k >= 0]: the gate's [k]-th fanin as seen by this gate only
      (a fanout-branch fault); for a DFF, pin 0 is the captured D value.
 
-   [table] indexes overrides by the gate they attach to, so the simulation
-   sweep pays nothing for gates without overrides. *)
+   The kernels index overrides by attachment point themselves (see
+   [Sched.group]). *)
 
 type t = { gate : int; pin : int; stuck : bool; lanes : int }
 
@@ -18,28 +18,3 @@ let input ~gate ~pin ~stuck ~lanes =
 (* [apply o w] forces the override's lanes of word [w] to the stuck value. *)
 let apply o w =
   if o.stuck then w lor o.lanes else w land lnot o.lanes
-
-type table = {
-  (* For each gate: the overrides attached to it (usually none). *)
-  by_gate : t list array;
-  touched : int list; (* gates with at least one override *)
-}
-
-let table n_gates overrides =
-  let by_gate = Array.make n_gates [] in
-  let touched = ref [] in
-  List.iter
-    (fun o ->
-      if o.gate < 0 || o.gate >= n_gates then invalid_arg "Override.table: bad gate";
-      if by_gate.(o.gate) = [] then touched := o.gate :: !touched;
-      by_gate.(o.gate) <- o :: by_gate.(o.gate))
-    overrides;
-  { by_gate; touched = !touched }
-
-let empty n_gates = { by_gate = Array.make n_gates []; touched = [] }
-
-let at tbl g = tbl.by_gate.(g)
-
-let has tbl g = tbl.by_gate.(g) <> []
-
-let touched tbl = tbl.touched

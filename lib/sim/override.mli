@@ -1,5 +1,5 @@
 (** Lane-masked value overrides — the generic fault-injection mechanism
-    shared by the 2-valued engine and the 2- and 3-valued kernels.
+    shared by the 2- and 3-valued kernels.
 
     An override forces a signal stuck at a value in selected lanes:
     [pin = -1] forces the gate's output; [pin = k >= 0] forces the gate's
@@ -13,17 +13,3 @@ val input : gate:int -> pin:int -> stuck:bool -> lanes:int -> t
 
 (** Force the override's lanes of a word to the stuck value. *)
 val apply : t -> int -> int
-
-(** Per-gate index of a set of overrides. *)
-type table
-
-val table : int -> t list -> table
-
-(** A table with no overrides (fault-free simulation). *)
-val empty : int -> table
-
-val at : table -> int -> t list
-val has : table -> int -> bool
-
-(** Gates carrying at least one override. *)
-val touched : table -> int list

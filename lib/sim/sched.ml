@@ -79,10 +79,11 @@ type grouped = {
 }
 
 (* Group [overrides] by attachment point.  Comb-gate and DFF-pin-0 lists
-   are built by consing a left-to-right scan — the same (reversed) order
-   [Override.table] hands to the interpretive engine — and source
-   overrides keep input order; application order is therefore identical
-   to the reference engine. *)
+   are built by consing a left-to-right scan, so each holds its overrides
+   in reverse list order; source overrides keep list order.  Overrides in
+   disjoint lanes commute, so the order matters only where two of them
+   force the same pin in the same lane; fixing it here makes the 2- and
+   3-valued kernels agree there too. *)
 let group c ~kinds overrides =
   let rec add g o = function
     | [] -> [ (g, [ o ]) ]

@@ -28,7 +28,8 @@ type grouped = {
   comb : (int * Override.t list) list;  (** comb gate -> its overrides *)
 }
 
-(** Group overrides by attachment point, in the interpretive engine's
-    application order. *)
+(** Group overrides by attachment point.  Per-gate and per-DFF lists hold
+    their overrides in reverse list order, sources in list order; both
+    kernels apply them in that order. *)
 val group :
   Asc_netlist.Circuit.t -> kinds:Asc_netlist.Gate.kind array -> Override.t list -> grouped

@@ -21,7 +21,7 @@
 open Asc_util
 module Circuit = Asc_netlist.Circuit
 module Gate = Asc_netlist.Gate
-module Engine2 = Asc_sim.Engine2
+module Kernel = Asc_sim.Kernel
 module Scan_test = Asc_scan.Scan_test
 
 type t = { gate : int; rising : bool }
@@ -134,9 +134,7 @@ let detect_subset c (test : Scan_test.t) ~faults ~subset =
             let g = order.(idx) in
             let fi = fanins.(g) in
             let nf = Array.length fi in
-            let body =
-              Engine2.eval_body kinds.(g) (fun i -> v.(fi.(i))) nf
-            in
+            let body = Kernel.eval_body kinds.(g) (fun i -> v.(fi.(i))) nf in
             v.(g) <- apply g body
           done;
           for i = 0 to n_po - 1 do

@@ -24,9 +24,11 @@ let crc32 s =
 
 let to_hex c = Printf.sprintf "%08x" c
 
+(* Only the spelling [to_hex] writes parses: a trailer byte flipped to
+   an uppercase digit or an underscore (both accepted by
+   [int_of_string]) must not name the same checksum. *)
 let of_hex s =
-  if String.length s <> 8 then None
-  else
-    match int_of_string_opt ("0x" ^ s) with
-    | Some n when n >= 0 && n <= 0xFFFFFFFF -> Some n
-    | _ -> None
+  if String.length s <> 8
+     || not (String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s)
+  then None
+  else Some (int_of_string ("0x" ^ s))

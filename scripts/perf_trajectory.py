@@ -5,7 +5,7 @@ Consumes the JSON summary written by ``bench --quick --json`` and
 
 1. emits a schema-versioned ``BENCH_<date>.json`` snapshot at the repo
    root (the trajectory: one file per recorded day, committed to main),
-2. compares the fsim-kernel timing against the newest prior
+2. compares the fault-simulation kernel timing against the newest prior
    ``BENCH_*.json`` and fails when the levelized kernel regressed beyond
    the budget (default 25%).
 
@@ -58,7 +58,7 @@ def load_bench(path: Path) -> dict:
     kernel = data.get("kernel")
     if not isinstance(kernel, dict):
         fail(f"{path} has no kernel section — run bench with --quick --json")
-    for key in ("seconds_levelized_1", "seconds_reference", "circuit"):
+    for key in ("seconds_levelized_1", "circuit"):
         if key not in kernel:
             fail(f"{path}: kernel section missing {key!r}")
     circuits = data.get("circuits")
@@ -125,10 +125,8 @@ def main() -> None:
     }
     out_path = args.out_dir / f"BENCH_{date}.json"
     out_path.write_text(json.dumps(snapshot, indent=2) + "\n")
-    speedup = kernel.get("speedup_domains_1")
-    detail = f", {speedup:.2f}x vs reference" if speedup is not None else ""
     print(f"perf-trajectory: wrote {out_path} "
-          f"(levelized 1-domain {new_secs:.3f}s on {kernel['circuit']}{detail})")
+          f"(levelized 1-domain {new_secs:.3f}s on {kernel['circuit']})")
 
     priors = prior_snapshots(args.out_dir, date)
     if not priors:

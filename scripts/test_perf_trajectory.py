@@ -27,7 +27,6 @@ def bench_json(levelized: float = 0.2, **overrides) -> dict:
         "kernel": {
             "circuit": "s1423",
             "seconds_levelized_1": levelized,
-            "seconds_reference": 0.5,
         },
         "circuits": [{"circuit": "s27", "seconds": 0.01}, {"circuit": "s298", "seconds": 0.2}],
     }
@@ -84,6 +83,24 @@ class PerfTrajectory(unittest.TestCase):
         self.write_prior("2026-10-01", 0.19)
         r = self.run_script(bench_json(levelized=0.2), "--budget", "0.25")
         self.assertEqual(r.returncode, 0, r.stderr)
+
+    def test_reference_free_kernel_section_is_accepted(self) -> None:
+        # The kernel section carries only levelized figures; the gate
+        # compares them with the prior snapshot, which may still hold the
+        # older reference fields.
+        prior = {"schema": 2, "kernel": {"seconds_levelized_1": 0.19,
+                                          "seconds_reference": 0.5}}
+        (self.dir / "BENCH_2026-10-01.json").write_text(json.dumps(prior))
+        r = self.run_script(bench_json(levelized=0.2))
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertNotIn("reference", r.stdout)
+        snap = json.loads((self.dir / f"BENCH_{DATE}.json").read_text())
+        self.assertEqual(snap["kernel"], {"circuit": "s1423", "seconds_levelized_1": 0.2})
+
+    def test_missing_levelized_seconds_is_bad_input(self) -> None:
+        doc = bench_json()
+        del doc["kernel"]["seconds_levelized_1"]
+        self.assertEqual(self.run_script(doc).returncode, 2)
 
     def test_no_prior_snapshot_is_advisory(self) -> None:
         r = self.run_script(bench_json())

@@ -21,16 +21,22 @@ let with_constants () =
   Builder.add_output b z;
   Builder.finalize b
 
+(* The kernel's fault-free PO words y and z of one cycle. *)
+let kernel_pos c pi_words =
+  let k = Asc_sim.Kernel.create c in
+  let v = Array.make (Circuit.n_gates c) 0 in
+  Asc_sim.Kernel.good_cycle k ~pi_words ~state:[||] ~v;
+  let po i = v.((Circuit.outputs c).(i)) in
+  (po 0, po 1)
+
 let test_constants_simulate () =
   let c = with_constants () in
   let v = Asc_sim.Naive.eval_comb c ~pis:[| true |] ~state:[||] in
   Alcotest.(check bool) "y = a" true (Asc_sim.Naive.outputs_of c v).(0);
   Alcotest.(check bool) "z = a" true (Asc_sim.Naive.outputs_of c v).(1);
-  let e = Asc_sim.Engine2.create c [] in
-  Asc_sim.Engine2.eval e ~pi_words:[| 0 |];
-  Alcotest.(check int) "word y = 0" 0 (Asc_sim.Engine2.po_word e 0);
-  Asc_sim.Engine2.eval e ~pi_words:[| Word.mask |];
-  Alcotest.(check int) "word y = 1s" Word.mask (Asc_sim.Engine2.po_word e 0)
+  Alcotest.(check (pair int int)) "words y, z = 0" (0, 0) (kernel_pos c [| 0 |]);
+  Alcotest.(check (pair int int)) "words y, z = 1s" (Word.mask, Word.mask)
+    (kernel_pos c [| Word.mask |])
 
 let test_constants_podem () =
   let c = with_constants () in
@@ -74,10 +80,10 @@ let test_wide_gate () =
     let expected = Array.fold_left (fun acc b -> acc <> b) false input in
     let v = Asc_sim.Naive.eval_comb c ~pis:input ~state:[||] in
     Alcotest.(check bool) "naive xor6" expected (Asc_sim.Naive.outputs_of c v).(0);
-    let e = Asc_sim.Engine2.create c [] in
-    Asc_sim.Engine2.eval e ~pi_words:(Array.map Word.splat input);
-    Alcotest.(check int) "engine xor6" (Word.splat expected)
-      (Asc_sim.Engine2.po_word e 0)
+    let k = Asc_sim.Kernel.create c in
+    let v = Array.make (Circuit.n_gates c) 0 in
+    Asc_sim.Kernel.good_cycle k ~pi_words:(Array.map Word.splat input) ~state:[||] ~v;
+    Alcotest.(check int) "kernel xor6" (Word.splat expected) v.(g)
   done
 
 (* inc3's group compaction (triggered by many commits) must not change

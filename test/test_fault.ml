@@ -1,60 +1,17 @@
 (* Tests for Asc_fault: the fault universe, equivalence collapsing, and
-   both fault simulators cross-checked against naive per-fault simulation. *)
+   both fault simulators cross-checked against naive per-fault simulation
+   (Fault_oracle). *)
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
-module Gate = Asc_netlist.Gate
 module Fault = Asc_fault.Fault
 module Collapse = Asc_fault.Collapse
-module Naive = Asc_sim.Naive
 
 let qtest = QCheck_alcotest.to_alcotest
 
 let small_circuit seed =
   Asc_circuits.Profile.make "fs" 4 3 5 45 ~t0_budget:10
   |> Asc_circuits.Generator.generate ~seed
-
-(* Naive faulty evaluation: recompute the whole circuit with the fault
-   spliced into the evaluation, 2-valued. *)
-let naive_faulty_eval c (f : Fault.t) ~pis ~state =
-  let n = Circuit.n_gates c in
-  let v = Array.make n false in
-  let forced g value = if f.pin = -1 && f.gate = g then f.stuck else value in
-  Array.iteri (fun i g -> v.(g) <- forced g pis.(i)) (Circuit.inputs c);
-  Array.iteri (fun i g -> v.(g) <- forced g state.(i)) (Circuit.dffs c);
-  Array.iter
-    (fun g ->
-      let ins =
-        Array.to_list
-          (Array.mapi
-             (fun k fin -> if f.gate = g && f.pin = k then f.stuck else v.(fin))
-             (Circuit.fanins c g))
-      in
-      v.(g) <- forced g (Naive.eval_gate2 (Circuit.kind c g) ins))
-    (Circuit.order c);
-  v
-
-let naive_faulty_next_state c (f : Fault.t) v =
-  Array.map
-    (fun d ->
-      let din = Circuit.dff_input c d in
-      if f.gate = d && f.pin = 0 then f.stuck else v.(din))
-    (Circuit.dffs c)
-
-(* Naive scan-test detection of one fault. *)
-let naive_detects c (f : Fault.t) ~si ~seq =
-  let good_state = ref (Array.copy si) in
-  let bad_state = ref (Array.copy si) in
-  let detected = ref false in
-  Array.iter
-    (fun pis ->
-      let gv = Naive.eval_comb c ~pis ~state:!good_state in
-      let bv = naive_faulty_eval c f ~pis ~state:!bad_state in
-      if Naive.outputs_of c gv <> Naive.outputs_of c bv then detected := true;
-      good_state := Naive.next_state_of c gv;
-      bad_state := naive_faulty_next_state c f bv)
-    seq;
-  !detected || !good_state <> !bad_state
 
 (* --- Universe and collapsing ----------------------------------------- *)
 
@@ -87,10 +44,11 @@ let prop_collapse_sound =
       for _ = 1 to 3 do
         let si = Rng.bool_array rng (Circuit.n_dffs c) in
         let seq = Array.init 4 (fun _ -> Rng.bool_array rng (Circuit.n_inputs c)) in
+        let good = Fault_oracle.good_run c ~si ~seq in
+        let detects f = Fault_oracle.(detected (simulate c good f)) in
         Array.iteri
           (fun i f ->
-            let rep = reps.(Collapse.rep_of col i) in
-            if naive_detects c f ~si ~seq <> naive_detects c rep ~si ~seq then ok := false)
+            if detects f <> detects reps.(Collapse.rep_of col i) then ok := false)
           u
       done;
       !ok)
@@ -115,7 +73,7 @@ let prop_comb_fsim_matches_naive =
         (fun pi (p : Asc_sim.Pattern.t) ->
           Array.iteri
             (fun fi f ->
-              let expected = naive_detects c f ~si:p.state ~seq:[| p.pis |] in
+              let expected = Fault_oracle.detects c f ~si:p.state ~seq:[| p.pis |] in
               if Bitmat.get mat pi fi <> expected then ok := false)
             faults)
         patterns;
@@ -136,7 +94,7 @@ let prop_seq_detect_matches_naive =
       let ok = ref true in
       Array.iteri
         (fun fi f ->
-          if Bitvec.get det fi <> naive_detects c f ~si ~seq then ok := false)
+          if Bitvec.get det fi <> Fault_oracle.detects c f ~si ~seq then ok := false)
         faults;
       !ok)
 
@@ -220,21 +178,11 @@ let prop_no_scan_sound =
       for _ = 1 to 4 do
         let si = Rng.bool_array rng (Circuit.n_dffs c) in
         (* PO-only detection from a concrete state: drop the final-state
-           term by checking the naive PO trajectories. *)
+           term by checking the naive first PO difference. *)
+        let good = Fault_oracle.good_run c ~si ~seq in
         Bitvec.iter_set
           (fun fi ->
-            let f = faults.(fi) in
-            let good_state = ref (Array.copy si) and bad_state = ref (Array.copy si) in
-            let po_diff = ref false in
-            Array.iter
-              (fun pis ->
-                let gv = Naive.eval_comb c ~pis ~state:!good_state in
-                let bv = naive_faulty_eval c f ~pis ~state:!bad_state in
-                if Naive.outputs_of c gv <> Naive.outputs_of c bv then po_diff := true;
-                good_state := Naive.next_state_of c gv;
-                bad_state := naive_faulty_next_state c f bv)
-              seq;
-            if not !po_diff then ok := false)
+            if (Fault_oracle.simulate c good faults.(fi)).po_time = max_int then ok := false)
           det
       done;
       !ok)

@@ -113,12 +113,26 @@ let prop_override_idempotent =
       let stuck = Rng.bool rng in
       let once = [ Asc_sim.Override.output ~gate:g ~stuck ~lanes:Word.mask ] in
       let twice = once @ once in
+      (* PO and captured-state differences over three cycles. *)
       let run ovr =
-        let e = Asc_sim.Engine2.create c ovr in
-        Asc_sim.Engine2.set_state_bools e (Rng.bool_array (Rng.create seed) (Circuit.n_dffs c));
-        Asc_sim.Engine2.eval e
-          ~pi_words:(Array.init (Circuit.n_inputs c) (fun i -> (i * 77) land Word.mask));
-        Array.init (Circuit.n_outputs c) (Asc_sim.Engine2.po_word e)
+        let k = Asc_sim.Kernel.create c in
+        let gw = Array.make (Circuit.n_gates c) 0 in
+        let state =
+          Array.map Word.splat (Rng.bool_array (Rng.create seed) (Circuit.n_dffs c))
+        in
+        Asc_sim.Kernel.set_overrides k ovr;
+        Asc_sim.Kernel.reset k;
+        List.map
+          (fun cyc ->
+            Asc_sim.Kernel.good_cycle k ~state ~v:gw
+              ~pi_words:
+                (Array.init (Circuit.n_inputs c) (fun i -> (i * 77 * cyc) land Word.mask));
+            Asc_sim.Kernel.cycle k ~gw;
+            let po = Asc_sim.Kernel.po_diff k in
+            Asc_sim.Kernel.finish_cycle k ~gw;
+            Asc_sim.Kernel.good_capture k ~v:gw ~state;
+            (po, Array.init (Circuit.n_dffs c) (Asc_sim.Kernel.state_diff k)))
+          [ 1; 2; 3 ]
       in
       run once = run twice)
 

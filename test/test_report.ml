@@ -2,7 +2,9 @@
 
    The golden tests pin exact numbers for the embedded s27 circuit at
    seed 1: the whole pipeline is deterministic, so any change to these
-   values signals a behavioural change somewhere in the stack. *)
+   values signals a behavioural change somewhere in the stack.  The
+   naive re-checks recompute the same runs' coverage and N_cyc without
+   the fast path. *)
 
 module Bv = Asc_util.Bitvec
 
@@ -129,6 +131,47 @@ let test_golden_transfer (name, tests, cycles, crc) () =
   check_pin name (tests, cycles, crc) c r.tests
     (Asc_scan.Time_model.cycles_of_tests c r.tests)
 
+(* Paper quantities re-checked by an oracle that shares no code with the
+   fast path: each final test set is re-simulated fault by fault with
+   the scalar, Naive-based Fault_oracle, whose detections over the target
+   faults must be exactly [final_detected] (which counts targets only),
+   and N_cyc is recomputed from the tests themselves as
+   (k+1)·N_SV + ΣL(T_j). *)
+let naive_recheck c (p : Asc_core.Pipeline.prepared) (r : Asc_core.Pipeline.result) =
+  let tests = r.final_tests in
+  let goods =
+    Array.map
+      (fun (t : Asc_scan.Scan_test.t) -> Fault_oracle.good_run c ~si:t.si ~seq:t.seq)
+      tests
+  in
+  let covered = Bv.create (Array.length p.faults) in
+  Bv.iter_set
+    (fun fi ->
+      let detects good = Fault_oracle.(detected (simulate c good p.faults.(fi))) in
+      if Array.exists detects goods then Bv.set covered fi)
+    p.targets;
+  Alcotest.(check (list int)) "naive coverage = final_detected"
+    (Bv.to_list r.final_detected) (Bv.to_list covered);
+  let n_sv = Asc_netlist.Circuit.n_dffs c in
+  Array.iter
+    (fun (t : Asc_scan.Scan_test.t) ->
+      Alcotest.(check int) "scan-in width = N_SV" n_sv (Array.length t.si))
+    tests;
+  let sum_l =
+    Array.fold_left (fun acc (t : Asc_scan.Scan_test.t) -> acc + Array.length t.seq) 0 tests
+  in
+  Alcotest.(check int) "N_cyc = (k+1)·N_SV + ΣL(T_j)"
+    (((Array.length tests + 1) * n_sv) + sum_l)
+    r.cycles_final
+
+let test_naive_recheck name () =
+  if name = "s27" then
+    let r = Lazy.force s27_run in
+    naive_recheck r.prepared.circuit r.prepared r.directed
+  else
+    let c, p, r = Lazy.force (List.assoc name mid_runs) in
+    naive_recheck c p r
+
 let test_seed_changes_everything () =
   let a = Asc_core.Experiments.run_circuit ~seed:1 "s27" in
   let b = Asc_core.Experiments.run_circuit ~seed:2 "s27" in
@@ -164,6 +207,10 @@ let suite =
           (fun ((name, _, _, _) as pin) ->
             Alcotest.test_case ("golden transfer " ^ name) `Quick (test_golden_transfer pin))
           golden_transfer
+      @ List.map
+          (fun name ->
+            Alcotest.test_case ("naive re-check " ^ name) `Quick (test_naive_recheck name))
+          [ "s27"; "s298"; "s344"; "s382" ]
       @ [
         Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_everything;
       ] );

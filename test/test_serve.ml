@@ -119,10 +119,6 @@ let test_scheduler_cache_and_counters () =
    only be hit again by the same spec, which the result cache answers.
    Simulating the job's first final test afterwards must miss. *)
 let test_execute_clears_trace_cache () =
-  let module SK = Asc_sim.Sim_kernel in
-  let saved = SK.current () in
-  SK.set SK.Levelized;
-  Fun.protect ~finally:(fun () -> SK.set saved) @@ fun () ->
   let sched = Scheduler.create () in
   (match Scheduler.submit sched ~source:0 (spec ~circuit:"s298" ()) with
   | Scheduler.Accepted _ -> ()

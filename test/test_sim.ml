@@ -73,8 +73,8 @@ let random_profile seed =
   Asc_circuits.Profile.make "sim-rt" 5 4 6 50 ~t0_budget:10
   |> Asc_circuits.Generator.generate ~seed
 
-let prop_engine2_matches_naive =
-  QCheck.Test.make ~name:"Engine2 lanes match naive scalar runs" ~count:40
+let prop_kernel_good_matches_naive =
+  QCheck.Test.make ~name:"Kernel good lanes match naive scalar runs" ~count:40
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let c = random_profile seed in
@@ -88,8 +88,9 @@ let prop_engine2_matches_naive =
         Array.init lanes (fun _ ->
             Array.init len (fun _ -> Asc_util.Rng.bool_array rng n_pis))
       in
-      let engine = Engine2.create c [] in
-      let state_words =
+      let k = Kernel.create c in
+      let v = Array.make (Circuit.n_gates c) 0 in
+      let state =
         Array.init n_ffs (fun i ->
             let w = ref 0 in
             for l = 0 to lanes - 1 do
@@ -97,7 +98,6 @@ let prop_engine2_matches_naive =
             done;
             !w)
       in
-      Engine2.set_state_words engine state_words;
       let ok = ref true in
       let naive_runs =
         Array.init lanes (fun l -> Naive.run c ~init:inits.(l) ~seq:seqs.(l))
@@ -111,22 +111,20 @@ let prop_engine2_matches_naive =
               done;
               !w)
         in
-        Engine2.eval engine ~pi_words;
+        Kernel.good_cycle k ~pi_words ~state ~v;
         for l = 0 to lanes - 1 do
           let expected = (fst naive_runs.(l)).(t) in
-          for po = 0 to Circuit.n_outputs c - 1 do
-            if Asc_util.Word.get (Engine2.po_word engine po) l <> expected.(po) then
-              ok := false
-          done
+          Array.iteri
+            (fun po g -> if Asc_util.Word.get v.(g) l <> expected.(po) then ok := false)
+            (Circuit.outputs c)
         done;
-        Engine2.capture engine
+        Kernel.good_capture k ~v ~state
       done;
       (* Final states match too. *)
       for l = 0 to lanes - 1 do
         let expected = snd naive_runs.(l) in
         for i = 0 to n_ffs - 1 do
-          if Asc_util.Word.get (Engine2.state_word engine i) l <> expected.(i) then
-            ok := false
+          if Asc_util.Word.get state.(i) l <> expected.(i) then ok := false
         done
       done;
       !ok)
@@ -190,6 +188,17 @@ let prop_kernel3_x_state_refines =
 
 (* --- Overrides ------------------------------------------------------- *)
 
+(* One cycle of [c] from [state] under [pi_words]: the good values, and
+   the kernel with [overrides] injected, settled against them. *)
+let faulty_cycle c overrides ~state ~pi_words =
+  let k = Kernel.create c in
+  let gw = Array.make (Circuit.n_gates c) 0 in
+  Kernel.good_cycle k ~pi_words ~state:(Array.copy state) ~v:gw;
+  Kernel.set_overrides k overrides;
+  Kernel.reset k;
+  Kernel.cycle k ~gw;
+  (k, gw)
+
 let test_override_output_injection () =
   (* Force a PI stuck in half the lanes and observe a NOT of it. *)
   let b = Asc_netlist.Builder.create "ovr" in
@@ -198,29 +207,39 @@ let test_override_output_injection () =
   Asc_netlist.Builder.add_output b g;
   let c = Asc_netlist.Builder.finalize b in
   let lanes = 0b1010 in
-  let e = Engine2.create c [ Override.output ~gate:a ~stuck:true ~lanes ] in
-  Engine2.eval e ~pi_words:[| 0 |];
+  let k, gw =
+    faulty_cycle c [ Override.output ~gate:a ~stuck:true ~lanes ] ~state:[||]
+      ~pi_words:[| 0 |]
+  in
   (* a = 0 except overridden lanes -> NOT a = all ones except lanes. *)
   Alcotest.(check int) "not of injected" (Asc_util.Word.mask land lnot lanes)
-    (Engine2.po_word e 0)
+    (gw.(g) lxor Kernel.po_diff k)
 
 let test_override_input_pin_is_branch () =
-  (* A branch fault affects only the faulted consumer. *)
+  (* A branch fault affects only the faulted consumer: [g1] drives the
+     PO, [g2] the flip-flop, both from the stem [a]. *)
   let b = Asc_netlist.Builder.create "branch" in
   let a = Asc_netlist.Builder.add_input b "a" in
   let g1 = Asc_netlist.Builder.add_gate b Gate.Buf "g1" [ a ] in
   let g2 = Asc_netlist.Builder.add_gate b Gate.Buf "g2" [ a ] in
+  let q = Asc_netlist.Builder.add_dff b "q" in
+  Asc_netlist.Builder.set_dff_input b q g2;
   Asc_netlist.Builder.add_output b g1;
-  Asc_netlist.Builder.add_output b g2;
   let c = Asc_netlist.Builder.finalize b in
-  (* Stuck-1 on g1's input pin only. *)
-  let e =
-    Engine2.create c
-      [ Override.input ~gate:g1 ~pin:0 ~stuck:true ~lanes:Asc_util.Word.mask ]
+  let observe gate =
+    (* Stuck-1 on [gate]'s input pin only. *)
+    let k, gw =
+      faulty_cycle c
+        [ Override.input ~gate ~pin:0 ~stuck:true ~lanes:Asc_util.Word.mask ]
+        ~state:[| 0 |] ~pi_words:[| 0 |]
+    in
+    let po = Kernel.po_diff k in
+    Kernel.finish_cycle k ~gw;
+    (po, Kernel.state_diff k 0)
   in
-  Engine2.eval e ~pi_words:[| 0 |];
-  Alcotest.(check int) "faulted branch" Asc_util.Word.mask (Engine2.po_word e 0);
-  Alcotest.(check int) "clean branch" 0 (Engine2.po_word e 1)
+  let mask = Asc_util.Word.mask in
+  Alcotest.(check (pair int int)) "g1 faulted, g2 clean" (mask, 0) (observe g1);
+  Alcotest.(check (pair int int)) "g2 faulted, g1 clean" (0, mask) (observe g2)
 
 let test_override_dff_pin () =
   (* A DFF D-pin fault corrupts the captured value only. *)
@@ -231,18 +250,22 @@ let test_override_dff_pin () =
   let g = Asc_netlist.Builder.add_gate b Gate.Buf "g" [ q ] in
   Asc_netlist.Builder.add_output b g;
   let c = Asc_netlist.Builder.finalize b in
-  let e =
-    Engine2.create c
-      [ Override.input ~gate:q ~pin:0 ~stuck:false ~lanes:Asc_util.Word.mask ]
+  let mask = Asc_util.Word.mask in
+  let state = [| mask |] and pi_words = [| mask |] in
+  let k, gw =
+    faulty_cycle c
+      [ Override.input ~gate:q ~pin:0 ~stuck:false ~lanes:mask ]
+      ~state ~pi_words
   in
-  Engine2.set_state_bools e [| true |];
-  Engine2.eval e ~pi_words:[| Asc_util.Word.mask |];
   (* Current state unaffected. *)
-  Alcotest.(check int) "q unaffected now" Asc_util.Word.mask (Engine2.po_word e 0);
-  Engine2.capture e;
-  Engine2.eval e ~pi_words:[| Asc_util.Word.mask |];
-  (* Captured value was forced to 0. *)
-  Alcotest.(check int) "capture forced 0" 0 (Engine2.po_word e 0)
+  Alcotest.(check int) "q unaffected now" 0 (Kernel.po_diff k);
+  Kernel.finish_cycle k ~gw;
+  Alcotest.(check int) "capture forced 0" mask (Kernel.state_diff k 0);
+  (* The good machine captures 1 again; the faulty one shows its 0. *)
+  Kernel.good_capture k ~v:gw ~state;
+  Kernel.good_cycle k ~pi_words ~state ~v:gw;
+  Kernel.cycle k ~gw;
+  Alcotest.(check int) "captured 0 reaches the PO" mask (Kernel.po_diff k)
 
 let suite =
   [
@@ -251,7 +274,7 @@ let suite =
         Alcotest.test_case "2-valued truth tables" `Quick test_gate2_truth_tables;
         Alcotest.test_case "3-valued pessimism" `Quick test_gate3_pessimism;
         qtest prop_gate3_monotone;
-        qtest prop_engine2_matches_naive;
+        qtest prop_kernel_good_matches_naive;
         qtest prop_kernel3_binary_matches_naive;
         qtest prop_kernel3_x_state_refines;
         Alcotest.test_case "override output" `Quick test_override_output_injection;

@@ -1,8 +1,9 @@
 (* Exhaustive truth-table checks: every gate kind, every input combination
-   (arities 2 and 3 for the n-ary kinds), in the scalar reference, the
-   2-valued engine and the 3-valued kernel (good sweep and fault
-   propagation), plus PODEM's internal evaluator's observable behaviour
-   (via engine agreement). *)
+   (arities 2 and 3 for the n-ary kinds), in the scalar reference and in
+   the 2- and 3-valued kernels (good sweep and fault propagation, the
+   latter through both the cone walk and the overridden-gate body),
+   plus PODEM's internal evaluator's observable behaviour (via engine
+   agreement). *)
 
 open Asc_util
 module Gate = Asc_netlist.Gate
@@ -31,6 +32,17 @@ let circuit_for kind arity =
   Builder.add_output b g;
   Builder.finalize b
 
+(* Good PO word and PO difference word of one cycle of the 2-valued
+   kernel with [overrides] injected. *)
+let kernel_cycle c ~pi_words overrides =
+  let k = Asc_sim.Kernel.create c in
+  let gw = Array.make (Asc_netlist.Circuit.n_gates c) 0 in
+  Asc_sim.Kernel.good_cycle k ~pi_words ~state:[||] ~v:gw;
+  Asc_sim.Kernel.set_overrides k overrides;
+  Asc_sim.Kernel.reset k;
+  Asc_sim.Kernel.cycle k ~gw;
+  (gw.((Asc_netlist.Circuit.outputs c).(0)), Asc_sim.Kernel.po_diff k)
+
 (* Good row and PO detection word of one cycle of the 3-valued kernel
    with [overrides] injected. *)
 let kernel3_cycle c ~pis ~state overrides =
@@ -44,7 +56,6 @@ let kernel3_cycle c ~pis ~state overrides =
 
 let exhaustive_case kind arity () =
   let c = circuit_for kind arity in
-  let e2 = Asc_sim.Engine2.create c [] in
   let g = (Asc_netlist.Circuit.outputs c).(0) in
   let pi i = (Asc_netlist.Circuit.inputs c).(i) in
   for combo = 0 to (1 lsl arity) - 1 do
@@ -56,15 +67,10 @@ let exhaustive_case kind arity () =
       (Printf.sprintf "%s/%d naive %d" (Gate.to_string kind) arity combo)
       expected
       (Asc_sim.Naive.outputs_of c v).(0);
-    (* 2-valued engine. *)
-    Asc_sim.Engine2.eval e2 ~pi_words:(Array.of_list (List.map Word.splat ins));
-    Alcotest.(check int)
-      (Printf.sprintf "%s/%d engine2 %d" (Gate.to_string kind) arity combo)
-      (Word.splat expected)
-      (Asc_sim.Engine2.po_word e2 0);
-    (* 3-valued kernel: the good row, and one flipped input per lane —
+    (* Both kernels: the good value, and one flipped input per lane —
        lanes [0, arity) flip the PI stem (cone propagation), lanes
-       [arity, 2*arity) the gate's input pin (override evaluation). *)
+       [arity, 2*arity) the gate's input pin (override evaluation through
+       the shared gate body). *)
     let overrides =
       List.concat
         (List.mapi
@@ -75,6 +81,12 @@ let exhaustive_case kind arity () =
              ])
            ins)
     in
+    let good2, det2 =
+      kernel_cycle c ~pi_words:(Array.of_list (List.map Word.splat ins)) overrides
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "%s/%d kernel good %d" (Gate.to_string kind) arity combo)
+      (Word.splat expected) good2;
     let gb, det = kernel3_cycle c ~pis:(Array.of_list ins) ~state:Bytes.empty overrides in
     Alcotest.(check char)
       (Printf.sprintf "%s/%d kernel3 good %d" (Gate.to_string kind) arity combo)
@@ -83,6 +95,10 @@ let exhaustive_case kind arity () =
       (fun i _ ->
         let flipped = List.mapi (fun j b -> if i = j then not b else b) ins in
         let differs = reference kind flipped <> expected in
+        Alcotest.(check (pair bool bool))
+          (Printf.sprintf "%s/%d kernel flip %d of %d" (Gate.to_string kind) arity i combo)
+          (differs, differs)
+          (Word.get det2 i, Word.get det2 (arity + i));
         Alcotest.(check (pair bool bool))
           (Printf.sprintf "%s/%d kernel3 flip %d of %d" (Gate.to_string kind) arity i combo)
           (differs, differs)
@@ -162,20 +178,8 @@ let cases =
 
 let unary_cases =
   [
-    Alcotest.test_case "NOT exhaustive" `Quick (fun () ->
-        let c = circuit_for Gate.Not 1 in
-        List.iter
-          (fun v ->
-            let r = Asc_sim.Naive.eval_comb c ~pis:[| v |] ~state:[||] in
-            Alcotest.(check bool) "not" (not v) (Asc_sim.Naive.outputs_of c r).(0))
-          [ true; false ]);
-    Alcotest.test_case "BUF exhaustive" `Quick (fun () ->
-        let c = circuit_for Gate.Buf 1 in
-        List.iter
-          (fun v ->
-            let r = Asc_sim.Naive.eval_comb c ~pis:[| v |] ~state:[||] in
-            Alcotest.(check bool) "buf" v (Asc_sim.Naive.outputs_of c r).(0))
-          [ true; false ]);
+    Alcotest.test_case "NOT exhaustive" `Quick (exhaustive_case Gate.Not 1);
+    Alcotest.test_case "BUF exhaustive" `Quick (exhaustive_case Gate.Buf 1);
   ]
 
 let suite = [ ("truth-tables", cases @ unary_cases) ]

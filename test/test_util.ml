@@ -266,6 +266,16 @@ let test_table_group_mismatch () =
     (Invalid_argument "Table.create: group span mismatch") (fun () ->
       ignore (Table.create ~caption:"x" ~groups:[ ("a", 2) ] [ Table.left "one" ]))
 
+(* [of_hex] inverts [to_hex] and nothing else: another spelling of the
+   same value is a corrupt trailer. *)
+let test_crc_hex () =
+  let c = Crc.crc32 "ascres" in
+  Alcotest.(check (option int)) "round trip" (Some c) (Crc.of_hex (Crc.to_hex c));
+  Alcotest.(check (option int)) "zero-padded" (Some 0x455d2d79) (Crc.of_hex "455d2d79");
+  List.iter
+    (fun s -> Alcotest.(check (option int)) s None (Crc.of_hex s))
+    [ "455D2d79"; "455d_d79"; "455d2d7"; "455d2d790"; "0x5d2d79"; "455d2d7g"; "+55d2d79" ]
+
 let suite =
   [
     ( "util",
@@ -292,5 +302,6 @@ let suite =
         Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
         Alcotest.test_case "table" `Quick test_table;
         Alcotest.test_case "table group mismatch" `Quick test_table_group_mismatch;
+        Alcotest.test_case "crc hex is canonical" `Quick test_crc_hex;
       ] );
   ]
