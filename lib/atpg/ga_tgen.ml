@@ -187,4 +187,5 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
      with Budget.Exhausted _ -> ());
     segments := [ seg ]
   end;
-  { seq = Array.concat (List.rev !segments); detected = Bitvec.copy (Seq_fsim.inc3_detected inc) }
+  let seq = Array.concat (List.rev !segments) in
+  { seq; detected = Seq_fsim.inc3_detections ?tel inc ~seq }

@@ -110,4 +110,4 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
     segments := [ seg ]
   end;
   let seq = Array.concat (List.rev !segments) in
-  { seq; detected = Bitvec.copy (Seq_fsim.inc3_detected inc) }
+  { seq; detected = Seq_fsim.inc3_detections ?tel inc ~seq }

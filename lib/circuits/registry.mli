@@ -1,7 +1,8 @@
 (** Name-based access to every circuit the experiments use.
 
     Covers the synthetic stand-ins of {!Profile.all} plus the embedded
-    {!S27}.  Results are memoised per (name, seed). *)
+    {!S27}.  Results are memoised per (name, seed), for the 64 most
+    recently generated pairs. *)
 
 (** ["s27"] followed by the benchmark names in the paper's table order. *)
 val names : string list

@@ -22,8 +22,10 @@
    a snapshot at the end of T_i — its final good state and, for the
    at-risk faults of its pairs, PO-detected in T_i or the faulty state
    difference there.  A pair (i, j) then simulates only T_j, and only for
-   at-risk faults not PO-detected in T_i.  The memo is dropped when i is
-   replaced by a combined test. *)
+   at-risk faults not PO-detected in T_i, and its good rows rejoin
+   tau_j's cached trace once the state T_i left behind meets SI_j's
+   trajectory.  The memo is dropped when i is replaced by a combined
+   test. *)
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
@@ -68,9 +70,10 @@ let run ?pool ?budget ?tel ?(config = default_config) c (tests : Scan_test.t arr
     in
     let keeps_coverage i j =
       let risk = Bitvec.to_list (Pair_book.at_risk book i j) in
+      let tj = Pair_book.test book j in
       risk = []
-      || Seq_fsim.resume_verify ?pool ?budget ?tel c (end_snapshot i risk)
-           ~suffix:(Pair_book.test book j).seq ~faults ~subset:(Array.of_list risk)
+      || Seq_fsim.resume_verify ?pool ?budget ?tel ~rejoin:(tj.si, tj.seq) c
+           (end_snapshot i risk) ~suffix:tj.seq ~faults ~subset:(Array.of_list risk)
     in
     (* A remembered failure still counts as an attempt but is not
        simulated: its answer cannot have changed. *)

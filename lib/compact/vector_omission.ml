@@ -19,7 +19,9 @@
    p = len - k*chunk, and a trial at p resumes from the snapshot at p over
    the candidate's suffix only.  The snapshots stay valid for the whole
    pass: an acceptance at p' changes positions >= p' only, and later
-   trials of the pass sit at p < p'. *)
+   trials of the pass sit at p < p'.  A trial's suffix is a tail of the
+   snapshotted test until the pass's first acceptance, so its good rows
+   rejoin that test's cached trace as soon as the good states meet. *)
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
@@ -54,8 +56,9 @@ let run ?pool ?budget ?tel ?(config = default_config) c (test : Scan_test.t) ~fa
     let po_time = Array.make (Array.length required) max_int in
     let budget_left () = !checks < config.max_checks && !work < config.max_work in
     (* Try removing [count] vectors at [p], resuming from [snap] (the
-       snapshot at [p]). *)
-    let try_omit snap ~p ~count =
+       snapshot at [p]) and rejoining [pass_test] (the test the snapshot
+       pass simulated, whose trace it cached). *)
+    let try_omit snap ~(pass_test : Scan_test.t) ~p ~count =
       let len = Scan_test.length !current in
       if count >= len || p + count > len then false
       else begin
@@ -77,10 +80,15 @@ let run ?pool ?budget ?tel ?(config = default_config) c (test : Scan_test.t) ~fa
         let new_len = Scan_test.length candidate in
         let groups = (Array.length subset + Word.width - 1) / Word.width in
         work := !work + (groups * new_len * n_gates);
-        let ok = Seq_fsim.resume_verify ?pool ?budget ?tel c snap ~suffix ~faults ~subset in
+        let rejoin = (pass_test.si, pass_test.seq) in
+        let ok =
+          Seq_fsim.resume_verify ?pool ?budget ?tel ~rejoin c snap ~suffix ~faults ~subset
+        in
         if ok then begin
           (* Refresh the detection times of the re-verified faults. *)
-          let times = Seq_fsim.resume_po_time ?pool ?budget ?tel c snap ~suffix ~faults ~subset in
+          let times =
+            Seq_fsim.resume_po_time ?pool ?budget ?tel ~rejoin c snap ~suffix ~faults ~subset
+          in
           work := !work + (groups * new_len * n_gates);
           current := candidate;
           omitted := !omitted + count;
@@ -98,6 +106,7 @@ let run ?pool ?budget ?tel ?(config = default_config) c (test : Scan_test.t) ~fa
     let continue_ = ref true in
     while !continue_ do
       let len = Scan_test.length !current in
+      let pass_test = !current in
       (* Trial k of the pass sits at p = len - (k+1)*chunk. *)
       let snaps =
         if !chunk >= len || not (budget_left ()) then [||]
@@ -114,7 +123,8 @@ let run ?pool ?budget ?tel ?(config = default_config) c (test : Scan_test.t) ~fa
       let p = ref (len - !chunk) in
       while !p >= 0 && budget_left () do
         let count = !chunk in
-        if count < len then ignore (try_omit snaps.((len - count - !p) / count) ~p:!p ~count);
+        if count < len then
+          ignore (try_omit snaps.((len - count - !p) / count) ~pass_test ~p:!p ~count);
         p := !p - count
       done;
       if !chunk = 1 || not (budget_left ()) then continue_ := false

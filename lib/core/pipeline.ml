@@ -106,20 +106,35 @@ type result = {
   cycles_final : int;
 }
 
-let make_t0 ?pool ?budget ?tel config (p : prepared) =
+(* T0 and F0, the targets it detects without scan.  The directed and
+   genetic generators already co-simulated their sequence from the all-X
+   state, so their [detected] set is F0 before the target filter; a
+   random T0 is simulated here.  [budget] is checked between generation
+   and that simulation, so a fired budget ends at T0 generation either
+   way. *)
+let make_t0 ?pool ?(budget = Budget.unlimited) ?tel config (p : prepared) =
   let c = p.circuit in
   let rng = Rng.of_name ~seed:config.seed (Circuit.name c ^ "/t0") in
-  match config.t0_source with
-  | Random_seq len ->
-      Asc_atpg.Random_tgen.generate rng ~n_pis:(Circuit.n_inputs c) ~len
-  | Directed budget' ->
-      let cfg = { Asc_atpg.Seq_tgen.default_config with budget = budget' } in
-      (Asc_atpg.Seq_tgen.generate ?pool ?budget ?tel ~config:cfg c ~faults:p.faults ~rng)
-        .seq
-  | Genetic budget' ->
-      let cfg = { Asc_atpg.Ga_tgen.default_config with budget = budget' } in
-      (Asc_atpg.Ga_tgen.generate ?pool ?budget ?tel ~config:cfg c ~faults:p.faults ~rng)
-        .seq
+  let seq, detected =
+    match config.t0_source with
+    | Random_seq len ->
+        (Asc_atpg.Random_tgen.generate rng ~n_pis:(Circuit.n_inputs c) ~len, None)
+    | Directed budget' ->
+        let config = { Asc_atpg.Seq_tgen.default_config with budget = budget' } in
+        let r = Asc_atpg.Seq_tgen.generate ?pool ~budget ?tel ~config c ~faults:p.faults ~rng in
+        (r.seq, Some r.detected)
+    | Genetic budget' ->
+        let config = { Asc_atpg.Ga_tgen.default_config with budget = budget' } in
+        let r = Asc_atpg.Ga_tgen.generate ?pool ~budget ?tel ~config c ~faults:p.faults ~rng in
+        (r.seq, Some r.detected)
+  in
+  Budget.check budget;
+  let detected =
+    match detected with
+    | Some d -> d
+    | None -> Seq_fsim.detect_no_scan ?pool ~budget ?tel c ~seq ~faults:p.faults
+  in
+  (seq, Bitvec.inter detected p.targets)
 
 (* --- Robustness layer: snapshots, partial results ---------------------- *)
 
@@ -322,13 +337,7 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
               s.snap_best
       | None ->
           Telemetry.span tel "t0-generation" (fun () ->
-              let t0 = make_t0 ?pool ~budget ?tel config p in
-              Budget.check budget;
-              let f0 =
-                Bitvec.inter
-                  (Seq_fsim.detect_no_scan ?pool ~budget ?tel c ~seq:t0 ~faults)
-                  p.targets
-              in
+              let t0, f0 = make_t0 ?pool ~budget ?tel config p in
               current_seq := t0;
               current_f0 := f0;
               t0_length := Array.length t0;

@@ -53,16 +53,20 @@ val prepare :
   Asc_netlist.Circuit.t ->
   prepared
 
-(** Generate the configured T0 sequence (exposed for pipeline variants).
-    [pool] parallelises the generators' fault co-simulation.  [budget]
-    makes the generators degrade gracefully (best sequence so far). *)
+(** Generate the configured T0 sequence (exposed for pipeline variants)
+    and F0, the targets it detects without scan.  Directed and genetic
+    T0 take F0 from the generator's own co-simulation; a random T0 is
+    simulated ({!Asc_fault.Seq_fsim.detect_no_scan}).  [pool]
+    parallelises the fault co-simulation.  [budget] makes the generators
+    degrade gracefully (best sequence so far); once it has fired,
+    [make_t0] raises {!Asc_util.Budget.Exhausted} after generation. *)
 val make_t0 :
   ?pool:Asc_util.Domain_pool.t ->
   ?budget:Asc_util.Budget.t ->
   ?tel:Asc_util.Telemetry.t ->
   config ->
   prepared ->
-  bool array array
+  bool array array * Asc_util.Bitvec.t
 
 type iteration = {
   si_index : int;

@@ -189,10 +189,7 @@ let run ?(config = default_config) (p : Pipeline.prepared) ~chain =
   let pipeline_config =
     { Pipeline.default_config with seed = config.seed; t0_source = config.t0_source }
   in
-  let t0 = Pipeline.make_t0 pipeline_config p in
-  let f0 =
-    Bitvec.inter (Asc_fault.Seq_fsim.detect_no_scan c ~seq:t0 ~faults) p.targets
-  in
+  let t0, f0 = Pipeline.make_t0 pipeline_config p in
   (* Phases 1 + 2, iterated. *)
   let selected = Bitvec.create (Array.length p.comb_tests) in
   let current_seq = ref t0 in

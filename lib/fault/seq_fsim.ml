@@ -115,8 +115,9 @@ let subset_of_only n = function
    The cache is process-global, mutex-protected and LRU-bounded by a byte
    budget; circuits are keyed by physical identity, so a rebuilt netlist
    never aliases a stale trace, and (scan-in, seq) by a hash confirmed by
-   exact equality.  Resumed runs keep their suffix rows out of it (see
-   the snapshot section). *)
+   exact equality.  Resumed runs keep their suffix rows out of it, but
+   share the rows of a cached test they rejoin (see the snapshot
+   section). *)
 module Trace_cache = struct
   type flavor = Splat of bool array | Packed of int array
 
@@ -180,20 +181,40 @@ let clear_trace_cache = Trace_cache.clear
 
 let deep_copy_seq (s : seq) = Array.map Array.copy s
 
-(* Fault-free run recording every gate's good bit per cycle. *)
-let good_trace_bits k c ~sw ~si ~len =
+(* Fault-free run recording every gate's good bit per cycle.  With
+   [shared = (rows, from)], the run stops at the first time unit
+   [t >= from] whose entering state is that of [rows.(t)] — the two
+   machines run identical rows from there on — and takes the rest from
+   [rows].  [Good_cycles] counts the computed rows. *)
+let good_trace_bits ?shared tel k c ~sw ~si ~len =
   let n = Circuit.n_gates c in
+  let dffs = Circuit.dffs c in
   let v = Array.make n 0 in
   let state = Array.map Word.splat si in
-  let bits = Array.init len (fun _ -> Bytes.create n) in
-  for t = 0 to len - 1 do
-    Kernel.good_cycle k ~pi_words:sw.(t) ~state ~v;
-    let b = bits.(t) in
+  let bits = Array.make len Bytes.empty in
+  let rejoined t =
+    match shared with
+    | Some (rows, from) when t >= from ->
+        let same = ref true in
+        Array.iteri
+          (fun i g -> if state.(i) land 1 <> Char.code (Bytes.get rows.(t) g) then same := false)
+          dffs;
+        !same
+    | _ -> false
+  in
+  let t = ref 0 in
+  while !t < len && not (rejoined !t) do
+    Kernel.good_cycle k ~pi_words:sw.(!t) ~state ~v;
+    let b = Bytes.create n in
     for g = 0 to n - 1 do
       Bytes.unsafe_set b g (if Array.unsafe_get v g land 1 = 1 then '\001' else '\000')
     done;
-    Kernel.good_capture k ~v ~state
+    bits.(!t) <- b;
+    Kernel.good_capture k ~v ~state;
+    incr t
   done;
+  Telemetry.add tel Telemetry.Good_cycles !t;
+  Option.iter (fun (rows, _) -> Array.blit rows !t bits !t (len - !t)) shared;
   bits
 
 (* Good bits for every gate at every time unit of the scan test
@@ -212,8 +233,7 @@ let good_gb tel k c ~si ~sw ~seq ~len =
   | Some (Trace_cache.Words _) -> assert false (* flavors never collide *)
   | None ->
       Telemetry.incr tel Telemetry.Trace_cache_misses;
-      Telemetry.add tel Telemetry.Good_cycles len;
-      let bits = good_trace_bits k c ~sw ~si ~len in
+      let bits = good_trace_bits tel k c ~sw ~si ~len in
       Trace_cache.add c ~hash
         { Trace_cache.flavor = Trace_cache.Splat (Array.copy si);
           seq = deep_copy_seq seq }
@@ -600,8 +620,9 @@ let verify_required ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~
    [diffs] holds the other faults' non-zero differences only, so a pass
    with many boundaries costs memory in proportion to the faulty
    machines still diverged there.  Resumed runs compute their suffix
-   rows without the trace cache: every trial suffix is a new sequence, so
-   caching it would only evict the traces that do repeat. *)
+   rows without entering them in the trace cache: every trial suffix is
+   a new sequence, so caching it would only evict the traces that do
+   repeat.  They rejoin a cached trace instead ([suffix_rows]). *)
 type snapshot = {
   boundary : int;
   good_state : bool array; (* fault-free state entering [boundary] *)
@@ -714,25 +735,55 @@ let from_snapshot c s =
       group.members;
     Kernel.load_state_diff k ~diff
 
-(* Fault-free rows of the suffix from the snapshot's good state, outside
-   the trace cache. *)
-let suffix_rows tel c s suffix =
+(* Fault-free rows of the suffix from the snapshot's good state.  A
+   [rejoin] test (si, seq) names a trace to share: over the tail the
+   suffix and [seq] have in common (aligned at their ends), once the
+   suffix's good state equals the rejoin test's state at the same input
+   position, both machines run identical rows from there on, so the
+   rejoin test's cached rows are shared.  The rows computed before that
+   stay out of the cache; without a cached rejoin trace or a common tail,
+   every row is computed. *)
+let suffix_rows ?rejoin tel c s suffix =
   let len = Array.length suffix in
-  Telemetry.add tel Telemetry.Good_cycles len;
-  good_trace_bits (Kernel.create c) c ~sw:(seq_words c suffix) ~si:s.good_state ~len
+  let shared =
+    match rejoin with
+    | None -> None
+    | Some (si, seq) -> (
+        let lookup = { Trace_cache.flavor = Trace_cache.Splat si; seq } in
+        match Trace_cache.find c ~hash:(Trace_cache.hash lookup) lookup with
+        | Some (Trace_cache.Bits rows) ->
+            Telemetry.incr tel Telemetry.Trace_cache_hits;
+            (* Suffix row [j] aligns with the rejoin test's row [j + shift];
+               the two input sequences agree from [from] on. *)
+            let shift = Array.length seq - len in
+            let from = ref len in
+            while
+              !from > 0 && !from + shift > 0 && seq.(!from - 1 + shift) = suffix.(!from - 1)
+            do
+              decr from
+            done;
+            let aligned j = if j + shift < 0 then Bytes.empty else rows.(j + shift) in
+            Some (Array.init len aligned, !from)
+        | Some (Trace_cache.Words _) -> assert false
+        | None ->
+            Telemetry.incr tel Telemetry.Trace_cache_misses;
+            None)
+  in
+  good_trace_bits ?shared tel (Kernel.create c) c ~sw:(seq_words c suffix) ~si:s.good_state
+    ~len
 
-let resume_verify ?pool ?(budget = Budget.unlimited) ?tel c s ~suffix ~faults ~subset =
+let resume_verify ?pool ?(budget = Budget.unlimited) ?tel ?rejoin c s ~suffix ~faults ~subset =
   let live = Array.map (fun k -> subset.(k)) (live_positions s subset) in
   if Array.length live = 0 then true
   else
     Telemetry.span tel "fsim:verify"
       ~args:[ ("faults", string_of_int (Array.length live)); ("from", string_of_int s.boundary) ]
       (fun () ->
-        let gb = suffix_rows tel c s suffix in
+        let gb = suffix_rows ?rejoin tel c s suffix in
         verify_groups ?pool ~budget ?tel c ~gb ~len:(Array.length suffix) ~start:(from_snapshot c s)
           (make_groups faults live))
 
-let resume_po_time ?pool ?(budget = Budget.unlimited) ?tel c s ~suffix ~faults ~subset =
+let resume_po_time ?pool ?(budget = Budget.unlimited) ?tel ?rejoin c s ~suffix ~faults ~subset =
   let result =
     Array.map
       (fun f ->
@@ -746,7 +797,7 @@ let resume_po_time ?pool ?(budget = Budget.unlimited) ?tel c s ~suffix ~faults ~
       ~args:[ ("faults", string_of_int (Array.length live)); ("from", string_of_int s.boundary) ]
       (fun () ->
         let len = Array.length suffix in
-        let gb = suffix_rows tel c s suffix in
+        let gb = suffix_rows ?rejoin tel c s suffix in
         let groups = make_groups faults (Array.map (fun k -> subset.(k)) live) in
         let start = from_snapshot c s in
         (* Chunks write disjoint entries of [result]. *)
@@ -849,6 +900,7 @@ type inc3 = {
   detected3 : Bitvec.t;
   mutable length : int;
   mutable commits_since_compact : int;
+  mutable intact : bool; (* no commit was cut short mid-sweep *)
 }
 
 let zero_diffs c groups =
@@ -868,11 +920,13 @@ let inc3_create c faults =
     detected3 = Bitvec.create (Array.length faults);
     length = 0;
     commits_since_compact = 0;
+    intact = true;
   }
 
 let inc3_detected t = t.detected3
 
 let inc3_length t = t.length
+
 
 (* Repack the still-undetected faults into as few groups as possible,
    carrying each faulty machine's state difference into its new lane.
@@ -1002,9 +1056,13 @@ let inc3_peek ?pool ?(budget = Budget.unlimited) ?tel t (segment : seq) =
    to completion so the incremental state stays consistent.  (A pool with
    its own budget may still abort the sweep mid-commit; callers must then
    stop using [t], which the generators do — they unwind without
-   committing.) *)
+   committing, and take [inc3_detections], which re-simulates then.) *)
 let inc3_commit ?pool ?(budget = Budget.unlimited) ?tel t (segment : seq) =
   Budget.check budget;
+  (* From here on the good state and the group differences change: a
+     sweep cut short leaves them describing no committed sequence. *)
+  let intact = t.intact in
+  t.intact <- false;
   let gbs, _ = good_segment t segment ~advance:true in
   Telemetry.add tel Telemetry.Good_cycles (Array.length segment);
   let dets =
@@ -1032,5 +1090,13 @@ let inc3_commit ?pool ?(budget = Budget.unlimited) ?tel t (segment : seq) =
     && capacity > 2 * Word.width
     && undetected_count * 2 < capacity
   then inc3_compact t;
+  t.intact <- intact;
   Telemetry.add tel Telemetry.Fault_detections !newly;
   !newly
+
+(* The committed sequence [seq]'s detections: a commit cut short leaves
+   the co-simulation describing no committed sequence, so [seq] is then
+   simulated once, off the pool. *)
+let inc3_detections ?tel t ~seq =
+  if t.intact then Bitvec.copy t.detected3
+  else detect_no_scan ?tel t.c3 ~seq ~faults:t.faults3

@@ -131,7 +131,16 @@ val verify_required :
     skip faults PO-detected before [b] and compute the suffix's
     fault-free rows from the snapshot's good state without entering
     them in the trace cache.  Results are identical for any domain
-    count. *)
+    count.
+
+    [rejoin] names a scan test [(si', seq')] whose trace may already be
+    cached (the test a vector-omission pass snapshotted, or the second
+    test [T_j] of a combination).  Where [suffix] and [seq'] share a
+    tail, aligned at their ends, suffix rows are simulated only until
+    the good state equals [(si', seq')]'s at the same input position;
+    from there the cached rows are shared.  Without a common tail or a
+    cached trace every suffix row is simulated.  Results never depend
+    on [rejoin]. *)
 
 type snapshot
 
@@ -162,6 +171,7 @@ val resume_verify :
   ?pool:Asc_util.Domain_pool.t ->
   ?budget:Asc_util.Budget.t ->
   ?tel:Asc_util.Telemetry.t ->
+  ?rejoin:bool array * seq ->
   Asc_netlist.Circuit.t ->
   snapshot ->
   suffix:seq ->
@@ -175,6 +185,7 @@ val resume_po_time :
   ?pool:Asc_util.Domain_pool.t ->
   ?budget:Asc_util.Budget.t ->
   ?tel:Asc_util.Telemetry.t ->
+  ?rejoin:bool array * seq ->
   Asc_netlist.Circuit.t ->
   snapshot ->
   suffix:seq ->
@@ -208,6 +219,7 @@ val inc3_detected : inc3 -> Asc_util.Bitvec.t
 (** Length of the committed sequence. *)
 val inc3_length : inc3 -> int
 
+
 (** Number of new detections a candidate segment would add (no commit).
     [pool] chunks the fault groups across worker domains (each group's
     state stays private to one task); the count is identical for any
@@ -231,3 +243,10 @@ val inc3_commit :
   inc3 ->
   seq ->
   int
+
+(** The detections of [seq], the sequence committed so far: a copy of
+    {!inc3_detected}, unless a commit was cut short mid-sweep (by a
+    pool's own budget) — that leaves the co-simulation describing no
+    committed sequence, so [seq] is then simulated once
+    ({!detect_no_scan}, without a pool). *)
+val inc3_detections : ?tel:Asc_util.Telemetry.t -> inc3 -> seq:seq -> Asc_util.Bitvec.t

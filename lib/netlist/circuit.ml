@@ -22,13 +22,18 @@ type t = {
      gate [g]'s fanins are [fanin_flat.(fanin_off.(g)) ..
      fanin_flat.(fanin_off.(g+1) - 1)] (same for fanouts), and
      [level_order] lists the non-source gates sorted by (level, id) with
-     [level_off.(l) .. level_off.(l+1) - 1] slicing out level [l]. *)
+     [level_off.(l) .. level_off.(l+1) - 1] slicing out level [l];
+     [comb_fanout_*] is the fanout CSR without DFF successors, and
+     [dff_inputs] the next-state gate of each DFF index. *)
   fanin_flat : int array;
   fanin_off : int array;
   fanout_flat : int array;
   fanout_off : int array;
+  comb_fanout_flat : int array;
+  comb_fanout_off : int array;
   level_order : int array;
   level_off : int array;
+  dff_inputs : int array;
 }
 
 let name t = t.name
@@ -55,8 +60,13 @@ let fanin_flat t = t.fanin_flat
 let fanin_off t = t.fanin_off
 let fanout_flat t = t.fanout_flat
 let fanout_off t = t.fanout_off
+let comb_fanout_flat t = t.comb_fanout_flat
+let comb_fanout_off t = t.comb_fanout_off
 let level_order t = t.level_order
 let level_off t = t.level_off
+let kinds t = t.kinds
+let levels t = t.level
+let dff_inputs t = t.dff_inputs
 
 (* The next-state signal feeding flip-flop [d] (a gate id). *)
 let dff_input t d =
@@ -191,6 +201,25 @@ let make ~name ~kinds ~fanins ~inputs ~outputs ~dffs ~signal_names =
   in
   let fanin_flat, fanin_off = flatten fanins in
   let fanout_flat, fanout_off = flatten fanouts in
+  (* Sequential edges are the simulators' clock-edge business: their
+     in-cycle walks push only combinational fanouts. *)
+  let comb_fanout_off = Array.make (n + 1) 0 in
+  for g = 0 to n - 1 do
+    comb_fanout_off.(g + 1) <-
+      Array.fold_left (fun k s -> if is_comb s then k + 1 else k) comb_fanout_off.(g) fanouts.(g)
+  done;
+  let comb_fanout_flat = Array.make (max 1 comb_fanout_off.(n)) 0 in
+  for g = 0 to n - 1 do
+    ignore
+      (Array.fold_left
+         (fun k s ->
+           if is_comb s then begin
+             comb_fanout_flat.(k) <- s;
+             k + 1
+           end
+           else k)
+         comb_fanout_off.(g) fanouts.(g))
+  done;
   (* Level-bucketed evaluation order: counting sort of the non-source gates
      by level, ties broken by gate id, so the levelized kernel can walk one
      level at a time. *)
@@ -227,8 +256,11 @@ let make ~name ~kinds ~fanins ~inputs ~outputs ~dffs ~signal_names =
     fanin_off;
     fanout_flat;
     fanout_off;
+    comb_fanout_flat;
+    comb_fanout_off;
     level_order;
     level_off;
+    dff_inputs = Array.map (fun d -> fanins.(d).(0)) dffs;
   }
 
 let max_level t = Array.fold_left max 0 t.level

@@ -65,6 +65,19 @@ val fanout_flat : t -> int array
 
 val fanout_off : t -> int array
 
+(** The fanouts without DFF successors (sequential edges), same layout. *)
+val comb_fanout_flat : t -> int array
+
+val comb_fanout_off : t -> int array
+
+(** Per-gate kinds and levels, indexed by gate id. *)
+val kinds : t -> Gate.kind array
+
+val levels : t -> int array
+
+(** Per DFF index ({!dffs} order): the gate id of its next-state signal. *)
+val dff_inputs : t -> int array
+
 (** The non-source gates sorted by (level, id): the levelized evaluation
     schedule.  A gate's combinational fanouts always sit at strictly
     higher levels, so walking levels in ascending order evaluates every

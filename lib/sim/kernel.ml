@@ -54,6 +54,7 @@ type t = {
   mutable source_ovr : Override.t array; (* pin = -1 on Input/Dff, input order *)
   mutable dff_pin0 : (int * Override.t list) list; (* DFF index -> pin-0 overrides *)
   mutable comb_sites : int array; (* overridden comb gates, for per-cycle seeding *)
+  mutable comb_lanes : int array; (* per comb site: the union of its overrides' lanes *)
   ovr : Override.t list array; (* per-gate overrides (comb gates only) *)
   mutable evaluated : int; (* cone gates evaluated since last [take_evaluated] *)
 }
@@ -87,6 +88,7 @@ let create c =
     source_ovr = [||];
     dff_pin0 = [];
     comb_sites = [||];
+    comb_lanes = [||];
     ovr = Array.make n [];
     evaluated = 0;
   }
@@ -104,6 +106,8 @@ let set_overrides t overrides =
   t.source_ovr <- grouped.source;
   t.dff_pin0 <- grouped.dff_pin0;
   t.comb_sites <- Array.of_list (List.map fst grouped.comb);
+  t.comb_lanes <-
+    Array.of_list (List.map (fun (_, l) -> Sched.union_lanes l) grouped.comb);
   List.iter
     (fun (g, l) ->
       Bytes.set t.ovr_flag g '\001';
@@ -208,8 +212,8 @@ let rec apply_pin i w = function
 
 (* Faulty value of an overridden combinational gate: the body over the
    faulty fanin words [fanin f] with pin overrides, then output
-   overrides.  Every fault site of a group is evaluated each cycle, so
-   this path is as hot as the cone walk itself. *)
+   overrides.  Every live fault site of a group is evaluated each cycle,
+   so this path is as hot as the cone walk itself. *)
 let eval_overridden t ~fanin g =
   let lo = t.off.(g) in
   let overrides = t.ovr.(g) in
@@ -286,10 +290,13 @@ let eval_plain t gw g =
 
 (* One combinational settle of the faulty machine against the good
    values [gw] (one word per gate, sources included).  Seeds: diverged
-   flip-flops, source output overrides, combinational override sites;
-   then an ascending level walk over the queued cone.  A gate whose
-   faulty value matches the good one queues nothing — reconvergence
-   stops the walk.
+   flip-flops, source output overrides, and the combinational override
+   sites with a live (unpruned) lane; then an ascending level walk over
+   the queued cone.  A gate whose faulty value matches the good one
+   queues nothing — reconvergence stops the walk.  A site whose
+   overrides all sit in pruned lanes can change only pruned lanes, and a
+   live difference still reaches it through its fanins, so skipping its
+   seed changes no live lane.
 
    [prune] masks lanes out of the propagation.  Lanes are independent,
    so a pruned lane merely behaves fault-free from here on — sound
@@ -316,9 +323,10 @@ let cycle ?(prune = 0) t ~gw =
     let g = t.touched.(k) in
     if dv.(g) <> 0 then push_comb_fanouts t g
   done;
-  let comb_sites = t.comb_sites in
+  let comb_sites = t.comb_sites and comb_lanes = t.comb_lanes in
   for i = 0 to Array.length comb_sites - 1 do
-    push t comb_sites.(i)
+    if Array.unsafe_get comb_lanes i land keep <> 0 then
+      push t (Array.unsafe_get comb_sites i)
   done;
   let nlevels = Array.length t.blen in
   let evaluated = ref 0 in
@@ -474,9 +482,10 @@ let cycle_bits ?(prune = 0) t ~gb =
     let g = t.touched.(k) in
     if dv.(g) <> 0 then push_comb_fanouts t g
   done;
-  let comb_sites = t.comb_sites in
+  let comb_sites = t.comb_sites and comb_lanes = t.comb_lanes in
   for i = 0 to Array.length comb_sites - 1 do
-    push t comb_sites.(i)
+    if Array.unsafe_get comb_lanes i land keep <> 0 then
+      push t (Array.unsafe_get comb_sites i)
   done;
   let nlevels = Array.length t.blen in
   let evaluated = ref 0 in

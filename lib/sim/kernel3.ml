@@ -63,10 +63,13 @@ type t = {
   mutable source_ovr : Override.t array;
   mutable dff_pin0 : (int * Override.t list) list;
   mutable comb_sites : int array;
+  mutable comb_lanes : int array; (* per comb site: the union of its overrides' lanes *)
   ovr : Override.t list array;
   mutable evaluated : int;
   mutable rz : int; (* faulty (z, o) of the gate just evaluated *)
   mutable ro : int;
+  fz : int array; (* an overridden gate's faulty fanin words, per pin *)
+  fo : int array;
   scratch : Bytes.t; (* good row for [good_step] *)
 }
 
@@ -74,6 +77,10 @@ let create c =
   let n = Circuit.n_gates c in
   let s = Sched.create c in
   let n_ff = Circuit.n_dffs c in
+  let max_fanin = ref 1 in
+  for g = 0 to n - 1 do
+    max_fanin := max !max_fanin (s.off.(g + 1) - s.off.(g))
+  done;
   {
     c;
     kinds = s.kinds;
@@ -103,10 +110,13 @@ let create c =
     source_ovr = [||];
     dff_pin0 = [];
     comb_sites = [||];
+    comb_lanes = [||];
     ovr = Array.make n [];
     evaluated = 0;
     rz = 0;
     ro = 0;
+    fz = Array.make !max_fanin 0;
+    fo = Array.make !max_fanin 0;
     scratch = Bytes.make n x;
   }
 
@@ -122,6 +132,8 @@ let set_overrides t overrides =
   t.source_ovr <- grouped.source;
   t.dff_pin0 <- grouped.dff_pin0;
   t.comb_sites <- Array.of_list (List.map fst grouped.comb);
+  t.comb_lanes <-
+    Array.of_list (List.map (fun (_, l) -> Sched.union_lanes l) grouped.comb);
   List.iter
     (fun (g, l) ->
       Bytes.set t.ovr_flag g '\001';
@@ -180,42 +192,58 @@ let[@inline] push_comb_fanouts t g =
     push t (Array.unsafe_get coflat i)
   done
 
-(* Force the override's lanes to its stuck value on a (z, o) pair. *)
-let apply (o : Override.t) z v =
-  if o.stuck then (z land lnot o.lanes, v lor o.lanes) else (z lor o.lanes, v land lnot o.lanes)
+(* Force the override's lanes of [t.rz]/[t.ro] to its stuck value. *)
+let force t (o : Override.t) =
+  if o.stuck then begin
+    t.rz <- t.rz land lnot o.lanes;
+    t.ro <- t.ro lor o.lanes
+  end
+  else begin
+    t.rz <- t.rz lor o.lanes;
+    t.ro <- t.ro land lnot o.lanes
+  end
 
-(* The 3-valued gate function over per-input (z, o) words, into
-   [t.rz]/[t.ro]. *)
-let eval_body t kind ~n ~fz ~fo =
+(* [force] by the overrides of [ovrs] on pin [pin] (-1: the output), in
+   list order: a plain walk, so overridden gates allocate nothing. *)
+let rec force_pin t pin = function
+  | [] -> ()
+  | (o : Override.t) :: rest ->
+      if o.pin = pin then force t o;
+      force_pin t pin rest
+
+(* The 3-valued gate function over the [n] fanin words in [t.fz]/[t.fo],
+   into [t.rz]/[t.ro]. *)
+let eval_body t kind ~n =
+  let fz = t.fz and fo = t.fo in
   match (kind : Gate.kind) with
   | Gate.And | Gate.Nand ->
-      let z = ref (fz 0) and o = ref (fo 0) in
+      let z = ref fz.(0) and o = ref fo.(0) in
       for i = 1 to n - 1 do
-        z := !z lor fz i;
-        o := !o land fo i
+        z := !z lor fz.(i);
+        o := !o land fo.(i)
       done;
       if kind = Gate.And then (t.rz <- !z; t.ro <- !o) else (t.rz <- !o; t.ro <- !z)
   | Gate.Or | Gate.Nor ->
-      let z = ref (fz 0) and o = ref (fo 0) in
+      let z = ref fz.(0) and o = ref fo.(0) in
       for i = 1 to n - 1 do
-        z := !z land fz i;
-        o := !o lor fo i
+        z := !z land fz.(i);
+        o := !o lor fo.(i)
       done;
       if kind = Gate.Or then (t.rz <- !z; t.ro <- !o) else (t.rz <- !o; t.ro <- !z)
   | Gate.Xor | Gate.Xnor ->
-      let known = ref (fz 0 lor fo 0) and parity = ref (fo 0) in
+      let known = ref (fz.(0) lor fo.(0)) and parity = ref fo.(0) in
       for i = 1 to n - 1 do
-        known := !known land (fz i lor fo i);
-        parity := !parity lxor fo i
+        known := !known land (fz.(i) lor fo.(i));
+        parity := !parity lxor fo.(i)
       done;
       let o = !parity land !known and z = lnot !parity land !known in
       if kind = Gate.Xor then (t.rz <- z; t.ro <- o) else (t.rz <- o; t.ro <- z)
   | Gate.Not ->
-      t.rz <- fo 0;
-      t.ro <- fz 0
+      t.rz <- fo.(0);
+      t.ro <- fz.(0)
   | Gate.Buf ->
-      t.rz <- fz 0;
-      t.ro <- fo 0
+      t.rz <- fz.(0);
+      t.ro <- fo.(0)
   | Gate.Const0 ->
       t.rz <- Word.mask;
       t.ro <- 0
@@ -224,28 +252,23 @@ let eval_body t kind ~n ~fz ~fo =
       t.ro <- Word.mask
   | Gate.Input | Gate.Dff -> invalid_arg "Kernel3: source gate in cone"
 
-(* Faulty value of an overridden combinational gate (cold path): the body
-   over faulty fanin words with pin overrides, then output overrides. *)
+(* Faulty value of an overridden combinational gate: each faulty fanin
+   word read once and forced by its pin overrides, the body over them,
+   then the output overrides. *)
 let eval_overridden t gb g =
   let lo = t.off.(g) in
+  let n = t.off.(g + 1) - lo in
   let overrides = t.ovr.(g) in
-  let get i =
+  for i = 0 to n - 1 do
     let f = t.flat.(lo + i) in
-    List.fold_left
-      (fun (z, o) (ov : Override.t) -> if ov.pin = i then apply ov z o else (z, o))
-      (gz gb f lxor t.dz.(f), go gb f lxor t.dn.(f))
-      overrides
-  in
-  eval_body t t.kinds.(g) ~n:(t.off.(g + 1) - lo)
-    ~fz:(fun i -> fst (get i))
-    ~fo:(fun i -> snd (get i));
-  let z, o =
-    List.fold_left
-      (fun (z, o) (ov : Override.t) -> if ov.pin = -1 then apply ov z o else (z, o))
-      (t.rz, t.ro) overrides
-  in
-  t.rz <- z;
-  t.ro <- o
+    t.rz <- gz gb f lxor t.dz.(f);
+    t.ro <- go gb f lxor t.dn.(f);
+    force_pin t i overrides;
+    t.fz.(i) <- t.rz;
+    t.fo.(i) <- t.ro
+  done;
+  eval_body t t.kinds.(g) ~n;
+  force_pin t (-1) overrides
 
 (* Faulty value of a plain combinational gate over [good XOR diff] fanin
    words, with a 2-input fast path. *)
@@ -337,7 +360,7 @@ let[@inline] eval_gate t gb g keep =
 
 (* One combinational settle of the faulty machines against the good row
    [gb]: seed diverged flip-flops, source output overrides and
-   combinational override sites, then walk the queued cone level by
+   combinational override sites with a live lane, then walk the queued cone level by
    level; spill to a linear sweep once the cone is large.  [prune] masks
    lanes out of the propagation — they behave fault-free from here on. *)
 let cycle ?(prune = 0) t ~gb =
@@ -352,16 +375,22 @@ let cycle ?(prune = 0) t ~gb =
     let o = source_ovr.(i) in
     let g = o.Override.gate in
     let good_z = gz gb g and good_o = go gb g in
-    let z, v = apply o (good_z lxor t.dz.(g)) (good_o lxor t.dn.(g)) in
-    set_d t g ((z lxor good_z) land keep) ((v lxor good_o) land keep)
+    t.rz <- good_z lxor t.dz.(g);
+    t.ro <- good_o lxor t.dn.(g);
+    force t o;
+    set_d t g ((t.rz lxor good_z) land keep) ((t.ro lxor good_o) land keep)
   done;
   for k = 0 to t.ntouched - 1 do
     let g = t.touched.(k) in
     if t.dz.(g) lor t.dn.(g) <> 0 then push_comb_fanouts t g
   done;
-  let comb_sites = t.comb_sites in
+  (* A site whose overrides all sit in pruned lanes can change only
+     pruned lanes, and a live difference still reaches it through its
+     fanins: only sites with a live override are seeded. *)
+  let comb_sites = t.comb_sites and comb_lanes = t.comb_lanes in
   for i = 0 to Array.length comb_sites - 1 do
-    push t comb_sites.(i)
+    if Array.unsafe_get comb_lanes i land keep <> 0 then
+      push t (Array.unsafe_get comb_sites i)
   done;
   let nlevels = Array.length t.blen in
   let evaluated = ref 0 in
@@ -420,14 +449,11 @@ let finish_cycle t ~gb =
     (fun (i, ovrs) ->
       let d = din.(i) in
       let good_z = gz gb d and good_o = go gb d in
-      let z, v =
-        List.fold_left
-          (fun (z, v) (o : Override.t) -> if o.pin = 0 then apply o z v else (z, v))
-          (good_z lxor t.dz.(d), good_o lxor t.dn.(d))
-          ovrs
-      in
-      t.sdz.(i) <- (z lxor good_z) land t.keep;
-      t.sdn.(i) <- (v lxor good_o) land t.keep)
+      t.rz <- good_z lxor t.dz.(d);
+      t.ro <- good_o lxor t.dn.(d);
+      force_pin t 0 ovrs;
+      t.sdz.(i) <- (t.rz lxor good_z) land t.keep;
+      t.sdn.(i) <- (t.ro lxor good_o) land t.keep)
     t.dff_pin0;
   clear_cycle t
 
@@ -464,6 +490,51 @@ let take_evaluated t =
 
 let[@inline] swap code = ((code land 1) lsl 1) lor (code lsr 1)
 
+let[@inline] fanin_code flat gb i ~forced ~forced_code =
+  if i = forced then forced_code
+  else Char.code (Bytes.unsafe_get gb (Array.unsafe_get flat i))
+
+(* The scalar 3-valued gate body: the code (0 = X, 1 = known 0, 2 = known
+   1) of combinational gate [g] over the fanin codes in [gb].  The fanin
+   at flat index [forced] reads [forced_code] instead — a branch fault's
+   stuck pin; -1 forces nothing.  The good sweep below and PODEM's
+   implication both evaluate through it. *)
+let eval_code ~kinds ~flat ~off gb g ~forced ~forced_code =
+  let lo = Array.unsafe_get off g and hi = Array.unsafe_get off (g + 1) in
+  match Array.unsafe_get kinds g with
+  | (Gate.And | Gate.Nand) as kind ->
+      let anyz = ref 0 and allo = ref 2 in
+      for i = lo to hi - 1 do
+        let c = fanin_code flat gb i ~forced ~forced_code in
+        anyz := !anyz lor (c land 1);
+        allo := !allo land c
+      done;
+      let r = !anyz lor !allo in
+      if kind = Gate.And then r else swap r
+  | (Gate.Or | Gate.Nor) as kind ->
+      let anyo = ref 0 and allz = ref 1 in
+      for i = lo to hi - 1 do
+        let c = fanin_code flat gb i ~forced ~forced_code in
+        anyo := !anyo lor (c land 2);
+        allz := !allz land c
+      done;
+      let r = !anyo lor !allz in
+      if kind = Gate.Or then r else swap r
+  | (Gate.Xor | Gate.Xnor) as kind ->
+      let known = ref true and parity = ref 0 in
+      for i = lo to hi - 1 do
+        let c = fanin_code flat gb i ~forced ~forced_code in
+        if c = 0 then known := false;
+        parity := !parity lxor (c lsr 1)
+      done;
+      let r = if !known then 1 + !parity else 0 in
+      if kind = Gate.Xor then r else swap r
+  | Gate.Not -> swap (fanin_code flat gb lo ~forced ~forced_code)
+  | Gate.Buf -> fanin_code flat gb lo ~forced ~forced_code
+  | Gate.Const0 -> 1
+  | Gate.Const1 -> 2
+  | Gate.Input | Gate.Dff -> invalid_arg "Kernel3.eval_code: source gate"
+
 let good_cycle t ~pis ~state ~gb =
   let inputs = t.inputs in
   if Array.length pis <> Array.length inputs then invalid_arg "Kernel3.good_cycle: PI arity";
@@ -474,46 +545,10 @@ let good_cycle t ~pis ~state ~gb =
     Bytes.unsafe_set gb t.dffs.(i) (Bytes.get state i)
   done;
   let kinds = t.kinds and flat = t.flat and off = t.off and sched = t.sched in
-  let[@inline] code i = Char.code (Bytes.unsafe_get gb (Array.unsafe_get flat i)) in
   for idx = 0 to Array.length sched - 1 do
     let g = Array.unsafe_get sched idx in
-    let lo = Array.unsafe_get off g and hi = Array.unsafe_get off (g + 1) in
-    let v =
-      match Array.unsafe_get kinds g with
-      | (Gate.And | Gate.Nand) as kind ->
-          let anyz = ref 0 and allo = ref 2 in
-          for i = lo to hi - 1 do
-            let c = code i in
-            anyz := !anyz lor (c land 1);
-            allo := !allo land c
-          done;
-          let r = !anyz lor !allo in
-          if kind = Gate.And then r else swap r
-      | (Gate.Or | Gate.Nor) as kind ->
-          let anyo = ref 0 and allz = ref 1 in
-          for i = lo to hi - 1 do
-            let c = code i in
-            anyo := !anyo lor (c land 2);
-            allz := !allz land c
-          done;
-          let r = !anyo lor !allz in
-          if kind = Gate.Or then r else swap r
-      | (Gate.Xor | Gate.Xnor) as kind ->
-          let known = ref true and parity = ref 0 in
-          for i = lo to hi - 1 do
-            let c = code i in
-            if c = 0 then known := false;
-            parity := !parity lxor (c lsr 1)
-          done;
-          let r = if !known then 1 + !parity else 0 in
-          if kind = Gate.Xor then r else swap r
-      | Gate.Not -> swap (code lo)
-      | Gate.Buf -> code lo
-      | Gate.Const0 -> 1
-      | Gate.Const1 -> 2
-      | Gate.Input | Gate.Dff -> assert false
-    in
-    Bytes.unsafe_set gb g (Char.unsafe_chr v)
+    Bytes.unsafe_set gb g
+      (Char.unsafe_chr (eval_code ~kinds ~flat ~off gb g ~forced:(-1) ~forced_code:0))
   done
 
 let good_capture t ~gb ~state =

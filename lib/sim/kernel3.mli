@@ -79,6 +79,22 @@ val take_evaluated : t -> int
 
 (** {1 Fault-free scalar sweep} *)
 
+(** [eval_code ~kinds ~flat ~off gb g ~forced ~forced_code]: the code
+    ([0] X, [1] known 0, [2] known 1) of combinational gate [g] over the
+    fanin codes in [gb], with the arrays of a {!Sched.t}.  The fanin at
+    flat index [forced] (into [flat]) reads [forced_code] instead; [-1]
+    forces nothing.  The one scalar 3-valued gate body: {!good_cycle} and
+    PODEM's implication evaluate through it. *)
+val eval_code :
+  kinds:Asc_netlist.Gate.kind array ->
+  flat:int array ->
+  off:int array ->
+  Bytes.t ->
+  int ->
+  forced:int ->
+  forced_code:int ->
+  int
+
 (** [good_cycle t ~pis ~state ~gb] evaluates one fault-free cycle from the
     flip-flop codes [state] into the row [gb] (one code per gate). *)
 val good_cycle : t -> pis:bool array -> state:Bytes.t -> gb:Bytes.t -> unit

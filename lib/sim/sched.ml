@@ -1,10 +1,12 @@
 (* Levelized schedule and override grouping shared by the difference
-   kernels ({!Kernel}, 2-valued, and {!Kernel3}, 3-valued).
+   kernels ({!Kernel}, 2-valued, and {!Kernel3}, 3-valued) and by PODEM's
+   event-driven implication.
 
-   Everything here is built once per kernel and read-only afterwards:
-   flat CSR fanins, combinational-only fanouts (sequential edges are the
-   kernels' clock-edge business), per-gate levels, the level-sorted
-   schedule and its per-level offsets. *)
+   Every array here is computed once per netlist by {!Circuit.make} and
+   shared read-only by every kernel and domain: flat CSR fanins,
+   combinational-only fanouts (sequential edges are the kernels'
+   clock-edge business), per-gate levels, the level-sorted schedule and
+   its per-level offsets.  A kernel allocates only its working arrays. *)
 
 module Circuit = Asc_netlist.Circuit
 module Gate = Asc_netlist.Gate
@@ -25,43 +27,18 @@ type t = {
 }
 
 let create c =
-  let n = Circuit.n_gates c in
-  (* Fanouts with the DFF successors dropped: sequential edges are
-     handled at the clock edge, so the in-cycle walk never tests gate
-     kinds on the hot push path. *)
-  let oflat = Circuit.fanout_flat c and ooff = Circuit.fanout_off c in
-  let kinds = Array.init n (Circuit.kind c) in
-  let cooff = Array.make (n + 1) 0 in
-  for g = 0 to n - 1 do
-    let count = ref 0 in
-    for i = ooff.(g) to ooff.(g + 1) - 1 do
-      if kinds.(oflat.(i)) <> Gate.Dff then incr count
-    done;
-    cooff.(g + 1) <- cooff.(g) + !count
-  done;
-  let coflat = Array.make (max 1 cooff.(n)) 0 in
-  for g = 0 to n - 1 do
-    let w = ref cooff.(g) in
-    for i = ooff.(g) to ooff.(g + 1) - 1 do
-      let s = oflat.(i) in
-      if kinds.(s) <> Gate.Dff then begin
-        coflat.(!w) <- s;
-        incr w
-      end
-    done
-  done;
   {
-    kinds;
+    kinds = Circuit.kinds c;
     flat = Circuit.fanin_flat c;
     off = Circuit.fanin_off c;
-    coflat;
-    cooff;
-    level = Array.init n (Circuit.level c);
+    coflat = Circuit.comb_fanout_flat c;
+    cooff = Circuit.comb_fanout_off c;
+    level = Circuit.levels c;
     sched = Circuit.level_order c;
     level_off = Circuit.level_off c;
     spill_bar = max 16 (Array.length (Circuit.level_order c) / 6);
     dffs = Circuit.dffs c;
-    dff_din = Array.map (Circuit.dff_input c) (Circuit.dffs c);
+    dff_din = Circuit.dff_inputs c;
     outputs = Circuit.outputs c;
   }
 
@@ -71,6 +48,8 @@ let n_levels t = Array.length t.level_off - 1
 let buckets t =
   Array.init (n_levels t) (fun l ->
       Array.make (max 1 (t.level_off.(l + 1) - t.level_off.(l))) 0)
+
+let union_lanes l = List.fold_left (fun acc (o : Override.t) -> acc lor o.lanes) 0 l
 
 type grouped = {
   source : Override.t array; (* pin = -1 on Input/Dff, input order *)

@@ -1,6 +1,8 @@
 (** Levelized schedule and override grouping shared by the difference
-    kernels ({!Kernel}, 2-valued, and {!Kernel3}, 3-valued).  Built once
-    per kernel, read-only afterwards. *)
+    kernels ({!Kernel}, 2-valued, and {!Kernel3}, 3-valued) and by PODEM's
+    event-driven implication.  Its arrays are computed once per netlist
+    ({!Asc_netlist.Circuit.make}) and shared read-only; {!create} only
+    collects them. *)
 
 type t = {
   kinds : Asc_netlist.Gate.kind array;
@@ -19,8 +21,13 @@ type t = {
 
 val create : Asc_netlist.Circuit.t -> t
 
+val n_levels : t -> int
+
 (** One empty level bucket per level, sized to the level's population. *)
 val buckets : t -> int array array
+
+(** The union of the overrides' lanes. *)
+val union_lanes : Override.t list -> int
 
 type grouped = {
   source : Override.t array;  (** output overrides on Input/Dff gates *)

@@ -128,6 +128,103 @@ let test_podem_dff_pin_fault () =
       Alcotest.(check bool) "a=0" true (cube.pis.(0) = Asc_atpg.Cube.Zero)
   | _ -> Alcotest.fail "expected a test"
 
+(* Dual-rail implication of [podem]'s current assignment under [fault],
+   re-simulated from scratch with Naive's 3-valued gate function. *)
+let naive_rails c podem (fault : Fault.t) =
+  let n = Circuit.n_gates c in
+  let good = Array.make n None and faulty = Array.make n None in
+  let stuck = Some fault.stuck in
+  let stem g = fault.pin = -1 && fault.gate = g in
+  let source g =
+    good.(g) <- Podem.assigned podem g;
+    faulty.(g) <- (if stem g then stuck else good.(g))
+  in
+  Array.iter source (Circuit.inputs c);
+  Array.iter source (Circuit.dffs c);
+  Array.iter
+    (fun g ->
+      let fi = Array.to_list (Circuit.fanins c g) in
+      let kind = Circuit.kind c g in
+      good.(g) <- Asc_sim.Naive.eval_gate3 kind (List.map (fun f -> good.(f)) fi);
+      faulty.(g) <-
+        (if stem g then stuck
+         else
+           Asc_sim.Naive.eval_gate3 kind
+             (List.mapi
+                (fun i f -> if fault.gate = g && fault.pin = i then stuck else faulty.(f))
+                fi)))
+    (Circuit.order c);
+  (good, faulty)
+
+(* PODEM's event-driven rails equal a full Naive re-simulation after
+   every step of a random walk: runs on random faults (some with random
+   [~fixed] pins), then random assigns, flips and unassigns of sources. *)
+let implication_matches c ~seed =
+  let faults = Collapse.reps (Collapse.run c) in
+  let podem = Podem.create c in
+  let rng = Rng.create (seed + 5) in
+  let sources = Array.append (Circuit.inputs c) (Circuit.dffs c) in
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  let fault = ref (pick faults) in
+  let agrees () =
+    let good, faulty = naive_rails c podem !fault in
+    List.for_all
+      (fun g -> Podem.rails podem g = (good.(g), faulty.(g)))
+      (List.init (Circuit.n_gates c) Fun.id)
+  in
+  let ok = ref true in
+  for _ = 1 to 6 do
+    fault := pick faults;
+    let fixed =
+      if Rng.bool rng then []
+      else List.init (Rng.int rng 4) (fun _ -> (pick sources, Rng.bool rng))
+    in
+    ignore (Podem.run ~backtrack_limit:(Rng.int rng 20) ~fixed podem !fault : Podem.result);
+    ok := !ok && agrees ();
+    for _ = 1 to 8 do
+      let g = pick sources in
+      (match (Rng.int rng 3, Podem.assigned podem g) with
+      | 0, _ -> Podem.assign podem g None
+      | 1, Some v -> Podem.assign podem g (Some (not v))
+      | _ -> Podem.assign podem g (Some (Rng.bool rng)));
+      ok := !ok && agrees ()
+    done
+  done;
+  !ok
+
+let prop_podem_implication =
+  QCheck.Test.make ~name:"PODEM incremental implication = Naive dual-rail re-simulation"
+    ~count:10
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      implication_matches (small_circuit ~pis:4 ~ffs:4 ~gates:40 seed) ~seed
+      && implication_matches (Asc_circuits.Registry.get "s298") ~seed)
+
+(* Seed-1 PODEM counters of [Pipeline.prepare]: decisions, backtracks,
+   aborts, tests, redundant.  Implication is a pure function of the
+   assignment, so a faster implication must leave every search
+   decision, and hence these counts, unchanged. *)
+let test_podem_counters_pinned () =
+  List.iter
+    (fun (name, want) ->
+      let tel = Telemetry.create () in
+      ignore (Asc_core.Pipeline.prepare ~tel (Asc_circuits.Registry.get name));
+      let snap = Telemetry.drain tel in
+      let got =
+        List.map (Telemetry.counter_value snap)
+          [
+            "podem_decisions"; "podem_backtracks"; "podem_aborts"; "podem_tests";
+            "podem_redundant";
+          ]
+      in
+      Alcotest.(check (list int)) name want got)
+    [
+      ("s298", [ 3038; 2915; 3; 14; 51 ]);
+      ("s344", [ 3467; 3307; 7; 9; 36 ]);
+      ("s382", [ 1456; 1420; 6; 0; 6 ]);
+      ("s1423", [ 11057; 8915; 43; 11; 5 ]);
+    ]
+
 (* --- Combinational test-set generation --------------------------------- *)
 
 let prop_comb_tgen_complete =
@@ -210,19 +307,38 @@ let test_random_tgen () =
   Alcotest.(check bool) "flip 0 holds the vector" true
     (Array.for_all (fun v -> v = start) walk)
 
+(* The generators' recorded coverage is the one-shot no-scan simulation
+   of their sequence, so Pipeline.make_t0 takes F0 from them instead of
+   re-simulating T0. *)
 let test_seq_tgen_consistency () =
-  let c = Asc_circuits.Registry.get "s298" in
-  let faults = Collapse.reps (Collapse.run c) in
-  let rng = Rng.create 4 in
-  let cfg = { Asc_atpg.Seq_tgen.default_config with budget = 120 } in
-  let r = Asc_atpg.Seq_tgen.generate ~config:cfg c ~faults ~rng in
-  Alcotest.(check bool) "non-empty" true (Array.length r.seq > 0);
-  Alcotest.(check bool) "within budget" true (Array.length r.seq <= 120);
-  (* The recorded coverage matches a one-shot no-scan simulation. *)
-  let batch = Asc_fault.Seq_fsim.detect_no_scan c ~seq:r.seq ~faults in
-  Alcotest.(check bool) "coverage consistent" true (Bitvec.equal r.detected batch);
-  Alcotest.(check bool) "detects a majority" true
-    (Bitvec.count r.detected * 2 > Array.length faults)
+  List.iter
+    (fun name ->
+      let c = Asc_circuits.Registry.get name in
+      let faults = Collapse.reps (Collapse.run c) in
+      let check label seq detected =
+        Alcotest.(check bool) (label ^ " non-empty") true (Array.length seq > 0);
+        Alcotest.(check bool) (label ^ " within budget") true (Array.length seq <= 120);
+        let batch = Asc_fault.Seq_fsim.detect_no_scan c ~seq ~faults in
+        Alcotest.(check bool)
+          (label ^ " coverage consistent")
+          true (Bitvec.equal detected batch)
+      in
+      let r =
+        Asc_atpg.Seq_tgen.generate
+          ~config:{ Asc_atpg.Seq_tgen.default_config with budget = 120 }
+          c ~faults ~rng:(Rng.create 4)
+      in
+      check (name ^ " seq_tgen") r.seq r.detected;
+      if name = "s298" then
+        Alcotest.(check bool) "detects a majority" true
+          (Bitvec.count r.detected * 2 > Array.length faults);
+      let g =
+        Asc_atpg.Ga_tgen.generate
+          ~config:{ Asc_atpg.Ga_tgen.default_config with budget = 120 }
+          c ~faults ~rng:(Rng.create 4)
+      in
+      check (name ^ " ga_tgen") g.seq g.detected)
+    [ "s27"; "s298"; "s344"; "s382"; "b01"; "b06" ]
 
 let suite =
   [
@@ -233,6 +349,8 @@ let suite =
         qtest prop_podem_sound_and_complete;
         Alcotest.test_case "podem fixed pins" `Quick test_podem_fixed_assignment;
         Alcotest.test_case "podem dff pin fault" `Quick test_podem_dff_pin_fault;
+        qtest prop_podem_implication;
+        Alcotest.test_case "podem counters pinned" `Quick test_podem_counters_pinned;
         qtest prop_comb_tgen_complete;
         qtest prop_parallel_podem_oracle;
         Alcotest.test_case "comb_tgen s27" `Quick test_comb_tgen_s27_full_coverage;

@@ -175,12 +175,19 @@ let prop_cone_matches_full_resim =
 (* --- Property: resumed verification = simulation from time 0 -------- *)
 
 (* Snapshot (si, seq) at a random cut [p] (plus other random boundaries),
-   then resume over a random suffix: the resumed verdict and PO times
-   must equal [verify_required] and [profile] of seq[0,p) . suffix, for a
-   random fault subset that includes every scan-out-only fault of that
+   then resume over a suffix — random, or a tail of [seq] as in vector
+   omission: the resumed verdict and PO times must equal
+   [verify_required] and [profile] of seq[0,p) . suffix, for a random
+   fault subset that includes every scan-out-only fault of that
    sequence, both on the whole subset (usually failing) and on its
    detected part (passing).  A snapshot of that subset alone (fault
-   positions no longer equal fault indices) must behave the same. *)
+   positions no longer equal fault indices) must behave the same.
+
+   Each resume also names a rejoin reference, which must not change any
+   answer: the joined test itself (rejoined at once), (si, seq), a
+   random scan-in and prefix before the suffix (the good states may meet
+   later or never), or such a test whose last vector differs (no common
+   tail).  Its trace is cached first, except now and then. *)
 let resume_matches c ~seed ~pool =
   let faults = Collapse.reps (Collapse.run c) in
   let all = Array.init (Array.length faults) Fun.id in
@@ -190,7 +197,11 @@ let resume_matches c ~seed ~pool =
   let si = Rng.bool_array rng (Circuit.n_dffs c) in
   let seq = Array.init len (fun _ -> vec ()) in
   let p = match Rng.int rng 4 with 0 -> 0 | 1 -> len | _ -> Rng.int rng (len + 1) in
-  let suffix = Array.init (Rng.int rng 6 + if p = 0 then 1 else 0) (fun _ -> vec ()) in
+  let suffix =
+    if p < len && Rng.int rng 3 = 0 then Array.sub seq (p + 1) (len - p - 1)
+    else Array.init (Rng.int rng 6 + if p = 0 then 1 else 0) (fun _ -> vec ())
+  in
+  let suffix = if p = 0 && Array.length suffix = 0 then [| vec () |] else suffix in
   let joined = Array.append (Array.sub seq 0 p) suffix in
   let prof_joined = Seq_fsim.profile ?pool c ~si ~seq:joined ~faults ~subset:all in
   let detected = Seq_fsim.detect ?pool c ~si ~seq:joined ~faults in
@@ -208,13 +219,37 @@ let resume_matches c ~seed ~pool =
   let of_subset =
     (snd (Seq_fsim.snapshots ?pool c ~si ~seq ~faults ~subset ~boundaries:[| p |])).(0)
   in
+  let rejoin =
+    let prefix () = Array.init (Rng.int rng 4) (fun _ -> vec ()) in
+    let other_si () = Rng.bool_array rng (Circuit.n_dffs c) in
+    let r_si, r_seq =
+      match Rng.int rng 4 with
+      | 0 -> (si, joined)
+      | 1 -> (si, seq)
+      | 2 -> (other_si (), Array.append (prefix ()) suffix)
+      | _ ->
+          let r = Array.append (prefix ()) (Array.map Array.copy suffix) in
+          if Array.length r = 0 then (other_si (), [| vec () |])
+          else begin
+            let last = r.(Array.length r - 1) in
+            last.(0) <- not last.(0);
+            (other_si (), r)
+          end
+    in
+    if Rng.int rng 5 = 0 then Seq_fsim.clear_trace_cache ()
+    else ignore (Seq_fsim.detect c ~si:r_si ~seq:r_seq ~faults);
+    (r_si, r_seq)
+  in
   let agrees snap =
     List.for_all
       (fun sub ->
-        Seq_fsim.resume_verify ?pool c snap ~suffix ~faults ~subset:sub
-        = Seq_fsim.verify_required ?pool c ~si ~seq:joined ~faults ~subset:sub
-        && Seq_fsim.resume_po_time ?pool c snap ~suffix ~faults ~subset:sub
-           = Array.map (fun f -> prof_joined.Seq_fsim.po_time.(f)) sub)
+        List.for_all
+          (fun rejoin ->
+            Seq_fsim.resume_verify ?pool ?rejoin c snap ~suffix ~faults ~subset:sub
+            = Seq_fsim.verify_required ?pool c ~si ~seq:joined ~faults ~subset:sub
+            && Seq_fsim.resume_po_time ?pool ?rejoin c snap ~suffix ~faults ~subset:sub
+               = Array.map (fun f -> prof_joined.Seq_fsim.po_time.(f)) sub)
+          [ None; Some rejoin ])
       [ subset; det_subset ]
   in
   po_time = (Seq_fsim.profile ?pool c ~si ~seq ~faults ~subset:all).Seq_fsim.po_time

@@ -112,7 +112,17 @@ let test_seq_tgen_degrades () =
      (at most one max_seg_len chunk) may be committed. *)
   Alcotest.(check bool) "fallback T0 only" true
     (Array.length r.seq > 0
-    && Array.length r.seq <= Asc_atpg.Seq_tgen.default_config.max_seg_len)
+    && Array.length r.seq <= Asc_atpg.Seq_tgen.default_config.max_seg_len);
+  (* A pool whose own budget fired cuts the fallback commit short: the
+     reported detections must still be those of the returned sequence. *)
+  let pool = Domain_pool.create ~budget:(cancelled_budget ()) ~domains:1 () in
+  let r =
+    Asc_atpg.Seq_tgen.generate ~pool c ~faults ~rng:(Rng.of_name ~seed:3 "robust/seq-tgen")
+  in
+  Domain_pool.shutdown pool;
+  Alcotest.(check bool) "cut-short fallback re-simulated" true
+    (Bitvec.equal r.detected (Asc_fault.Seq_fsim.detect_no_scan c ~seq:r.seq ~faults)
+    && not (Bitvec.is_empty r.detected))
 
 let test_run_bounded_partial_at_t0 () =
   let c = Asc_circuits.Registry.get "s27" in
