@@ -629,10 +629,10 @@ let parse_host_port s =
 
 let resolve_listen socket tcp =
   match (socket, tcp) with
-  | Some path, None -> Asc_core.Server.Unix_socket path
+  | Some path, None -> Asc_core.Wire.Unix_socket path
   | None, Some hp ->
       let host, port = parse_host_port hp in
-      Asc_core.Server.Tcp (host, port)
+      Asc_core.Wire.Tcp (host, port)
   | Some _, Some _ -> die exit_usage "--socket and --tcp are mutually exclusive"
   | None, None -> die exit_usage "need --socket PATH or --tcp HOST:PORT"
 
@@ -743,16 +743,10 @@ let serve_cmd =
       Option.map (fun path -> Asc_util.Log.create ~level ?tel ?chaos path)
         log_file
     in
-    let config =
-      { Asc_core.Server.listen; state_dir;
-        max_frame = Asc_core.Server.default_max_frame }
+    let config = { Asc_core.Server.listen; state_dir } in
+    let on_ready () =
+      Printf.printf "asc: serving on %s\n%!" (Asc_core.Wire.addr_to_string listen)
     in
-    let where =
-      match listen with
-      | Asc_core.Server.Unix_socket p -> p
-      | Asc_core.Server.Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-    in
-    let on_ready () = Printf.printf "asc: serving on %s\n%!" where in
     Fun.protect
       ~finally:(fun () -> Asc_util.Log.close log)
       (fun () ->
@@ -797,8 +791,8 @@ let parse_backend s =
   in
   if is_host_port then
     let host, port = parse_host_port s in
-    (s, Asc_core.Server.Tcp (host, port))
-  else (s, Asc_core.Server.Unix_socket s)
+    (s, Asc_core.Wire.Tcp (host, port))
+  else (s, Asc_core.Wire.Unix_socket s)
 
 let route_cmd =
   let backend_arg =
@@ -836,17 +830,12 @@ let route_cmd =
       {
         Asc_core.Router.listen;
         backends = List.map parse_backend backends;
-        max_frame = Asc_core.Server.default_max_frame;
         request_retries;
       }
     in
-    let where =
-      match listen with
-      | Asc_core.Server.Unix_socket p -> p
-      | Asc_core.Server.Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-    in
     let on_ready () =
-      Printf.printf "asc: routing on %s across %d backends\n%!" where
+      Printf.printf "asc: routing on %s across %d backends\n%!"
+        (Asc_core.Wire.addr_to_string listen)
         (List.length backends)
     in
     Fun.protect
@@ -907,12 +896,6 @@ let client_cmd =
                (same format as $(b,asc save-tests))." in
     Arg.(value & opt (some string) None & info [ "save" ] ~doc ~docv:"FILE")
   in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
   let retries_arg =
     let doc =
       "Retry a failed connection (or a connection dropped before the \
@@ -939,25 +922,21 @@ let client_cmd =
     in
     Arg.(value & flag & info [ "prometheus" ] ~doc)
   in
+  (* A failed connect or host lookup is a connection error to retry. *)
   let connect listen =
-    match listen with
-    | Asc_core.Server.Unix_socket path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        fd
-    | Asc_core.Server.Tcp (host, port) ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-        fd
+    match Asc_core.Wire.connect listen with
+    | fd -> Ok fd
+    | exception Unix.Unix_error (e, _, _) ->
+        Error ("cannot connect: " ^ Unix.error_message e)
+    | exception Sys_error msg -> Error ("cannot connect: " ^ msg)
   in
   (* One connect/send/receive round trip, with every connection-level
      failure turned into [Error] so the caller can retry.  Protocol-level
      failures (an unparseable response) are not retried. *)
   let try_request listen line =
     match connect listen with
-    | exception Unix.Unix_error (e, _, _) ->
-        Error (Printf.sprintf "cannot connect: %s" (Unix.error_message e))
-    | fd -> (
+    | Error msg -> Error msg
+    | Ok fd -> (
         let finish r =
           (try Unix.close fd with Unix.Unix_error _ -> ());
           r
@@ -1029,15 +1008,14 @@ let client_cmd =
       | Some c -> c
       | None -> (
           match connect listen with
-          | fd ->
+          | Ok fd ->
               let c =
                 (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
               in
               conn := Some c;
               c
-          | exception Unix.Unix_error (e, _, _) ->
-              retry_or_die
-                (Printf.sprintf "cannot connect: %s" (Unix.error_message e));
+          | Error msg ->
+              retry_or_die msg;
               ensure_conn ())
     in
     let send j =
@@ -1133,7 +1111,11 @@ let client_cmd =
     in
     match op with
     | "submit" ->
-        let netlist_text = Option.map read_file netlist in
+        let netlist_text =
+          Option.map
+            (fun p -> In_channel.with_open_bin p In_channel.input_all)
+            netlist
+        in
         if circuits = [] && netlist_text = None then
           die exit_usage "submit needs CIRCUIT names or --netlist FILE";
         let make_spec circuit =

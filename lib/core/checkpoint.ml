@@ -36,12 +36,13 @@
    load as a snapshot that differs from what was saved.  v1 files (no
    trailer) still load; a v1 file carrying a [crc] line is rejected.
 
-   Files are written atomically (temp file + rename), so a run killed
-   mid-write leaves the previous checkpoint intact.  [write_file] adds
-   rotation ([keep] copies: <file>, <file>.1, …), bounded retry with
-   backoff on transient [Sys_error]s, and chaos injection points around
-   every syscall; [load_latest_valid] recovers by falling back across
-   rotated copies when the newest one is corrupt or missing. *)
+   Files are written atomically by [Asc_util.Sealed] (temp file +
+   rename), so a run killed mid-write leaves the previous checkpoint
+   intact.  [write_file] adds rotation ([keep] copies: <file>, <file>.1,
+   …), bounded retry with backoff on transient [Sys_error]s, and passes
+   its chaos handle so the injection points fire around every syscall;
+   [load_latest_valid] recovers by falling back across rotated copies
+   when the newest one is corrupt or missing. *)
 
 module Circuit = Asc_netlist.Circuit
 module Scan_test = Asc_scan.Scan_test
@@ -101,8 +102,7 @@ let to_string (s : Pipeline.snapshot) =
           add "endadd\n")
         p3.ph3_added);
   (* The trailer covers every byte emitted so far, comments included. *)
-  let body = Buffer.contents buf in
-  body ^ Printf.sprintf "crc %s\n" (Asc_util.Crc.to_hex (Asc_util.Crc.crc32 body))
+  Asc_util.Sealed.seal (Buffer.contents buf)
 
 (* Parser: single pass, mutable slots; [section] tracks whether v-lines
    belong to the header (none), the T_C block or the tau block. *)
@@ -344,51 +344,6 @@ let validate (p : Pipeline.prepared) ~(config : Pipeline.config)
 module Chaos = Asc_util.Chaos
 module Tel = Asc_util.Telemetry
 
-(* One atomic write attempt: temp file + rename, chaos points around each
-   syscall.  Any failure removes the stray temp file before re-raising —
-   except [Chaos.Killed], which models a hard crash and must leave disk
-   state exactly as a SIGKILL would (the partial temp file stays; later
-   writes overwrite it, loads never look at it). *)
-let write_once ?chaos path text =
-  let tmp = path ^ ".tmp" in
-  try
-    Chaos.hit chaos Chaos.checkpoint_open;
-    let oc = open_out tmp in
-    (try
-       Chaos.hit chaos Chaos.checkpoint_output;
-       output_string oc text;
-       close_out oc
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       close_out_noerr oc;
-       Printexc.raise_with_backtrace e bt);
-    Chaos.hit chaos Chaos.checkpoint_rename;
-    Sys.rename tmp path
-  with
-  | Chaos.Killed _ as e -> raise e
-  | e ->
-      let bt = Printexc.get_raw_backtrace () in
-      (try Sys.remove tmp with Sys_error _ -> ());
-      Printexc.raise_with_backtrace e bt
-
-(* Promote existing copies one suffix up: <file>.(k) -> <file>.(k+1), then
-   <file> -> <file>.1.  Each step is one atomic rename, so a crash at any
-   point leaves every snapshot intact under exactly one of the names that
-   [load_latest_valid] probes.  Re-running after a partial rotation is
-   harmless: already-promoted names no longer exist and are skipped. *)
-let rotate ?chaos path ~keep =
-  if keep > 1 && Sys.file_exists path then begin
-    for k = keep - 2 downto 1 do
-      let src = Printf.sprintf "%s.%d" path k in
-      if Sys.file_exists src then begin
-        Chaos.hit chaos Chaos.checkpoint_rotate;
-        Sys.rename src (Printf.sprintf "%s.%d" path (k + 1))
-      end
-    done;
-    Chaos.hit chaos Chaos.checkpoint_rotate;
-    Sys.rename path (path ^ ".1")
-  end
-
 let write_file ?tel ?chaos ?(keep = 1) ?(retries = 2) path (s : Pipeline.snapshot) =
   if keep < 1 then invalid_arg "Checkpoint.write_file: keep must be >= 1";
   if retries < 0 then invalid_arg "Checkpoint.write_file: retries must be >= 0";
@@ -397,8 +352,8 @@ let write_file ?tel ?chaos ?(keep = 1) ?(retries = 2) path (s : Pipeline.snapsho
   let text = to_string s in
   let rec attempt n =
     match
-      if n = 0 then rotate ?chaos path ~keep;
-      write_once ?chaos path text
+      if n = 0 then Asc_util.Sealed.rotate ?chaos path ~keep;
+      Asc_util.Sealed.write ?chaos path text
     with
     | () -> Tel.incr tel Tel.Checkpoint_writes
     | exception (Chaos.Killed _ as e) -> raise e
@@ -417,15 +372,7 @@ let write_file ?tel ?chaos ?(keep = 1) ?(retries = 2) path (s : Pipeline.snapsho
 
 let read_file ?chaos path =
   Chaos.hit chaos Chaos.checkpoint_read;
-  let ic = open_in path in
-  let text =
-    try really_input_string ic (in_channel_length ic)
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  close_in ic;
-  of_string text
+  of_string (In_channel.with_open_bin path In_channel.input_all)
 
 type loaded = {
   snapshot : Pipeline.snapshot;

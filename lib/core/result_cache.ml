@@ -1,9 +1,10 @@
 (* Persistent content-addressed result cache for the serving layer.
    One file per job key under the state directory, following the
    Checkpoint v2 durability discipline: plain text with a CRC-32 trailer
-   over every preceding byte, written atomically (temp file + rename)
-   with bounded retry, and corrupt or foreign entries skipped *and
-   deleted* on load so a torn write never wedges a key.
+   over every preceding byte, written atomically by [Asc_util.Sealed]
+   (temp file + rename) with bounded retry, and corrupt or foreign
+   entries skipped *and deleted* on load so a torn write never wedges a
+   key.
 
    Format ([result-<key>.res]):
 
@@ -41,15 +42,8 @@ type t = {
   mem : (string, entry) Hashtbl.t;
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ?dir () =
-  Option.iter mkdir_p dir;
+  Option.iter Asc_util.Sealed.mkdir_p dir;
   { dir; mem = Hashtbl.create 64 }
 
 let path ~dir key = Filename.concat dir ("result-" ^ key ^ ".res")
@@ -69,8 +63,7 @@ let entry_to_string e =
   add "tset %d\n" (String.length e.e_tset);
   Buffer.add_string buf e.e_tset;
   add "endtset\n";
-  let body = Buffer.contents buf in
-  body ^ Printf.sprintf "crc %s\n" (Crc.to_hex (Crc.crc32 body))
+  Asc_util.Sealed.seal (Buffer.contents buf)
 
 exception Bad of string
 
@@ -142,22 +135,6 @@ let entry_of_string text =
 
 (* --- Store / find ------------------------------------------------------- *)
 
-(* One atomic write attempt, as in Checkpoint.write_once. *)
-let write_once p text =
-  let tmp = p ^ ".tmp" in
-  try
-    let oc = open_out_bin tmp in
-    (try
-       output_string oc text;
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       raise e);
-    Sys.rename tmp p
-  with e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
-
 let store t e =
   Hashtbl.replace t.mem e.e_key e;
   match t.dir with
@@ -170,7 +147,7 @@ let store t e =
          transient failures briefly, then give up without failing the
          job that produced the result. *)
       let rec attempt n =
-        match write_once p text with
+        match Asc_util.Sealed.write p text with
         | () -> ()
         | exception Sys_error _ when n < 2 ->
             Unix.sleepf (0.002 *. float_of_int (n + 1));
@@ -178,17 +155,6 @@ let store t e =
         | exception Sys_error _ -> ()
       in
       attempt 0)
-
-let read_file p =
-  let ic = open_in_bin p in
-  let text =
-    try really_input_string ic (in_channel_length ic)
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  close_in ic;
-  text
 
 (* [find] returns [from_disk = true] when the entry was faulted in from
    the persistent store (a restart-surviving hit).  A file that fails to
@@ -204,7 +170,9 @@ let find t key =
           let p = path ~dir key in
           if not (Sys.file_exists p) then None
           else
-            match entry_of_string (read_file p) with
+            match
+              entry_of_string (In_channel.with_open_bin p In_channel.input_all)
+            with
             | Ok e when e.e_key = key ->
                 Hashtbl.replace t.mem key e;
                 Some (e, true)

@@ -18,8 +18,8 @@
    resubmission of the same job lands on the shard whose result cache
    already holds it.
 
-   Failure semantics: any error on a backend connection — connect,
-   write, read, EOF — marks the backend {e down} (Router_markdowns),
+   Failure semantics: any error on a backend connection — host lookup,
+   connect, write, read, EOF — marks the backend {e down} (Router_markdowns),
    fails its in-flight submits over to the next live shard
    (Router_failovers, bounded by a per-request retry budget; safe
    because submission is idempotent under the content-key result
@@ -33,7 +33,8 @@
    (each forwarded request), [router.backend_read] (each backend
    response frame), [router.backend_health] (each health probe) — a
    [Fail] is handled exactly like the corresponding backend failure; a
-   [Kill] propagates out of {!run} like a crash.
+   [Kill] propagates out of {!run} like a crash.  The client side —
+   connections, framing, drain mode — is a {!Wire} front.
 
    [ping] is answered locally (the router is alive, that's the
    question).  [metrics] aggregates: it polls every live backend over a
@@ -53,9 +54,8 @@ module Rng = Asc_util.Rng
 module Backoff = Asc_util.Backoff
 
 type config = {
-  listen : Server.listen;
-  backends : (string * Server.listen) list;  (* display name, address *)
-  max_frame : int;
+  listen : Wire.addr;
+  backends : (string * Wire.addr) list;  (* display name, address *)
   request_retries : int;  (* failover attempts per submit past the first *)
 }
 
@@ -66,13 +66,6 @@ let default_request_retries = 3
 let ping_interval = 1.0
 let probe_timeout = 2.0
 let probe_backoff_base = 0.1
-
-type conn = {
-  fd : Unix.file_descr;
-  cid : int;
-  buf : Buffer.t;
-  mutable alive : bool;
-}
 
 (* One submit the router has accepted and not yet answered.  [e_rid] is
    the router-assigned correlation id on the backend wire; the client's
@@ -95,10 +88,10 @@ type backend_state =
 
 type backend = {
   b_name : string;
-  b_addr : Server.listen;
+  b_addr : Wire.addr;
   mutable b_state : backend_state;
   mutable b_fd : Unix.file_descr option;
-  b_buf : Buffer.t;
+  mutable b_rd : Wire.reader;  (* fresh per connection *)
   b_inflight : (int, entry) Hashtbl.t;  (* router id -> entry *)
   mutable b_fails : int;  (* consecutive failed probes, for backoff *)
   mutable b_next_probe : float;
@@ -108,45 +101,16 @@ type backend = {
 
 type state = {
   cfg : config;
+  front : Wire.front;  (* client connections and drain-mode shutdown *)
   tel : Telemetry.t option;
   chaos : Chaos.t option;
   log : Log.t option;
   rng : Rng.t;  (* probe-backoff jitter *)
   started : float;
   backends : backend array;
-  conns : (int, conn) Hashtbl.t;
   cumulative : (string, int) Hashtbl.t;
-  mutable next_cid : int;
   mutable next_rid : int;
-  mutable running : bool;
-  mutable draining : bool;
-  mutable drained : int;  (* submits answered during drain *)
-  mutable shutdown_waiters : int list;
 }
-
-(* --- Client side (the same framing discipline as Server) ---------------- *)
-
-let close_conn state conn =
-  if conn.alive then begin
-    conn.alive <- false;
-    Hashtbl.remove state.conns conn.cid;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-let write_client state conn json =
-  let line = J.to_string ~compact:true json ^ "\n" in
-  try
-    let n = String.length line in
-    let sent = ref 0 in
-    while !sent < n do
-      sent := !sent + Unix.write_substring conn.fd line !sent (n - !sent)
-    done
-  with Unix.Unix_error _ | Sys_error _ -> close_conn state conn
-
-let answer_client state cid json =
-  match Hashtbl.find_opt state.conns cid with
-  | Some conn when conn.alive -> write_client state conn json
-  | _ -> ()
 
 (* --- Rendezvous hashing -------------------------------------------------- *)
 
@@ -170,35 +134,10 @@ let choose state ~key ~tried =
 
 (* --- Backend lifecycle --------------------------------------------------- *)
 
-let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found | Invalid_argument _ ->
-      invalid_arg (Printf.sprintf "cannot resolve host %S" host))
-
-let connect_addr = function
-  | Server.Unix_socket path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX path)
-       with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
-      fd
-  | Server.Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_INET (resolve_host host, port))
-       with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
-      fd
-
 let write_backend b json =
   match b.b_fd with
   | None -> raise (Sys_error "backend not connected")
-  | Some fd ->
-      let line = J.to_string ~compact:true json ^ "\n" in
-      let n = String.length line in
-      let sent = ref 0 in
-      while !sent < n do
-        sent := !sent + Unix.write_substring fd line !sent (n - !sent)
-      done
+  | Some fd -> Wire.write_line fd json
 
 let submit_request entry =
   Protocol.request_to_json
@@ -216,7 +155,7 @@ let forward state b entry =
   Hashtbl.replace b.b_inflight entry.e_rid entry
 
 let reject state entry ~reason message =
-  answer_client state entry.e_cid
+  Wire.reply state.front entry.e_cid
     (Protocol.error_response ~reason ?id:entry.e_client_id message)
 
 (* Dispatch an accepted submit to the shard the content key hashes to,
@@ -259,7 +198,6 @@ and mark_down state b =
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     b.b_fd;
   b.b_fd <- None;
-  Buffer.clear b.b_buf;
   b.b_fails <- b.b_fails + 1;
   b.b_next_probe <-
     Unix.gettimeofday ()
@@ -301,13 +239,15 @@ let mark_up state b fd =
 
 (* Probe a down backend: connect and send a ping.  The pong (read off
    the new connection like any backend frame) completes the mark-up;
-   silence past [probe_timeout] or any error counts as a failed probe
-   and pushes the next one out on the backoff schedule. *)
+   silence past [probe_timeout] or any error — a failed host lookup
+   included — counts as a failed probe and pushes the next one out on
+   the backoff schedule. *)
 let probe state b =
   match
     Chaos.hit state.chaos Chaos.router_backend_health;
-    let fd = connect_addr b.b_addr in
+    let fd = Wire.connect b.b_addr in
     b.b_fd <- Some fd;
+    b.b_rd <- Wire.reader ();
     write_backend b (Protocol.request_to_json Protocol.Ping)
   with
   | () -> b.b_state <- Probing (Unix.gettimeofday ())
@@ -368,7 +308,7 @@ let relay state b json =
       | None -> () (* stale: the submit already failed over elsewhere *)
       | Some entry ->
           Hashtbl.remove b.b_inflight rid;
-          if state.draining then state.drained <- state.drained + 1;
+          Wire.delivered state.front;
           let rewritten =
             match J.as_obj json with
             | None -> json
@@ -384,7 +324,7 @@ let relay state b json =
                        else (k, v))
                      members)
           in
-          answer_client state entry.e_cid rewritten)
+          Wire.reply state.front entry.e_cid rewritten)
 
 let handle_backend_frame state b line =
   match J.parse line with
@@ -397,33 +337,16 @@ let handle_backend_frame state b line =
           | _ -> () (* periodic pong: the read itself proves liveness *))
       | _ -> relay state b json)
 
-let read_backend state b =
-  match b.b_fd with
-  | None -> ()
-  | Some fd -> (
-      let chunk = Bytes.create 65536 in
-      match
-        Chaos.hit state.chaos Chaos.router_backend_read;
-        Unix.read fd chunk 0 (Bytes.length chunk)
-      with
-      | exception (Chaos.Killed _ as e) -> raise e
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception (Unix.Unix_error _ | Sys_error _) -> mark_down state b
-      | 0 -> mark_down state b
-      | n ->
-          Buffer.add_subbytes b.b_buf chunk 0 n;
-          let continue = ref true in
-          while !continue && b.b_fd <> None do
-            let text = Buffer.contents b.b_buf in
-            match String.index_opt text '\n' with
-            | None -> continue := false
-            | Some i ->
-                let line = String.sub text 0 i in
-                Buffer.clear b.b_buf;
-                Buffer.add_substring b.b_buf text (i + 1)
-                  (String.length text - i - 1);
-                if line <> "" then handle_backend_frame state b line
-          done)
+let read_backend state b fd =
+  match
+    Chaos.hit state.chaos Chaos.router_backend_read;
+    Wire.read b.b_rd fd
+  with
+  | true ->
+      Wire.drain b.b_rd (fun line ->
+          handle_backend_frame state b line;
+          b.b_fd <> None)
+  | false | (exception Sys_error _) -> mark_down state b
 
 (* --- Metrics aggregation ------------------------------------------------- *)
 
@@ -441,52 +364,6 @@ let accumulate state =
       fold_counters state snap.Telemetry.counters)
     state.tel
 
-(* One blocking metrics round trip on a fresh connection, so aggregation
-   never interleaves with submit traffic on the persistent channels.  An
-   unresponsive backend is skipped, not marked down — the health probes
-   own that verdict. *)
-let poll_backend_metrics b =
-  match connect_addr b.b_addr with
-  | exception (Unix.Unix_error _ | Sys_error _ | Invalid_argument _) -> None
-  | fd -> (
-      let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
-      Fun.protect ~finally @@ fun () ->
-      match
-        let line = J.to_string ~compact:true
-            (Protocol.request_to_json Protocol.Metrics) ^ "\n" in
-        let n = String.length line in
-        let sent = ref 0 in
-        while !sent < n do
-          sent := !sent + Unix.write_substring fd line !sent (n - !sent)
-        done;
-        let buf = Buffer.create 4096 in
-        let chunk = Bytes.create 65536 in
-        let deadline = Unix.gettimeofday () +. probe_timeout in
-        let rec read_line () =
-          let text = Buffer.contents buf in
-          match String.index_opt text '\n' with
-          | Some i -> Some (String.sub text 0 i)
-          | None -> (
-              let remaining = deadline -. Unix.gettimeofday () in
-              if remaining <= 0.0 then None
-              else
-                match Unix.select [ fd ] [] [] remaining with
-                | [], _, _ -> None
-                | _ -> (
-                    match Unix.read fd chunk 0 (Bytes.length chunk) with
-                    | 0 -> None
-                    | n ->
-                        Buffer.add_subbytes buf chunk 0 n;
-                        read_line ()))
-        in
-        read_line ()
-      with
-      | None -> None
-      | Some line -> (
-          match J.parse line with Ok json -> Some json | Error _ -> None)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
-      | exception (Unix.Unix_error _ | Sys_error _) -> None)
-
 let aggregate_metrics state =
   accumulate state;
   let pending = ref 0 in
@@ -497,7 +374,14 @@ let aggregate_metrics state =
   Array.iter
     (fun b ->
       if b.b_state = Up then
-        match poll_backend_metrics b with
+        (* A fresh connection, so aggregation never interleaves with
+           submit traffic on the persistent channels.  An unresponsive
+           backend is skipped, not marked down — the health probes own
+           that verdict. *)
+        match
+          Wire.request ~timeout:probe_timeout b.b_addr
+            (Protocol.request_to_json Protocol.Metrics)
+        with
         | None -> ()
         | Some json ->
             incr up;
@@ -588,22 +472,14 @@ let inflight_total state =
     (fun acc b -> acc + Hashtbl.length b.b_inflight)
     0 state.backends
 
-let handle_request state conn = function
-  | Protocol.Ping -> write_client state conn Protocol.ping_response
-  | Protocol.Metrics -> write_client state conn (aggregate_metrics state)
+let handle_request state cid = function
+  | Protocol.Ping -> Wire.reply state.front cid Protocol.ping_response
+  | Protocol.Metrics -> Wire.reply state.front cid (aggregate_metrics state)
   | Protocol.Shutdown ->
-      if inflight_total state = 0 && not state.draining then begin
-        write_client state conn
-          (Protocol.shutdown_response ~drained:state.drained);
-        state.running <- false
-      end
-      else begin
-        state.draining <- true;
-        state.shutdown_waiters <- conn.cid :: state.shutdown_waiters
-      end
+      Wire.shutdown state.front cid ~idle:(inflight_total state = 0)
   | Protocol.Submit { spec; want_tset; client_id } -> (
-      if state.draining then
-        write_client state conn
+      if Wire.draining state.front then
+        Wire.reply state.front cid
           (Protocol.error_response ~reason:"draining" ?id:client_id
              "router is draining for shutdown")
       else
@@ -611,13 +487,13 @@ let handle_request state conn = function
         | Error message ->
             (* Resolve errors locally — no point burning a shard round
                trip on a spec every backend would reject identically. *)
-            write_client state conn
+            Wire.reply state.front cid
               (Protocol.error_response ?id:client_id message)
         | Ok key ->
             let entry =
               {
                 e_rid = state.next_rid;
-                e_cid = conn.cid;
+                e_cid = cid;
                 e_client_id = client_id;
                 e_key = key;
                 e_spec = spec;
@@ -629,93 +505,20 @@ let handle_request state conn = function
             state.next_rid <- state.next_rid + 1;
             dispatch state entry)
 
-let handle_client_frame state conn line =
+let handle_client_frame state cid line =
   match Protocol.request_of_string line with
-  | Error message ->
-      write_client state conn (Protocol.error_response message)
-  | Ok request -> handle_request state conn request
-
-let drain_client_frames state conn =
-  let continue = ref true in
-  while !continue && conn.alive do
-    let text = Buffer.contents conn.buf in
-    match String.index_opt text '\n' with
-    | Some i ->
-        let line = String.sub text 0 i in
-        let line =
-          if i > 0 && line.[i - 1] = '\r' then String.sub line 0 (i - 1)
-          else line
-        in
-        Buffer.clear conn.buf;
-        Buffer.add_substring conn.buf text (i + 1) (String.length text - i - 1);
-        if line <> "" then handle_client_frame state conn line
-    | None ->
-        if Buffer.length conn.buf > state.cfg.max_frame then begin
-          write_client state conn
-            (Protocol.error_response
-               (Printf.sprintf "frame exceeds %d bytes" state.cfg.max_frame));
-          close_conn state conn
-        end;
-        continue := false
-  done
-
-let read_client state conn =
-  let chunk = Bytes.create 65536 in
-  match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-  | 0 -> close_conn state conn
-  | n ->
-      Buffer.add_subbytes conn.buf chunk 0 n;
-      drain_client_frames state conn
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      close_conn state conn
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
-let accept_conn state listener =
-  match Unix.accept listener with
-  | fd, _ ->
-      let conn =
-        { fd; cid = state.next_cid; buf = Buffer.create 256; alive = true }
-      in
-      state.next_cid <- state.next_cid + 1;
-      Hashtbl.replace state.conns conn.cid conn
-  | exception Unix.Unix_error _ -> ()
-
-let bind_listener = function
-  | Server.Unix_socket path ->
-      if Sys.file_exists path then
-        (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 16;
-      fd
-  | Server.Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (resolve_host host, port));
-      Unix.listen fd 16;
-      fd
-
-let finish_drain state =
-  if state.draining && inflight_total state = 0 then begin
-    List.iter
-      (fun cid ->
-        match Hashtbl.find_opt state.conns cid with
-        | Some conn when conn.alive ->
-            write_client state conn
-              (Protocol.shutdown_response ~drained:state.drained)
-        | _ -> ())
-      (List.rev state.shutdown_waiters);
-    state.shutdown_waiters <- [];
-    state.running <- false
-  end
+  | Error message -> Wire.reply state.front cid (Protocol.error_response message)
+  | Ok request -> handle_request state cid request
 
 let run ?tel ?chaos ?log ?on_ready (cfg : config) =
   if cfg.backends = [] then invalid_arg "Router.run: no backends";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
+  (* The router's front hits no serve.* chaos points: its own are the
+     router.backend_* ones. *)
+  let front = Wire.front cfg.listen in
   let state =
     {
       cfg;
+      front;
       tel;
       chaos;
       log;
@@ -730,7 +533,7 @@ let run ?tel ?chaos ?log ?on_ready (cfg : config) =
                  b_addr = addr;
                  b_state = Down;
                  b_fd = None;
-                 b_buf = Buffer.create 4096;
+                 b_rd = Wire.reader ();
                  b_inflight = Hashtbl.create 16;
                  b_fails = 0;
                  b_next_probe = 0.0;  (* probe immediately *)
@@ -738,26 +541,15 @@ let run ?tel ?chaos ?log ?on_ready (cfg : config) =
                  b_ever_up = false;
                })
              cfg.backends);
-      conns = Hashtbl.create 16;
       cumulative = Hashtbl.create 64;
-      next_cid = 0;
       next_rid = 0;
-      running = true;
-      draining = false;
-      drained = 0;
-      shutdown_waiters = [];
     }
   in
-  let listener = bind_listener cfg.listen in
   Log.emit log "router.start"
     ~fields:
       [
         ("backends", J.Int (Array.length state.backends));
-        ( "listen",
-          J.Str
-            (match cfg.listen with
-            | Server.Unix_socket path -> path
-            | Server.Tcp (host, port) -> Printf.sprintf "%s:%d" host port) );
+        ("listen", J.Str (Wire.addr_to_string cfg.listen));
       ];
   (* Bring the fleet up before announcing readiness, so an immediate
      first submit doesn't race the initial probes. *)
@@ -766,60 +558,42 @@ let run ?tel ?chaos ?log ?on_ready (cfg : config) =
   Fun.protect
     ~finally:(fun () ->
       Log.emit log "router.shutdown"
-        ~fields:[ ("drained", J.Int state.drained) ];
-      Hashtbl.iter
-        (fun _ conn -> close_conn state conn)
-        (Hashtbl.copy state.conns);
+        ~fields:[ ("drained", J.Int (Wire.drained front)) ];
       Array.iter
         (fun b ->
           Option.iter
             (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
             b.b_fd)
         state.backends;
-      (try Unix.close listener with Unix.Unix_error _ -> ());
-      match cfg.listen with
-      | Server.Unix_socket path -> (
-          try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-      | Server.Tcp _ -> ())
+      Wire.close front)
     (fun () ->
-      while state.running do
+      while Wire.running front do
         let backend_fds =
           Array.fold_left
             (fun acc b ->
               match b.b_fd with Some fd -> fd :: acc | None -> acc)
             [] state.backends
         in
-        let fds =
-          (listener :: Hashtbl.fold (fun _ c acc -> c.fd :: acc) state.conns [])
-          @ backend_fds
-        in
         let readable =
-          match Unix.select fds [] [] 0.2 with
+          match Unix.select (Wire.fds front @ backend_fds) [] [] 0.2 with
           | r, _, _ -> r
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
         in
         List.iter
           (fun fd ->
-            if state.running then
-              if fd == listener then accept_conn state listener
-              else
-                let client =
-                  Hashtbl.fold
-                    (fun _ c acc -> if c.fd == fd then Some c else acc)
-                    state.conns None
-                in
-                match client with
-                | Some c -> read_client state c
-                | None ->
-                    Array.iter
-                      (fun b ->
-                        match b.b_fd with
-                        | Some bfd when bfd == fd -> read_backend state b
-                        | _ -> ())
-                      state.backends)
+            if
+              Wire.running front
+              && not (Wire.service front fd (handle_client_frame state))
+            then
+              Array.iter
+                (fun b ->
+                  match b.b_fd with
+                  | Some bfd when bfd == fd -> read_backend state b bfd
+                  | _ -> ())
+                state.backends)
           readable;
-        if state.running then begin
+        if Wire.running front then begin
           health_tick state;
-          finish_drain state
+          Wire.finish_drain front ~idle:(inflight_total state = 0)
         end
       done)

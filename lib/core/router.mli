@@ -34,12 +34,11 @@
     propagates out of {!run} like a crash. *)
 
 type config = {
-  listen : Server.listen;  (** The router's own front socket. *)
-  backends : (string * Server.listen) list;
+  listen : Wire.addr;  (** The router's own front socket. *)
+  backends : (string * Wire.addr) list;
       (** [(name, address)] per shard.  The name (the literal
           [--backend] argument) is the rendezvous-hash identity: keep it
           stable across restarts or placement reshuffles. *)
-  max_frame : int;  (** Per-frame byte cap; {!Server.default_max_frame}. *)
   request_retries : int;
       (** Failover budget: total dispatch attempts allowed per submit.
           {!default_request_retries}. *)

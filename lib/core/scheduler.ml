@@ -157,16 +157,9 @@ type t = {
       (* deadline-expired jobs dropped by [pick], awaiting delivery *)
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ?pool ?tel ?chaos ?log ?state_dir ?(persist_results = true)
     ?max_pending ?max_pending_per_source () =
-  Option.iter mkdir_p state_dir;
+  Option.iter Asc_util.Sealed.mkdir_p state_dir;
   let positive name = function
     | Some n when n < 1 ->
         invalid_arg (Printf.sprintf "Scheduler.create: %s must be >= 1" name)

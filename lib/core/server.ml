@@ -1,7 +1,9 @@
-(* The serving daemon: a single-threaded select loop over a stream
-   socket.  In-process mode drains the scheduler one job per iteration;
-   supervised mode ([workers > 0]) forks a Supervisor fleet and the loop
-   only dispatches and collects (docs/SERVING.md).
+(* The serving daemon: a single-threaded select loop over a {!Wire}
+   front, which owns the connections, the framing and drain mode; this
+   module handles requests and delivers results.  In-process mode drains
+   the scheduler one job per iteration; supervised mode ([workers > 0])
+   forks a Supervisor fleet and the loop only dispatches and collects
+   (docs/SERVING.md).
 
    Observability (docs/OBSERVABILITY.md "Serving metrics"): the server
    owns three latency histograms — queue wait, execution, end-to-end —
@@ -16,34 +18,20 @@
    on or off. *)
 
 module J = Asc_util.Json
-module Chaos = Asc_util.Chaos
 module Telemetry = Asc_util.Telemetry
 module Histogram = Asc_util.Histogram
 module Log = Asc_util.Log
 
-type listen = Unix_socket of string | Tcp of string * int
-
-type config = { listen : listen; state_dir : string option; max_frame : int }
-
-let default_max_frame = 8 * 1024 * 1024
-
-type conn = {
-  fd : Unix.file_descr;
-  cid : int;
-  buf : Buffer.t;
-  mutable alive : bool;
-}
+type config = { listen : Wire.addr; state_dir : string option }
 
 type state = {
+  front : Wire.front;  (* client connections and drain-mode shutdown *)
   sched : Scheduler.t;
   tel : Telemetry.t option;
-  chaos : Chaos.t option;
   log : Log.t option;
   trace_file : string option;
   prom_file : string option;
   started : float;
-  max_frame : int;
-  conns : (int, conn) Hashtbl.t;
   waiting : (int, int * bool * int option) Hashtbl.t;
       (* job id -> (conn id, want tset, client-supplied id to echo) *)
   max_pending : int option;  (* echoed as gauges; enforced by the scheduler *)
@@ -55,37 +43,9 @@ type state = {
   mutable parent_tracks : Telemetry.track list;  (* preserved across drains *)
   worker_tracks : (int, Telemetry.track list) Hashtbl.t;  (* by worker pid *)
   mutable sup : Supervisor.t option;
-  mutable next_cid : int;
-  mutable running : bool;
-  mutable draining : bool;  (* shutdown received with work outstanding *)
-  mutable drained : int;  (* jobs finished during drain *)
-  mutable shutdown_waiters : int list;  (* conns owed a shutdown response *)
   mutable prom_dirty : bool;  (* a delivery happened since the last write *)
   mutable prom_failed : bool;  (* warn once, then drop silently *)
 }
-
-let close_conn state conn =
-  if conn.alive then begin
-    conn.alive <- false;
-    Hashtbl.remove state.conns conn.cid;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-(* Blocking write of one response line; a failure (client gone, or an
-   injected serve.write fault) closes the connection.  Chaos [Kill]
-   propagates like a crash. *)
-let write_response state conn json =
-  let line = J.to_string ~compact:true json ^ "\n" in
-  try
-    Chaos.hit state.chaos Chaos.serve_write;
-    let n = String.length line in
-    let sent = ref 0 in
-    while !sent < n do
-      sent := !sent + Unix.write_substring conn.fd line !sent (n - !sent)
-    done
-  with
-  | Chaos.Killed _ as e -> raise e
-  | Unix.Unix_error _ | Sys_error _ -> close_conn state conn
 
 (* Fold a counter list into the cumulative table. *)
 let fold_counters state counters =
@@ -153,12 +113,7 @@ let write_prom state =
       match Protocol.prometheus_of_metrics (metrics state) with
       | Error _ -> ()
       | Ok text -> (
-          let tmp = path ^ ".tmp" in
-          try
-            let oc = open_out tmp in
-            output_string oc text;
-            close_out oc;
-            Sys.rename tmp path
+          try Asc_util.Sealed.write path text
           with Sys_error reason | Unix.Unix_error (_, reason, _) ->
             state.prom_failed <- true;
             Printf.eprintf "asc: prometheus file %s: %s; disabling\n%!" path
@@ -170,117 +125,40 @@ let busy_count state =
 
 let outstanding state = Scheduler.pending state.sched + busy_count state
 
-let handle_request state conn = function
-  | Protocol.Ping -> write_response state conn Protocol.ping_response
-  | Protocol.Metrics -> write_response state conn (metrics state)
+let handle_request state cid = function
+  | Protocol.Ping -> Wire.reply state.front cid Protocol.ping_response
+  | Protocol.Metrics -> Wire.reply state.front cid (metrics state)
   | Protocol.Shutdown ->
-      if outstanding state = 0 && not state.draining then begin
-        write_response state conn
-          (Protocol.shutdown_response ~drained:state.drained);
-        state.running <- false
-      end
-      else begin
-        (* Drain mode: finish queued and in-flight jobs first; the
-           response (with the drained count) is deferred to drain
-           completion. *)
-        state.draining <- true;
-        state.shutdown_waiters <- conn.cid :: state.shutdown_waiters
-      end
+      (* With work outstanding this enters drain mode: queued and
+         in-flight jobs finish first and the response (with the drained
+         count) is deferred to drain completion. *)
+      Wire.shutdown state.front cid ~idle:(outstanding state = 0)
   | Protocol.Submit { spec; want_tset; client_id } -> (
-      if state.draining then
-        write_response state conn
+      if Wire.draining state.front then
+        Wire.reply state.front cid
           (Protocol.error_response ~reason:"draining" ?id:client_id
              "server is draining for shutdown")
       else
-        match Scheduler.submit state.sched ~source:conn.cid spec with
+        match Scheduler.submit state.sched ~source:cid spec with
         | Scheduler.Rejected message ->
-            write_response state conn (Protocol.error_response ?id:client_id message)
+            Wire.reply state.front cid (Protocol.error_response ?id:client_id message)
         | Scheduler.Overloaded { retry_after_ms } ->
-            write_response state conn
+            Wire.reply state.front cid
               (Protocol.error_response ~reason:"overloaded" ~retry_after_ms
                  ?id:client_id "server overloaded: queue is full")
         | Scheduler.Cached result ->
-            write_response state conn
+            Wire.reply state.front cid
               (Protocol.submit_response ~id:client_id ~cached:true ~want_tset
                  result)
         | Scheduler.Accepted job ->
             (* Deferred: the response is written when the job runs. *)
             Hashtbl.replace state.waiting job.Scheduler.j_id
-              (conn.cid, want_tset, client_id))
+              (cid, want_tset, client_id))
 
-let handle_frame state conn line =
-  try
-    Chaos.hit state.chaos Chaos.serve_read;
-    match Protocol.request_of_string line with
-    | Error message -> write_response state conn (Protocol.error_response message)
-    | Ok request -> handle_request state conn request
-  with
-  | Chaos.Killed _ as e -> raise e
-  | Sys_error _ -> close_conn state conn
-
-(* Split complete frames out of the connection's buffer. *)
-let drain_frames state conn =
-  let continue = ref true in
-  while !continue && conn.alive do
-    let text = Buffer.contents conn.buf in
-    match String.index_opt text '\n' with
-    | Some i ->
-        let line = String.sub text 0 i in
-        let line =
-          if i > 0 && line.[i - 1] = '\r' then String.sub line 0 (i - 1) else line
-        in
-        Buffer.clear conn.buf;
-        Buffer.add_substring conn.buf text (i + 1) (String.length text - i - 1);
-        if line <> "" then handle_frame state conn line
-    | None ->
-        if Buffer.length conn.buf > state.max_frame then begin
-          write_response state conn
-            (Protocol.error_response
-               (Printf.sprintf "frame exceeds %d bytes" state.max_frame));
-          close_conn state conn
-        end;
-        continue := false
-  done
-
-let read_conn state conn =
-  let chunk = Bytes.create 65536 in
-  match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-  | 0 -> close_conn state conn
-  | n ->
-      Buffer.add_subbytes conn.buf chunk 0 n;
-      drain_frames state conn
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      close_conn state conn
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
-let accept_conn state listener =
-  match Unix.accept listener with
-  | fd, _ ->
-      let conn = { fd; cid = state.next_cid; buf = Buffer.create 256; alive = true } in
-      state.next_cid <- state.next_cid + 1;
-      Hashtbl.replace state.conns conn.cid conn
-  | exception Unix.Unix_error _ -> ()
-
-let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found | Invalid_argument _ ->
-      invalid_arg (Printf.sprintf "cannot resolve host %S" host))
-
-let bind_listener = function
-  | Unix_socket path ->
-      if Sys.file_exists path then (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 16;
-      fd
-  | Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (resolve_host host, port));
-      Unix.listen fd 16;
-      fd
+let handle_frame state cid line =
+  match Protocol.request_of_string line with
+  | Error message -> Wire.reply state.front cid (Protocol.error_response message)
+  | Ok request -> handle_request state cid request
 
 (* Deliver one finished job's response to its submitter, if the
    connection is still around.  Delivery is where the latency
@@ -310,20 +188,17 @@ let deliver state (job, result) =
         ("seconds", J.Float (now -. job.Scheduler.j_submitted));
       ];
   state.prom_dirty <- true;
-  if state.draining then state.drained <- state.drained + 1;
+  Wire.delivered state.front;
   match Hashtbl.find_opt state.waiting job.Scheduler.j_id with
   | None -> ()
-  | Some (cid, want_tset, client_id) -> (
+  | Some (cid, want_tset, client_id) ->
       Hashtbl.remove state.waiting job.Scheduler.j_id;
-      match Hashtbl.find_opt state.conns cid with
-      | Some conn when conn.alive ->
-          (* The response id is the client's correlation id when the
-             request carried one (pipelined clients, the shard router),
-             the server's job id otherwise. *)
-          let id = Some (Option.value client_id ~default:job.Scheduler.j_id) in
-          write_response state conn
-            (Protocol.submit_response ~id ~cached:false ~want_tset result)
-      | _ -> ())
+      (* The response id is the client's correlation id when the request
+         carried one (pipelined clients, the shard router), the server's
+         job id otherwise. *)
+      let id = Some (Option.value client_id ~default:job.Scheduler.j_id) in
+      Wire.reply state.front cid
+        (Protocol.submit_response ~id ~cached:false ~want_tset result)
 
 (* Collect supervised results: fold each worker's telemetry drain into
    the cumulative table (so [metrics] reflects multi-worker runs), keep
@@ -366,52 +241,29 @@ let write_trace state =
         Telemetry.stitched_trace_json
           ((Unix.getpid (), parent_name, state.parent_tracks) :: workers)
       in
-      try
-        let oc = open_out path in
-        output_string oc (J.to_string doc);
-        output_char oc '\n';
-        close_out oc
+      try Asc_util.Sealed.write path (J.to_string doc ^ "\n")
       with Sys_error reason ->
         Printf.eprintf "asc: trace file %s: %s; trace dropped\n%!" path reason)
-
-(* Drain complete: answer every shutdown in arrival order, then stop. *)
-let finish_drain state =
-  if state.draining && outstanding state = 0 then begin
-    List.iter
-      (fun cid ->
-        match Hashtbl.find_opt state.conns cid with
-        | Some conn when conn.alive ->
-            write_response state conn
-              (Protocol.shutdown_response ~drained:state.drained)
-        | _ -> ())
-      (List.rev state.shutdown_waiters);
-    state.shutdown_waiters <- [];
-    state.running <- false
-  end
 
 let serve ?pool ?tel ?chaos ?log ?trace_file ?prom_file ?on_ready ?(workers = 0)
     ?job_retries ?make_pool ?max_pending ?max_pending_per_source ?hb_stale
     config =
-  (* A client that disconnects mid-write must not kill the server. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
   if workers > 0 && pool <> None then
     invalid_arg "Server.serve: a supervised parent must not own a pool";
   let sched =
     Scheduler.create ?pool ?tel ?chaos ?log ?state_dir:config.state_dir
       ?max_pending ?max_pending_per_source ()
   in
+  let front = Wire.front ?chaos config.listen in
   let state =
     {
+      front;
       sched;
       tel;
-      chaos;
       log;
       trace_file;
       prom_file;
       started = Unix.gettimeofday ();
-      max_frame = config.max_frame;
-      conns = Hashtbl.create 16;
       waiting = Hashtbl.create 16;
       max_pending;
       max_pending_per_source;
@@ -422,16 +274,10 @@ let serve ?pool ?tel ?chaos ?log ?trace_file ?prom_file ?on_ready ?(workers = 0)
       parent_tracks = [];
       worker_tracks = Hashtbl.create 8;
       sup = None;
-      next_cid = 0;
-      running = true;
-      draining = false;
-      drained = 0;
-      shutdown_waiters = [];
       prom_dirty = false;
       prom_failed = false;
     }
   in
-  let listener = bind_listener config.listen in
   if workers > 0 then
     state.sup <-
       Some
@@ -441,39 +287,28 @@ let serve ?pool ?tel ?chaos ?log ?trace_file ?prom_file ?on_ready ?(workers = 0)
              (* Children must not hold the server's sockets: a stray
                 duplicate would keep client connections half-open past
                 the parent's close. *)
-             (try Unix.close listener with Unix.Unix_error _ -> ());
-             Hashtbl.iter
-               (fun _ c ->
-                 try Unix.close c.fd with Unix.Unix_error _ -> ())
-               state.conns)
+             List.iter
+               (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+               (Wire.fds front))
            ~workers ());
   Log.emit log "server.start"
     ~fields:
       [
         ("workers", J.Int workers);
-        ( "listen",
-          J.Str
-            (match config.listen with
-            | Unix_socket path -> path
-            | Tcp (host, port) -> Printf.sprintf "%s:%d" host port) );
+        ("listen", J.Str (Wire.addr_to_string config.listen));
       ];
   write_prom state;
   Option.iter (fun f -> f ()) on_ready;
   Fun.protect
     ~finally:(fun () ->
       Option.iter Supervisor.stop state.sup;
-      Log.emit log "server.shutdown" ~fields:[ ("drained", J.Int state.drained) ];
+      Log.emit log "server.shutdown"
+        ~fields:[ ("drained", J.Int (Wire.drained front)) ];
       write_prom state;
       write_trace state;
-      Hashtbl.iter (fun _ conn -> close_conn state conn)
-        (Hashtbl.copy state.conns);
-      (try Unix.close listener with Unix.Unix_error _ -> ());
-      match config.listen with
-      | Unix_socket path -> (
-          try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-      | Tcp _ -> ())
+      Wire.close front)
     (fun () ->
-      while state.running do
+      while Wire.running front do
         (* Service the socket first — zero timeout when a dispatch can
            happen right now so a burst of submissions lands before it. *)
         let dispatch_ready =
@@ -489,33 +324,22 @@ let serve ?pool ?tel ?chaos ?log ?trace_file ?prom_file ?on_ready ?(workers = 0)
         let sup_fds =
           match state.sup with Some s -> Supervisor.fds s | None -> []
         in
-        let fds =
-          (listener :: Hashtbl.fold (fun _ c acc -> c.fd :: acc) state.conns [])
-          @ sup_fds
-        in
         let readable =
-          match Unix.select fds [] [] timeout with
+          match Unix.select (Wire.fds front @ sup_fds) [] [] timeout with
           | r, _, _ -> r
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
         in
         List.iter
           (fun fd ->
-            if state.running then
-              if fd == listener then accept_conn state listener
-              else
-                let found =
-                  Hashtbl.fold
-                    (fun _ c acc -> if c.fd == fd then Some c else acc)
-                    state.conns None
-                in
-                match found with
-                | Some c -> read_conn state c
-                | None ->
-                    Option.iter
-                      (fun s -> Supervisor.handle_readable s ~sched fd)
-                      state.sup)
+            if
+              Wire.running front
+              && not (Wire.service front fd (handle_frame state))
+            then
+              Option.iter
+                (fun s -> Supervisor.handle_readable s ~sched fd)
+                state.sup)
           readable;
-        if state.running then begin
+        if Wire.running front then begin
           (match state.sup with
           | None ->
               (* In-process mode: run exactly one queued job to
@@ -537,6 +361,7 @@ let serve ?pool ?tel ?chaos ?log ?trace_file ?prom_file ?on_ready ?(workers = 0)
             state.prom_dirty <- false;
             write_prom state
           end;
-          finish_drain state
+          (* Drain complete: answer every shutdown, then stop. *)
+          Wire.finish_drain front ~idle:(outstanding state = 0)
         end
       done)

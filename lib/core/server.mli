@@ -11,23 +11,16 @@
 
     Failure contract: a malformed frame gets an error response and the
     connection stays open; an over-long frame (no newline within
-    [max_frame] bytes) gets an error response and the connection is
-    closed; a write failure (client gone) closes the connection and the
-    job's result is dropped.  A chaos [Kill] at any armed point
+    {!Wire.max_frame} bytes) gets an error response and the connection
+    is closed; a write failure (client gone) closes the connection and
+    the job's result is dropped.  A chaos [Kill] at any armed point
     propagates out of {!serve} like a crash — deliberately: the soak
     test restarts the server and expects checkpointed jobs to resume. *)
 
-type listen =
-  | Unix_socket of string  (** Path; a stale socket file is replaced. *)
-  | Tcp of string * int  (** Host (name or dotted quad) and port. *)
-
 type config = {
-  listen : listen;
+  listen : Wire.addr;
   state_dir : string option;  (** Enables per-job checkpoint/resume. *)
-  max_frame : int;  (** Per-frame byte cap; {!default_max_frame}. *)
 }
-
-val default_max_frame : int
 
 (** [serve ?pool ?tel ?chaos ?on_ready ?workers ?job_retries ?make_pool
     config] runs until a client sends [shutdown].  A shutdown with work

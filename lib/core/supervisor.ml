@@ -60,7 +60,7 @@ type worker = {
   mutable w_pid : int;
   mutable w_to : Unix.file_descr;  (* parent -> worker job channel *)
   mutable w_from : Unix.file_descr;  (* worker -> parent event channel *)
-  w_buf : Buffer.t;
+  mutable w_rd : Wire.reader;  (* fresh per spawn *)
   mutable w_busy : Scheduler.job option;
   mutable w_alive : bool;
   mutable w_retired : bool;
@@ -108,15 +108,6 @@ type t = {
 let backoff t restarts = Backoff.full_jitter ~cap:5.0 ~rng:t.rng ~base:t.backoff_base restarts
 
 (* --- Wire codec (one JSON object per line on each pipe) ----------------- *)
-
-let write_all fd s =
-  let n = String.length s in
-  let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + Unix.write_substring fd s !sent (n - !sent)
-  done
-
-let send_line fd json = write_all fd (J.to_string ~compact:true json ^ "\n")
 
 let job_message (job : Scheduler.job) =
   J.Obj
@@ -303,7 +294,7 @@ let worker_main t ~from_parent ~to_parent =
       ~persist_results:false ()
   in
   let send json =
-    match send_line to_parent json with
+    match Wire.write_line to_parent json with
     | () -> true
     | exception (Unix.Unix_error _ | Sys_error _) -> false
   in
@@ -346,8 +337,7 @@ let worker_main t ~from_parent ~to_parent =
         let counters, spans = drain () in
         send (result_message ?spans ~id result counters))
   in
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
+  let rd = Wire.reader () in
   let rec loop () =
     match Unix.select [ from_parent ] [] [] 1.0 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
@@ -360,25 +350,11 @@ let worker_main t ~from_parent ~to_parent =
           | exception Sys_error _ -> true
         in
         if ok then loop () else Unix._exit 0
-    | _ -> (
-        match Unix.read from_parent chunk 0 (Bytes.length chunk) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-        | 0 -> Unix._exit 0 (* parent closed the job channel: shut down *)
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            let continue = ref true in
-            while !continue do
-              let text = Buffer.contents buf in
-              match String.index_opt text '\n' with
-              | None -> continue := false
-              | Some i ->
-                  let line = String.sub text 0 i in
-                  Buffer.clear buf;
-                  Buffer.add_substring buf text (i + 1)
-                    (String.length text - i - 1);
-                  if line <> "" && not (run_line line) then Unix._exit 0
-            done;
-            loop ())
+    | _ ->
+        (* The job channel ended (the parent closed it): shut down. *)
+        if not (Wire.read rd from_parent) then Unix._exit 0;
+        Wire.drain rd (fun line -> run_line line || Unix._exit 0);
+        loop ()
   in
   match loop () with
   | () -> Unix._exit 0
@@ -418,9 +394,9 @@ let spawn t w =
       w.w_pid <- pid;
       w.w_to <- job_w;
       w.w_from <- ev_r;
+      w.w_rd <- Wire.reader ();
       w.w_alive <- true;
       w.w_busy <- None;
-      Buffer.clear w.w_buf;
       w.w_last_hb <- Unix.gettimeofday ();
       Log.emit t.log
         (if w.w_restarts = 0 then "worker.start" else "worker.restart")
@@ -431,64 +407,52 @@ let spawn t w =
             ("restarts", J.Int w.w_restarts);
           ]
 
-let failed_result message =
-  {
-    Scheduler.r_status = Scheduler.Failed message;
-    r_tests = 0;
-    r_cycles = 0;
-    r_detected = 0;
-    r_targets = 0;
-    r_iterations = 0;
-    r_tset = None;
-    r_resumed = false;
-  }
+(* A job whose worker died goes back on the queue — unless it has used
+   its retry budget: then it is a poison job (every attempt took a worker
+   down) and fails with the typed reason instead of crash-looping. *)
+let requeue_or_fail t ~sched job =
+  if job.Scheduler.j_attempts >= t.job_retries then begin
+    Telemetry.incr t.tel Telemetry.Jobs_failed;
+    Queue.push
+      {
+        o_job = job;
+        o_result = Scheduler.empty_result (Scheduler.Failed "worker_crash");
+        o_counters = [];
+        o_worker_pid = -1;
+        o_worker_slot = -1;
+        o_tracks = [];
+      }
+      t.results
+  end
+  else begin
+    Telemetry.incr t.tel Telemetry.Jobs_requeued;
+    Log.emit t.log "job.requeued" ~level:Log.Warn ~job:job.Scheduler.j_key
+      ~fields:
+        [
+          ("id", J.Int job.Scheduler.j_id);
+          ("attempts", J.Int job.Scheduler.j_attempts);
+        ];
+    Scheduler.requeue sched job
+  end
 
 (* A worker died (pipe EOF, or we killed it for a stale heartbeat): reap
    it, requeue or fail its in-flight job against the retry budget, and
    schedule the slot's respawn with exponential backoff. *)
-let parent_outcome job result =
-  {
-    o_job = job;
-    o_result = result;
-    o_counters = [];
-    o_worker_pid = -1;
-    o_worker_slot = -1;
-    o_tracks = [];
-  }
-
 let handle_death t ~sched w =
   if w.w_alive then begin
     w.w_alive <- false;
     close_quietly w.w_to;
     close_quietly w.w_from;
-    Buffer.clear w.w_buf;
     (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ());
     if not t.stopping then begin
       Telemetry.incr t.tel Telemetry.Worker_crashes;
       Log.emit t.log "worker.crash" ~level:Log.Warn
         ~fields:[ ("slot", J.Int w.w_slot); ("pid", J.Int w.w_pid) ];
-      (match w.w_busy with
-      | None -> ()
-      | Some job ->
+      Option.iter
+        (fun job ->
           w.w_busy <- None;
-          if job.Scheduler.j_attempts >= t.job_retries then begin
-            (* Poison job: every attempt took a worker down.  Fail it
-               with the typed reason instead of crash-looping. *)
-            Telemetry.incr t.tel Telemetry.Jobs_failed;
-            Queue.push (parent_outcome job (failed_result "worker_crash"))
-              t.results
-          end
-          else begin
-            Telemetry.incr t.tel Telemetry.Jobs_requeued;
-            Log.emit t.log "job.requeued" ~level:Log.Warn
-              ~job:job.Scheduler.j_key
-              ~fields:
-                [
-                  ("id", J.Int job.Scheduler.j_id);
-                  ("attempts", J.Int job.Scheduler.j_attempts);
-                ];
-            Scheduler.requeue sched job
-          end);
+          requeue_or_fail t ~sched job)
+        w.w_busy;
       w.w_restart_at <- Unix.gettimeofday () +. backoff t w.w_restarts
     end
   end
@@ -568,30 +532,12 @@ let handle_readable t ~sched fd =
       None t.workers
   with
   | None -> ()
-  | Some w -> (
-      let chunk = Bytes.create 65536 in
-      match Unix.read w.w_from chunk 0 (Bytes.length chunk) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error _ -> handle_death t ~sched w
-      | 0 -> handle_death t ~sched w
-      | n ->
-          Buffer.add_subbytes w.w_buf chunk 0 n;
-          let continue = ref true in
-          while !continue && w.w_alive do
-            let text = Buffer.contents w.w_buf in
-            match String.index_opt text '\n' with
-            | None -> continue := false
-            | Some i ->
-                let line = String.sub text 0 i in
-                Buffer.clear w.w_buf;
-                Buffer.add_substring w.w_buf text (i + 1)
-                  (String.length text - i - 1);
-                if line <> "" then begin
-                  match J.parse line with
-                  | Ok json -> handle_message t w json
-                  | Error _ -> ()
-                end
-          done)
+  | Some w ->
+      if Wire.read w.w_rd w.w_from then
+        Wire.drain w.w_rd (fun line ->
+            Result.iter (handle_message t w) (J.parse line);
+            w.w_alive)
+      else handle_death t ~sched w
 
 let idle_worker t =
   Array.fold_left
@@ -622,7 +568,7 @@ let dispatch t ~sched =
               | exception Chaos.Killed _ -> true
               | exception Sys_error _ -> false (* transient: dispatch anyway *)
             in
-            match send_line w.w_to (job_message job) with
+            match Wire.write_line w.w_to (job_message job) with
             | () ->
                 w.w_busy <- Some job;
                 Log.emit t.log "job.dispatched" ~job:job.Scheduler.j_key
@@ -640,22 +586,7 @@ let dispatch t ~sched =
                 (* The worker died between selection and send: requeue
                    against the budget and let pump respawn the slot. *)
                 handle_death t ~sched w;
-                if job.Scheduler.j_attempts >= t.job_retries then begin
-                  Telemetry.incr t.tel Telemetry.Jobs_failed;
-                  Queue.push (parent_outcome job (failed_result "worker_crash"))
-                    t.results
-                end
-                else begin
-                  Telemetry.incr t.tel Telemetry.Jobs_requeued;
-                  Log.emit t.log "job.requeued" ~level:Log.Warn
-                    ~job:job.Scheduler.j_key
-                    ~fields:
-                      [
-                        ("id", J.Int job.Scheduler.j_id);
-                        ("attempts", J.Int job.Scheduler.j_attempts);
-                      ];
-                  Scheduler.requeue sched job
-                end;
+                requeue_or_fail t ~sched job;
                 go ()))
   in
   go ()
@@ -687,7 +618,7 @@ let create ?tel ?chaos ?log ?(trace = false) ?state_dir ?(job_retries = 3)
               w_pid = -1;
               w_to = Unix.stdin;
               w_from = Unix.stdin;
-              w_buf = Buffer.create 256;
+              w_rd = Wire.reader ();
               w_busy = None;
               w_alive = false;
               w_retired = false;

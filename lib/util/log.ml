@@ -8,8 +8,8 @@
    Events are one JSON object per line — timestamp, level, event name,
    optional job key, free-form extra fields — so the file is greppable
    and `python -c "json.loads(line)"`-checkable (the CI scrape-smoke job
-   does exactly that).  Rotation reuses the checkpoint idiom
-   (docs/ROBUSTNESS.md): when a write would push the file past
+   does exactly that).  Rotation is [Sealed.rotate], the checkpoint
+   idiom (docs/ROBUSTNESS.md): when a write would push the file past
    [max_bytes], existing copies are promoted <file>.(k) -> <file>.(k+1)
    by atomic renames and the log reopens a fresh <file>.
 
@@ -142,19 +142,12 @@ let enabled log lvl =
 
 (* Promote existing copies one suffix up, then reopen a fresh file — the
    checkpoint writer's rotation, minus its chaos points (the log has its
-   own single [log.write] point at the emit site). *)
+   own single [log.write] point at the emit site).  With [keep = 1]
+   nothing is promoted and the reopen truncates. *)
 let rotate t oc =
   close_out oc;
-  if t.keep > 1 then begin
-    for k = t.keep - 2 downto 1 do
-      let src = Printf.sprintf "%s.%d" t.path k in
-      if Sys.file_exists src then
-        Sys.rename src (Printf.sprintf "%s.%d" t.path (k + 1))
-    done;
-    Sys.rename t.path (t.path ^ ".1")
-  end
-  else Sys.remove t.path;
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 t.path in
+  Sealed.rotate t.path ~keep:t.keep;
+  let oc = open_out_gen [ Open_append; Open_creat; Open_trunc ] 0o644 t.path in
   t.oc <- Some oc;
   t.size <- 0;
   oc

@@ -26,7 +26,6 @@ let () =
          Test_podem_textbook.suite;
          Test_misc.suite;
          Test_more_edge.suite;
-         Test_seq_restore.suite;
          Test_cross.suite;
          Test_metamorphic.suite;
          Test_small_units.suite;
@@ -40,5 +39,6 @@ let () =
          Test_oracle3.suite;
          Test_serve.suite;
          Test_route.suite;
+         Test_wire.suite;
          Test_obs.suite;
        ])

@@ -288,6 +288,50 @@ let test_route_no_backend () =
       (st = Unix.WEXITED 0)
   end
 
+(* The router's client front frames exactly like the server's. *)
+let test_route_framing () =
+  if not (Sys.file_exists asc_exe) then Alcotest.skip ()
+  else begin
+    let st =
+      with_fleet ~shards:1 (fun ~dir:_ ~front ~shard_pids:_ ~shard_sock:_ ->
+          check_front_framing front;
+          let c = client_connect front in
+          Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
+          shutdown_router c)
+    in
+    Alcotest.(check bool) "clean router exit" true (st = Unix.WEXITED 0)
+  end
+
+(* A backend whose host name does not resolve is just a down backend:
+   the router starts, keeps re-probing it, and answers submits with the
+   typed no_backend reject. *)
+let test_route_unresolvable_backend () =
+  if not (Sys.file_exists asc_exe) then Alcotest.skip ()
+  else begin
+    let dir = temp_dir "asc-route-dns" in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let front = Filename.concat dir "front.sock" in
+    let st =
+      with_asc
+        [ "route"; "--socket"; front; "--backend"; "nosuchhost.invalid:7000" ]
+        (fun () ->
+          wait_for_socket front;
+          let c = client_connect front in
+          Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
+          client_request c "{\"op\":\"metrics\"}";
+          Alcotest.(check (float 1e-9)) "backend down" 0.0
+            (gauge (client_recv c) "backends_up");
+          client_request c
+            "{\"op\":\"submit\",\"circuit\":\"s27\",\"seed\":1,\"id\":5}";
+          let r = client_recv c in
+          check_bool_member r "ok" false;
+          Alcotest.(check string) "typed reject" "no_backend"
+            (str_member r "reason");
+          shutdown_router c)
+    in
+    Alcotest.(check bool) "clean router exit" true (st = Unix.WEXITED 0)
+  end
+
 let suite =
   [
     ( "route",
@@ -300,5 +344,9 @@ let suite =
           test_route_chaos_backend_write;
         Alcotest.test_case "dead fleet answers typed no_backend rejects" `Slow
           test_route_no_backend;
+        Alcotest.test_case "router front framing and frame cap" `Quick
+          test_route_framing;
+        Alcotest.test_case "an unresolvable backend is down, not fatal" `Quick
+          test_route_unresolvable_backend;
       ] );
   ]

@@ -749,6 +749,134 @@ let test_server_fuzz_malformed () =
     in
     Alcotest.(check bool) "clean exit" true (st = Unix.WEXITED 0)
 
+(* Framing on a client front ([asc serve] or [asc route]): pipelined,
+   CRLF-terminated, blank, split and malformed frames keep the
+   connection; a frame over the 8 MiB cap (no newline) draws an error
+   response and then end of file. *)
+let check_front_framing sock =
+  let c = client_connect sock in
+  Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
+  (* A front that never answers fails the read instead of hanging. *)
+  Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 30.0;
+  client_send c "{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n";
+  Alcotest.(check string) "pipelined 1" ping_golden (client_recv c);
+  Alcotest.(check string) "pipelined 2" ping_golden (client_recv c);
+  client_send c "\r\n\n{\"op\":\"ping\"}\r\n";
+  Alcotest.(check string) "crlf framing" ping_golden (client_recv c);
+  client_send c "{\"op\":";
+  Unix.sleepf 0.05;
+  client_send c "\"ping\"}\n";
+  Alcotest.(check string) "frame split across writes" ping_golden
+    (client_recv c);
+  client_request c "{not json";
+  check_bool_member (client_recv c) "ok" false;
+  client_request c "{\"op\":\"zap\"}";
+  check_bool_member (client_recv c) "ok" false;
+  client_send c (String.make ((8 * 1024 * 1024) + 1) 'x');
+  let resp = client_recv c in
+  check_bool_member resp "ok" false;
+  Alcotest.(check bool) "names the frame cap" true
+    (contains (str_member resp "error") "frame exceeds");
+  Alcotest.check_raises "closed after the over-cap frame" End_of_file (fun () ->
+      ignore (client_recv c))
+
+let test_server_framing () =
+  if not (Sys.file_exists asc_exe) then Alcotest.skip ()
+  else
+    let st =
+      with_server ~domains:1 (fun sock ->
+          check_front_framing sock;
+          let c = client_connect sock in
+          Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
+          shutdown_server c)
+    in
+    Alcotest.(check bool) "clean exit" true (st = Unix.WEXITED 0)
+
+(* Run the CLI; return its exit code and its stdout and stderr. *)
+let cli_status args =
+  let out = Filename.temp_file "asc-cli" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  let cmd =
+    Printf.sprintf "%s %s >%s 2>&1" (Filename.quote asc_exe)
+      (String.concat " " (List.map Filename.quote args))
+      (Filename.quote out)
+  in
+  let code = match Unix.system cmd with Unix.WEXITED n -> n | _ -> -1 in
+  (code, read_file out)
+
+let free_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, port) -> port
+  | Unix.ADDR_UNIX _ -> assert false
+
+let wait_for_tcp port =
+  let rec go n =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
+    | () -> Unix.close fd
+    | exception Unix.Unix_error _ ->
+        Unix.close fd;
+        if n = 0 then Alcotest.failf "nothing listens on port %d" port;
+        Unix.sleepf 0.05;
+        go (n - 1)
+  in
+  go 200
+
+(* Run [asc args] in the background while [f] runs, then reap it and
+   return its exit status; if [f] fails, the process is killed. *)
+let with_asc args f =
+  let log = Filename.temp_file "asc-proc" ".log" in
+  let pid = spawn_server args log in
+  let status = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      if !status = None then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+      end;
+      Sys.remove log)
+    (fun () ->
+      f ();
+      let _, st = Unix.waitpid [] pid in
+      status := Some st;
+      st)
+
+(* `asc serve --tcp` accepts a host name, and so does `asc client`. *)
+let test_tcp_host_name () =
+  if not (Sys.file_exists asc_exe) then Alcotest.skip ()
+  else
+    let port = free_port () in
+    let addr = Printf.sprintf "localhost:%d" port in
+    let st =
+      with_asc [ "serve"; "--tcp"; addr; "--domains"; "1" ] (fun () ->
+          wait_for_tcp port;
+          let code, out = cli_status [ "client"; "--tcp"; addr; "ping" ] in
+          Alcotest.(check int) ("client by host name: " ^ out) 0 code;
+          Alcotest.(check string) "ping over TCP" ping_golden (String.trim out);
+          let code, _ = cli_status [ "client"; "--tcp"; addr; "shutdown" ] in
+          Alcotest.(check int) "shutdown by host name" 0 code)
+    in
+    Alcotest.(check bool) "clean exit" true (st = Unix.WEXITED 0)
+
+(* A host name that does not resolve is an input error with a message
+   (exit 1) for both ends, never an uncaught exception (exit 125). *)
+let test_unresolvable_host () =
+  if not (Sys.file_exists asc_exe) then Alcotest.skip ()
+  else
+    List.iter
+      (fun args ->
+        let code, out = cli_status args in
+        Alcotest.(check int) (String.concat " " args ^ ": " ^ out) 1 code;
+        Alcotest.(check bool) "names the host" true
+          (contains out "cannot resolve host \"nosuchhost.invalid\""))
+      [
+        [ "serve"; "--tcp"; "nosuchhost.invalid:7000"; "--domains"; "1" ];
+        [ "client"; "--tcp"; "nosuchhost.invalid:7000"; "ping" ];
+      ]
+
 (* Determinism: concurrently served jobs are byte-identical to one-shot
    `asc save-tests`, whatever the server's pool size; resubmission is
    answered from the cache, observable in the metrics counters. *)
@@ -1521,6 +1649,12 @@ let suite =
           test_server_conformance;
         Alcotest.test_case "server survives malformed-frame fuzzing" `Quick
           test_server_fuzz_malformed;
+        Alcotest.test_case "server front framing and frame cap" `Quick
+          test_server_framing;
+        Alcotest.test_case "client reaches a TCP server by host name" `Quick
+          test_tcp_host_name;
+        Alcotest.test_case "an unresolvable host is an input error" `Quick
+          test_unresolvable_host;
         Alcotest.test_case "served jobs are deterministic and cached" `Slow
           test_server_determinism;
         Alcotest.test_case "chaos kill/resume soak" `Slow test_server_chaos_soak;
