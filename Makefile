@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick ablations micro examples fmt fmt-check clean
+.PHONY: all build test bench bench-quick ablations examples fmt fmt-check clean
 
 all: build
 
@@ -18,9 +18,6 @@ bench-quick:      ## small-circuit subset
 
 ablations:        ## design-choice ablations A-F
 	dune exec bench/main.exe -- --ablations
-
-micro:            ## Bechamel kernel micro-benchmarks
-	dune exec bench/main.exe -- --micro
 
 examples:
 	dune exec examples/quickstart.exe

@@ -39,6 +39,10 @@ let guard f =
   | Asc_util.Chaos.Injected { point; occurrence } ->
       die exit_input "chaos: injected fault at %s#%d" point occurrence
   | Sys_error message -> die exit_input "%s" message
+  | Unix.Unix_error (e, call, arg) ->
+      die exit_input "%s%s: %s" call
+        (if arg = "" then "" else " " ^ arg)
+        (Unix.error_message e)
 
 (* The ASC_CHAOS fault-injection schedule (docs/ROBUSTNESS.md): parsed
    once per command so a malformed schedule is a usage error, not a

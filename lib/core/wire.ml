@@ -64,9 +64,36 @@ let write_line fd json =
     sent := !sent + Unix.write_substring fd line !sent (n - !sent)
   done
 
-type reader = Buffer.t
+(* Bytes [start, stop) of [buf] are not yet returned, and none of
+   [start, scanned) is a newline, so each byte is scanned once.  A read
+   that does not fit drops the returned prefix when it is at least as
+   long as the rest, and doubles the buffer otherwise, so each byte is
+   copied a bounded number of times however many reads a frame spans or
+   however many frames a read holds. *)
+type reader = {
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+  mutable scanned : int;
+}
 
-let reader () = Buffer.create 256
+let reader () = { buf = Bytes.create 256; start = 0; stop = 0; scanned = 0 }
+
+let append r chunk n =
+  let size = Bytes.length r.buf and live = r.stop - r.start in
+  if r.stop + n > size then begin
+    let buf =
+      if r.start >= live && live + n <= size then r.buf
+      else Bytes.create (max (2 * size) (live + n))
+    in
+    Bytes.blit r.buf r.start buf 0 live;
+    r.buf <- buf;
+    r.scanned <- r.scanned - r.start;
+    r.start <- 0;
+    r.stop <- live
+  end;
+  Bytes.blit chunk 0 r.buf r.stop n;
+  r.stop <- r.stop + n
 
 (* The chunk is allocated per read: a shared module-level buffer stays
    resident in every serving process and shows up in peak RSS. *)
@@ -75,25 +102,34 @@ let read r fd =
   match Unix.read fd chunk 0 (Bytes.length chunk) with
   | 0 -> false
   | n ->
-      Buffer.add_subbytes r chunk 0 n;
+      append r chunk n;
       true
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
   | exception Unix.Unix_error _ -> false
 
+(* Unchecked: [i < stop <= Bytes.length buf] always holds, and this loop
+   touches every byte the serving tier receives. *)
+let rec newline buf i stop =
+  if i >= stop then None
+  else if Bytes.unsafe_get buf i = '\n' then Some i
+  else newline buf (i + 1) stop
+
 let rec next_line r =
-  let text = Buffer.contents r in
-  match String.index_opt text '\n' with
-  | None -> None
+  match newline r.buf r.scanned r.stop with
+  | None ->
+      r.scanned <- r.stop;
+      None
   | Some i ->
-      let len = if i > 0 && text.[i - 1] = '\r' then i - 1 else i in
-      Buffer.clear r;
-      Buffer.add_substring r text (i + 1) (String.length text - i - 1);
-      if len = 0 then next_line r else Some (String.sub text 0 len)
+      let eol = if i > r.start && Bytes.get r.buf (i - 1) = '\r' then i - 1 else i in
+      let line = Bytes.sub_string r.buf r.start (eol - r.start) in
+      r.start <- i + 1;
+      r.scanned <- i + 1;
+      if line = "" then next_line r else Some line
 
 let rec drain r f =
   match next_line r with Some line when f line -> drain r f | _ -> ()
 
-let buffered = Buffer.length
+let buffered r = r.stop - r.start
 
 let request ~timeout addr json =
   match connect addr with

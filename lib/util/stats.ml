@@ -39,11 +39,6 @@ let mean_f = function
   | [] -> 0.0
   | l -> sum_f l /. float_of_int (List.length l)
 
-let min_max_f = function
-  | [] -> invalid_arg "Stats.min_max_f: empty list"
-  | x :: rest ->
-      List.fold_left (fun (lo, hi) v -> (Float.min lo v, Float.max hi v)) (x, x) rest
-
 let median_f l =
   match List.sort compare l with
   | [] -> invalid_arg "Stats.median_f: empty list"

@@ -25,9 +25,6 @@ val sum_f : float list -> float
 val mean_f : float list -> float
 
 (** Raises [Invalid_argument] on the empty list. *)
-val min_max_f : float list -> float * float
-
-(** Raises [Invalid_argument] on the empty list. *)
 val median_f : float list -> float
 
 (** Population standard deviation; 0. for lists of fewer than two

@@ -41,4 +41,5 @@ let () =
          Test_route.suite;
          Test_wire.suite;
          Test_obs.suite;
+         Test_snapshot.suite;
        ])

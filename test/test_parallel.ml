@@ -121,18 +121,30 @@ let scan_test_of c ~rng ~len =
 let check_bitvec label a b =
   Alcotest.(check bool) label true (Bitvec.equal a b)
 
+(* The small circuits with collapsed faults and one 48-vector test, and
+   two registry circuits at full size: the uncollapsed universe over four
+   random 256-vector scan tests. *)
+let detect_inputs () =
+  let reps (name, c) = (name, c, Asc_fault.Collapse.(reps (run c)), 1, 48) in
+  let universe name =
+    let c = Asc_circuits.Registry.get name in
+    (name, c, Asc_fault.Collapse.(universe (run c)), 4, 256)
+  in
+  List.map reps (test_circuits ()) @ [ universe "s344"; universe "s1423" ]
+
 let test_detect_deterministic () =
   List.iter
-    (fun (name, c) ->
-      let collapse = Asc_fault.Collapse.run c in
-      let faults = Asc_fault.Collapse.reps collapse in
+    (fun (name, c, faults, n_tests, len) ->
       let rng = Rng.of_name ~seed:3 (name ^ "/par-detect") in
-      let si, seq = scan_test_of c ~rng ~len:48 in
-      across_pools ~label:(name ^ " detect") ~check:check_bitvec (fun pool ->
-          Seq_fsim.detect ?pool c ~si ~seq ~faults);
-      across_pools ~label:(name ^ " detect_no_scan") ~check:check_bitvec (fun pool ->
-          Seq_fsim.detect_no_scan ?pool c ~seq ~faults))
-    (test_circuits ())
+      for t = 1 to n_tests do
+        let si, seq = scan_test_of c ~rng ~len in
+        let label what = Printf.sprintf "%s %s #%d" name what t in
+        across_pools ~label:(label "detect") ~check:check_bitvec (fun pool ->
+            Seq_fsim.detect ?pool c ~si ~seq ~faults);
+        across_pools ~label:(label "detect_no_scan") ~check:check_bitvec (fun pool ->
+            Seq_fsim.detect_no_scan ?pool c ~seq ~faults)
+      done)
+    (detect_inputs ())
 
 let test_profile_deterministic () =
   List.iter
@@ -209,8 +221,8 @@ let check_pattern_array label (a : Asc_sim.Pattern.t array) b =
        a b)
 
 (* Pipeline.prepare — PODEM, the set C, the redundancy proofs — must be
-   bit-identical for any domain count, on s27, a generated circuit and a
-   paper-profile stand-in. *)
+   bit-identical for any domain count, on s27, a generated circuit and two
+   paper-profile stand-ins. *)
 let test_prepare_deterministic () =
   List.iter
     (fun (name, c) ->
@@ -230,7 +242,8 @@ let test_prepare_deterministic () =
               check_bitvec (label "aborted") reference.aborted p.aborted;
               check_bitvec (label "targets") reference.targets p.targets))
         [ 1; 2; 4 ])
-    (test_circuits () @ [ ("s298", Asc_circuits.Registry.get "s298") ])
+    (test_circuits ()
+    @ List.map (fun name -> (name, Asc_circuits.Registry.get name)) [ "s298"; "s344" ])
 
 (* The T0 generators fan their candidate co-simulation out over fault
    groups; the committed sequence must not depend on the domain count. *)

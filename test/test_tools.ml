@@ -128,14 +128,17 @@ let run_asc ?(env = "") args =
         List.filter (fun l -> l <> "") (String.split_on_char '\n' text) ))
 
 (* An input failure must be exit 1 and exactly one `asc:` line — the
-   guard caught the exception; no OCaml backtrace leaked. *)
-let check_input_failure label args =
+   guard caught the exception; no OCaml backtrace leaked.  [mentions] is
+   text the line must hold. *)
+let check_input_failure ?(mentions = "") label args =
   let code, lines = run_asc args in
   Alcotest.(check int) (label ^ ": exit code") 1 code;
   (match lines with
   | [ line ] ->
       Alcotest.(check bool) (label ^ ": one-line asc: message") true
-        (String.length line > 4 && String.sub line 0 4 = "asc:")
+        (String.length line > 4 && String.sub line 0 4 = "asc:");
+      Alcotest.(check bool) (label ^ ": mentions " ^ mentions) true
+        (contains line mentions)
   | _ ->
       Alcotest.failf "%s: expected one stderr line, got %d: %s" label
         (List.length lines) (String.concat " | " lines))
@@ -153,7 +156,12 @@ let test_cli_missing_inputs () =
     check_input_failure "verify-tests" [ "verify-tests"; "s27"; missing ];
     check_input_failure "audit" [ "audit"; "s27"; missing ];
     check_input_failure "import" [ "import"; missing ];
-    check_input_failure "export" [ "export"; "s27"; missing ^ "/c.bench" ]
+    check_input_failure "export" [ "export"; "s27"; missing ^ "/c.bench" ];
+    (* A socket that cannot be bound names the failed call. *)
+    check_input_failure ~mentions:"bind: No such file or directory" "serve --socket"
+      [ "serve"; "--socket"; missing ^ "/s.sock" ];
+    check_input_failure ~mentions:"bind: No such file or directory" "route --socket"
+      [ "route"; "--socket"; missing ^ "/r.sock"; "--backend"; "x" ]
   end
 
 let test_cli_corrupt_resume () =

@@ -213,9 +213,6 @@ let test_stats_float () =
   Alcotest.(check (float 1e-9)) "sum_f" 6.0 (Stats.sum_f [ 1.0; 2.0; 3.0 ]);
   Alcotest.(check (float 1e-9)) "mean_f" 2.0 (Stats.mean_f [ 1.0; 2.0; 3.0 ]);
   Alcotest.(check (float 1e-9)) "mean_f empty" 0.0 (Stats.mean_f []);
-  let lo, hi = Stats.min_max_f [ 2.5; 0.5; 1.0 ] in
-  Alcotest.(check (float 1e-9)) "min_max_f lo" 0.5 lo;
-  Alcotest.(check (float 1e-9)) "min_max_f hi" 2.5 hi;
   Alcotest.(check (float 1e-9)) "median_f odd" 1.0 (Stats.median_f [ 2.5; 0.5; 1.0 ]);
   Alcotest.(check (float 1e-9)) "median_f even" 1.5 (Stats.median_f [ 2.0; 1.0 ])
 

@@ -54,6 +54,46 @@ let test_read_error_ends_stream () =
   Unix.close w;
   Alcotest.(check bool) "EOF is end of stream" false (Wire.read rd r)
 
+(* [text] through a pipe in writes of at most 64 KiB, each followed by
+   one read and a drain: the lines in order, and the bytes allocated
+   meanwhile. *)
+let through_pipe text =
+  with_pipe @@ fun r w ->
+  Unix.set_nonblock w;
+  let rd = Wire.reader () and got = ref [] and off = ref 0 in
+  let before = Gc.allocated_bytes () in
+  while !off < String.length text do
+    let n = min 65536 (String.length text - !off) in
+    (match Unix.single_write_substring w text !off n with
+    | sent -> off := !off + sent
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+    ignore (Wire.read rd r);
+    Wire.drain rd (fun l ->
+        got := l :: !got;
+        true)
+  done;
+  (List.rev !got, Gc.allocated_bytes () -. before)
+
+(* The reader copies each byte a bounded number of times, whether a
+   frame spans many reads or a read holds many frames.  A reader that
+   copies its whole buffer per read and per frame allocates about 575 MB
+   and 350 MB on these inputs, far above the bounds. *)
+let test_reader_is_linear () =
+  let mib = 1024 * 1024 in
+  let frame = String.init ((8 * mib) - 1) (fun i -> Char.chr (97 + (i mod 26))) in
+  let lines, allocated = through_pipe (frame ^ "\n") in
+  Alcotest.(check int) "one 8 MiB frame" 1 (List.length lines);
+  Alcotest.(check bool) "8 MiB frame intact" true (lines = [ frame ]);
+  Alcotest.(check bool)
+    (Printf.sprintf "8 MiB frame allocates %.0f MB < 100 MB" (allocated /. 1e6))
+    true (allocated < 100e6);
+  let frames = List.init (mib / 100) (fun i -> Printf.sprintf "%099d" i) in
+  let lines, allocated = through_pipe (String.concat "\n" frames ^ "\n") in
+  Alcotest.(check bool) "10485 small frames intact" true (lines = frames);
+  Alcotest.(check bool)
+    (Printf.sprintf "1 MiB of small frames allocates %.1f MB < 20 MB" (allocated /. 1e6))
+    true (allocated < 20e6)
+
 (* [f] runs in a directory [Sealed.mkdir_p] created two levels deep. *)
 let with_temp_dir f =
   let dir = Test_serve.temp_dir "asc-sealed" in
@@ -118,6 +158,8 @@ let suite =
           test_frame_split_across_reads;
         Alcotest.test_case "reader ends the stream on a read error" `Quick
           test_read_error_ends_stream;
+        Alcotest.test_case "reader copies each byte a bounded number of times" `Quick
+          test_reader_is_linear;
       ] );
     ( "sealed",
       [
