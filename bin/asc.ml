@@ -70,14 +70,18 @@ let seed_arg =
 
 (* Validating converters: reject bad values at parse time instead of
    silently clamping them. *)
-let positive_int what =
+let int_at_least low what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "%s must be >= 1, got %d" what n))
+    | Some n when n >= low -> Ok n
+    | Some n ->
+        Error (`Msg (Printf.sprintf "%s must be >= %d, got %d" what low n))
     | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+let non_negative_int = int_at_least 0
 
 let domain_count = positive_int "domain count"
 
@@ -908,7 +912,10 @@ let client_cmd =
        submit is answered from the server's result cache when the first \
        attempt already completed."
     in
-    Arg.(value & opt int 0 & info [ "retries" ] ~doc ~docv:"K")
+    Arg.(
+      value
+      & opt (non_negative_int "retries") 0
+      & info [ "retries" ] ~doc ~docv:"K")
   in
   let retry_backoff_arg =
     let doc =
@@ -917,7 +924,10 @@ let client_cmd =
        at 5 s) before reconnecting, so a fleet of clients bounced by \
        one event does not reconnect in lockstep."
     in
-    Arg.(value & opt int 100 & info [ "retry-backoff" ] ~doc ~docv:"MS")
+    Arg.(
+      value
+      & opt (non_negative_int "retry backoff") 100
+      & info [ "retry-backoff" ] ~doc ~docv:"MS")
   in
   let prometheus_arg =
     let doc =

@@ -28,45 +28,21 @@ let field json key as_type ~default =
 
 let ( let* ) r f = match r with Ok x -> f x | Error _ as e -> e
 
-(* The spec members of a submit object — shared with the supervisor's
-   control channel, whose job messages carry the same encoding. *)
-let spec_of_json json =
-  let d = Scheduler.default_spec in
-  let* circuit =
-    field json "circuit" (fun v -> Option.map Option.some (J.as_str v))
-      ~default:d.Scheduler.sp_circuit
-  in
-  let* netlist =
-    field json "netlist" (fun v -> Option.map Option.some (J.as_str v))
-      ~default:d.Scheduler.sp_netlist
-  in
-  let* seed = field json "seed" J.as_int ~default:d.Scheduler.sp_seed in
-  let* t0 = field json "t0" J.as_str ~default:d.Scheduler.sp_t0 in
-  let* timeout =
-    field json "timeout" (fun v -> Option.map Option.some (J.as_float v))
-      ~default:d.Scheduler.sp_timeout
-  in
-  Ok
-    {
-      Scheduler.sp_circuit = circuit;
-      sp_netlist = netlist;
-      sp_seed = seed;
-      sp_t0 = t0;
-      sp_timeout = timeout;
-    }
-
-let spec_to_members (spec : Scheduler.spec) =
-  let opt k v = match v with None -> [] | Some x -> [ (k, x) ] in
-  opt "circuit" (Option.map (fun s -> J.Str s) spec.Scheduler.sp_circuit)
-  @ opt "netlist" (Option.map (fun s -> J.Str s) spec.Scheduler.sp_netlist)
-  @ [ ("seed", J.Int spec.Scheduler.sp_seed); ("t0", J.Str spec.Scheduler.sp_t0) ]
-  @ opt "timeout" (Option.map (fun t -> J.Float t) spec.Scheduler.sp_timeout)
+(* An optional member: absent or null is [None]. *)
+let opt json key as_type =
+  field json key (fun v -> Option.map Option.some (as_type v)) ~default:None
 
 let submit_of_json json =
-  let* spec = spec_of_json json in
+  let d = Scheduler.default_spec in
+  let* sp_circuit = opt json "circuit" J.as_str in
+  let* sp_netlist = opt json "netlist" J.as_str in
+  let* sp_seed = field json "seed" J.as_int ~default:d.Scheduler.sp_seed in
+  let* sp_t0 = field json "t0" J.as_str ~default:d.Scheduler.sp_t0 in
+  let* sp_timeout = opt json "timeout" J.as_float in
   let* want_tset = field json "tset" J.as_bool ~default:false in
-  let* client_id =
-    field json "id" (fun v -> Option.map Option.some (J.as_int v)) ~default:None
+  let* client_id = opt json "id" J.as_int in
+  let spec =
+    { Scheduler.sp_circuit; sp_netlist; sp_seed; sp_t0; sp_timeout }
   in
   Ok (Submit { spec; want_tset; client_id })
 
@@ -92,11 +68,15 @@ let request_to_json = function
   | Metrics -> J.Obj [ ("op", J.Str "metrics") ]
   | Shutdown -> J.Obj [ ("op", J.Str "shutdown") ]
   | Submit { spec; want_tset; client_id } ->
+      let opt k f = function None -> [] | Some x -> [ (k, f x) ] in
       J.Obj
         ([ ("op", J.Str "submit") ]
-        @ spec_to_members spec
+        @ opt "circuit" (fun s -> J.Str s) spec.Scheduler.sp_circuit
+        @ opt "netlist" (fun s -> J.Str s) spec.Scheduler.sp_netlist
+        @ [ ("seed", J.Int spec.Scheduler.sp_seed); ("t0", J.Str spec.Scheduler.sp_t0) ]
+        @ opt "timeout" (fun t -> J.Float t) spec.Scheduler.sp_timeout
         @ (if want_tset then [ ("tset", J.Bool true) ] else [])
-        @ match client_id with None -> [] | Some i -> [ ("id", J.Int i) ])
+        @ opt "id" (fun i -> J.Int i) client_id)
 
 (* --- Responses --------------------------------------------------------- *)
 
@@ -178,6 +158,32 @@ let submit_response ~id ~cached ~want_tset (r : Scheduler.result) =
     match (want_tset, r.Scheduler.r_tset) with
     | true, Some tset -> [ ("tset", J.Str tset) ]
     | _ -> [])
+
+let result_of_response json =
+  let int key = field json key J.as_int ~default:0 in
+  let text = Option.value ~default:"" in
+  let* status = opt json "status" J.as_str in
+  let* reason = opt json "reason" J.as_str in
+  let* stage = opt json "stage" J.as_str in
+  let* error = opt json "error" J.as_str in
+  let* r_status =
+    match status with
+    | Some "complete" -> Ok Scheduler.Complete
+    | Some "partial" ->
+        Ok (Scheduler.Partial { reason = text reason; stage = text stage })
+    | Some "failed" -> Ok (Scheduler.Failed (text error))
+    | _ -> Error "bad \"status\" member"
+  in
+  let* r_tests = int "tests" in
+  let* r_cycles = int "cycles" in
+  let* r_detected = int "detected" in
+  let* r_targets = int "targets" in
+  let* r_iterations = int "iterations" in
+  let* r_resumed = field json "resumed" J.as_bool ~default:false in
+  let* r_tset = opt json "tset" J.as_str in
+  Ok
+    { Scheduler.r_status; r_tests; r_cycles; r_detected; r_targets;
+      r_iterations; r_tset; r_resumed }
 
 (* --- Prometheus text exposition ---------------------------------------- *)
 

@@ -87,20 +87,16 @@ val error_response :
 val submit_response :
   id:int option -> cached:bool -> want_tset:bool -> Scheduler.result -> Asc_util.Json.t
 
+(** Decode a submit response back into its result — the inverse of
+    [submit_response ~want_tset:true] (the [tset] member is [None] when
+    absent).  A missing or unknown [status], or a present member of the
+    wrong type, is an error. *)
+val result_of_response :
+  Asc_util.Json.t -> (Scheduler.result, string) Stdlib.result
+
 (** The status string of a submit response: ["complete"], ["partial"] or
     ["failed"]. *)
 val status_string : Scheduler.status -> string
-
-(** {1 Spec codec} — shared with {!Supervisor}'s control channel, whose
-    job messages carry the same member encoding as [submit] requests. *)
-
-(** Decode the spec members of an object (absent members default as in a
-    [submit] request). *)
-val spec_of_json : Asc_util.Json.t -> (Scheduler.spec, string) Stdlib.result
-
-(** The spec rendered as object members (the inverse of
-    {!spec_of_json}). *)
-val spec_to_members : Scheduler.spec -> (string * Asc_util.Json.t) list
 
 (** {1 Prometheus exposition} *)
 

@@ -157,8 +157,8 @@ type t = {
       (* deadline-expired jobs dropped by [pick], awaiting delivery *)
 }
 
-let create ?pool ?tel ?chaos ?log ?state_dir ?(persist_results = true)
-    ?max_pending ?max_pending_per_source () =
+let create ?pool ?tel ?chaos ?log ?state_dir ?max_pending
+    ?max_pending_per_source () =
   Option.iter Asc_util.Sealed.mkdir_p state_dir;
   let positive name = function
     | Some n when n < 1 ->
@@ -171,10 +171,7 @@ let create ?pool ?tel ?chaos ?log ?state_dir ?(persist_results = true)
     chaos;
     log;
     state_dir;
-    cache =
-      Result_cache.create
-        ?dir:(if persist_results then state_dir else None)
-        ();
+    cache = Result_cache.create ?dir:state_dir ();
     queues = Hashtbl.create 8;
     redo = Queue.create ();
     rotation = [];
@@ -480,7 +477,6 @@ let execute t job =
           }
         in
         Telemetry.incr t.tel Telemetry.Jobs_completed;
-        cache_store t ~key:job.j_key result;
         result
     | Pipeline.Partial p ->
         Telemetry.incr t.tel Telemetry.Jobs_partial;
@@ -523,4 +519,6 @@ let run_next t =
       Log.emit t.log "job.dispatched" ~job:job.j_key
         ~fields:
           [ ("id", Json.Int job.j_id); ("worker", Json.Str "in-process") ];
-      Some (job, execute t job)
+      let result = execute t job in
+      cache_store t ~key:job.j_key result;
+      Some (job, result)

@@ -100,13 +100,12 @@ type t
     [keep = 2]) at every snapshot boundary, and a resubmission of [k]
     resumes from the newest valid copy.  The directory is created if
     missing.  [chaos] arms the [serve.dispatch] point plus the checkpoint
-    I/O points of every job.
-
-    [persist_results] (default [true]) additionally backs the result
-    cache with {!Result_cache} files under [state_dir], so completed
-    results survive restarts.  Workers in a supervised server pass
-    [false]: the parent is the single writer of the results store, while
-    workers still own their per-key job checkpoints.
+    I/O points of every job.  The result cache is backed by
+    {!Result_cache} files under [state_dir] too, so completed results
+    survive restarts.  Only a scheduler that answers submits writes
+    them ({!run_next}, or the supervised parent through {!cache_store}):
+    supervised workers run {!execute} and own only their per-key job
+    checkpoints.
 
     [log], when given, receives structured lifecycle events
     ([job.submitted] / [job.cache_hit] / [job.rejected] / [job.shed] /
@@ -123,7 +122,6 @@ val create :
   ?chaos:Asc_util.Chaos.t ->
   ?log:Asc_util.Log.t ->
   ?state_dir:string ->
-  ?persist_results:bool ->
   ?max_pending:int ->
   ?max_pending_per_source:int ->
   unit ->
@@ -184,9 +182,10 @@ val job_of_spec : id:int -> source:int -> spec -> (job, string) Stdlib.result
 
 (** Run one job to its outcome on the calling domain (blocking) — the
     execution half of {!run_next}, with identical telemetry, checkpoint
-    and chaos behaviour.  Whether it returns or raises, the job leaves
-    the shared good-trace cache empty
-    ({!Asc_fault.Seq_fsim.clear_trace_cache}). *)
+    and chaos behaviour.  It does not cache the result: the process
+    that answers the submit does ({!run_next}, {!cache_store}).  Whether
+    it returns or raises, the job leaves the shared good-trace cache
+    empty ({!Asc_fault.Seq_fsim.clear_trace_cache}). *)
 val execute : t -> job -> result
 
 (** Record a finished job's result: [Complete] results (which always

@@ -10,10 +10,10 @@
    recorded at each delivery from the job's submission/dispatch stamps;
    instantaneous gauges are computed at metrics time.  Both ride the
    version-2 [metrics] payload and the optional [--prom-file]
-   exposition.  With [--trace], span buffers (the parent's own plus
-   those each worker ships with its results, already re-based onto the
-   parent's timeline) accumulate per process and are written as one
-   stitched Chrome trace at exit.  None of this is consulted by any
+   exposition.  With [--trace], the parent's span buffers accumulate,
+   and so do the trace events each worker ships with its results
+   (already re-based onto the parent's timeline); at exit they are
+   written as one stitched Chrome trace.  None of this is consulted by any
    scheduling decision: results are byte-identical with observability
    on or off. *)
 
@@ -41,7 +41,7 @@ type state = {
   h_execute : Histogram.t;  (* dispatch -> delivery *)
   h_e2e : Histogram.t;  (* submit -> delivery *)
   mutable parent_tracks : Telemetry.track list;  (* preserved across drains *)
-  worker_tracks : (int, Telemetry.track list) Hashtbl.t;  (* by worker pid *)
+  mutable worker_events : J.t list;  (* workers' trace events, newest first *)
   mutable sup : Supervisor.t option;
   mutable prom_dirty : bool;  (* a delivery happened since the last write *)
   mutable prom_failed : bool;  (* warn once, then drop silently *)
@@ -202,19 +202,14 @@ let deliver state (job, result) =
 
 (* Collect supervised results: fold each worker's telemetry drain into
    the cumulative table (so [metrics] reflects multi-worker runs), keep
-   its span tracks by worker pid when stitching a trace, persist the
-   result, answer the submitter. *)
+   its trace events when stitching a trace, persist the result, answer
+   the submitter. *)
 let collect_supervised state sup =
   List.iter
     (fun (o : Supervisor.outcome) ->
       fold_counters state o.Supervisor.o_counters;
-      if o.Supervisor.o_tracks <> [] && o.Supervisor.o_worker_pid > 0 then begin
-        let pid = o.Supervisor.o_worker_pid in
-        let prev =
-          Option.value ~default:[] (Hashtbl.find_opt state.worker_tracks pid)
-        in
-        Hashtbl.replace state.worker_tracks pid (prev @ o.Supervisor.o_tracks)
-      end;
+      state.worker_events <-
+        List.rev_append o.Supervisor.o_trace state.worker_events;
       Scheduler.cache_store state.sched ~key:o.Supervisor.o_job.Scheduler.j_key
         o.Supervisor.o_result;
       deliver state (o.Supervisor.o_job, o.Supervisor.o_result))
@@ -222,24 +217,19 @@ let collect_supervised state sup =
 
 (* One stitched Chrome trace for the whole fleet: the parent process
    first (its own spans — everything in-process mode ran, or just the
-   select loop's in supervised mode), then one process per worker pid
-   in pid order.  A respawned slot has a fresh pid, so its spans land
-   on their own process track. *)
+   select loop's in supervised mode), then the workers' trace events in
+   arrival order.  Each worker tags its events with its own pid, and a
+   respawned slot has a fresh pid, so its spans land on their own
+   process track. *)
 let write_trace state =
   match state.trace_file with
   | None -> ()
   | Some path -> (
       accumulate state;
       let parent_name = if state.sup = None then "asc" else "asc supervisor" in
-      let workers =
-        List.sort compare
-          (Hashtbl.fold
-             (fun pid tracks acc -> (pid, "asc worker", tracks) :: acc)
-             state.worker_tracks [])
-      in
       let doc =
-        Telemetry.stitched_trace_json
-          ((Unix.getpid (), parent_name, state.parent_tracks) :: workers)
+        Telemetry.stitched_trace_json ~events:(List.rev state.worker_events)
+          [ (Unix.getpid (), parent_name, state.parent_tracks) ]
       in
       try Asc_util.Sealed.write path (J.to_string doc ^ "\n")
       with Sys_error reason ->
@@ -272,7 +262,7 @@ let serve ?pool ?tel ?chaos ?log ?trace_file ?prom_file ?on_ready ?(workers = 0)
       h_execute = Histogram.create ();
       h_e2e = Histogram.create ();
       parent_tracks = [];
-      worker_tracks = Hashtbl.create 8;
+      worker_events = [];
       sup = None;
       prom_dirty = false;
       prom_failed = false;

@@ -8,12 +8,14 @@
    exactly one process with a deterministic pool and reproduces the
    one-shot result bit for bit.
 
-   Process tree and channels:
+   Process tree and channels, both carrying protocol v1 lines
+   (docs/SERVING.md):
 
      asc serve (parent: accept/select loop, scheduler queues,
        |        persistent result cache — the single writer)
-       +-- worker 0   <- job pipe    (parent -> worker, one JSON line/job)
-       |              -> event pipe  (worker -> parent: heartbeats, results)
+       +-- worker 0   <- job pipe    (parent -> worker: one submit per job)
+       |              -> event pipe  (worker -> parent: submit responses,
+       |                              pongs as idle heartbeats)
        +-- worker 1   ...
        +-- worker N-1
 
@@ -28,7 +30,7 @@
      instead of crash-looping the fleet.
    - A slot that exhausts its restart budget is retired; when every
      slot is retired the caller degrades to in-process execution.
-   - Idle workers heartbeat about once a second; an idle worker silent
+   - Idle workers pong about once a second; an idle worker silent
      past the staleness threshold is killed and restarted.  Busy
      workers are single-threaded and deliberately do not heartbeat —
      crash detection for them is pipe EOF, a hang is normally bounded
@@ -71,22 +73,20 @@ type worker = {
 
 (* One finished job as the parent collects it: the worker's counter drain
    folds into the fleet table, and — only when trace stitching is on —
-   the worker's span tracks, already re-based onto the parent's
-   telemetry timeline, tagged with the worker process that ran them. *)
+   the worker's spans, as trace events already on the parent's
+   timeline. *)
 type outcome = {
   o_job : Scheduler.job;
   o_result : Scheduler.result;
   o_counters : (string * int) list;
-  o_worker_pid : int; (* -1 when no worker produced the result *)
-  o_worker_slot : int;
-  o_tracks : Telemetry.track list;
+  o_trace : J.t list;
 }
 
 type t = {
   tel : Telemetry.t option;
   chaos : Chaos.t option;
   log : Log.t option;
-  trace : bool; (* ship worker span buffers with each result *)
+  trace : bool; (* workers ship their spans with each result *)
   state_dir : string option;
   job_retries : int;
   restart_limit : int;
@@ -107,191 +107,23 @@ type t = {
    supervisor, decorrelated across a fleet of servers. *)
 let backoff t restarts = Backoff.full_jitter ~cap:5.0 ~rng:t.rng ~base:t.backoff_base restarts
 
-(* --- Wire codec (one JSON object per line on each pipe) ----------------- *)
-
-let job_message (job : Scheduler.job) =
-  J.Obj
-    ([
-       ("op", J.Str "job");
-       ("id", J.Int job.Scheduler.j_id);
-       ("source", J.Int job.Scheduler.j_source);
-     ]
-    @ Protocol.spec_to_members job.Scheduler.j_spec)
-
-let hb_message = J.Obj [ ("op", J.Str "hb") ]
-
-(* Worker span tracks on the wire: compact per-event objects
-   ([{"b":name,"t":ts,"a":{...}}] / [{"e":name,"t":ts}]) under one
-   ["spans"] member, with ["dt"] — the worker origin minus the parent
-   origin, computed worker-side where both origins are known exactly —
-   letting the parent re-base every relative timestamp onto its own
-   timeline without shipping absolute epoch floats (which would lose
-   sub-millisecond precision to the JSON float format). *)
-let spans_to_json ~dt (tracks : Telemetry.track list) =
-  let event_json = function
-    | Telemetry.Begin { name; ts; args } ->
-        J.Obj
-          ([ ("b", J.Str name); ("t", J.Float ts) ]
-          @
-          if args = [] then []
-          else [ ("a", J.Obj (List.map (fun (k, v) -> (k, J.Str v)) args)) ])
-    | Telemetry.End { name; ts } ->
-        J.Obj [ ("e", J.Str name); ("t", J.Float ts) ]
-  in
-  J.Obj
-    [
-      ("dt", J.Float dt);
-      ( "tracks",
-        J.List
-          (List.map
-             (fun (tr : Telemetry.track) ->
-               J.Obj
-                 [
-                   ("dom", J.Int tr.Telemetry.dom);
-                   ("events", J.List (List.map event_json tr.Telemetry.events));
-                 ])
-             tracks) );
-    ]
-
-let spans_of_message json =
-  match J.member "spans" json with
-  | None -> []
-  | Some spans -> (
-      let dt =
-        Option.value ~default:0.0
-          (Option.bind (J.member "dt" spans) J.as_float)
-      in
-      let event_of = function
-        | J.Obj _ as e -> (
-            let ts =
-              Option.value ~default:0.0 (Option.bind (J.member "t" e) J.as_float)
-              +. dt
-            in
-            match J.member "b" e with
-            | Some (J.Str name) ->
-                let args =
-                  match J.member "a" e with
-                  | Some (J.Obj members) ->
-                      List.filter_map
-                        (fun (k, v) ->
-                          Option.map (fun s -> (k, s)) (J.as_str v))
-                        members
-                  | _ -> []
-                in
-                Some (Telemetry.Begin { name; ts; args })
-            | _ -> (
-                match J.member "e" e with
-                | Some (J.Str name) -> Some (Telemetry.End { name; ts })
-                | _ -> None))
-        | _ -> None
-      in
-      match J.member "tracks" spans with
-      | Some (J.List tracks) ->
-          List.filter_map
-            (function
-              | J.Obj _ as tr -> (
-                  match (J.member "dom" tr, J.member "events" tr) with
-                  | Some (J.Int dom), Some (J.List events) ->
-                      Some
-                        {
-                          Telemetry.dom;
-                          events = List.filter_map event_of events;
-                        }
-                  | _ -> None)
-              | _ -> None)
-            tracks
-      | _ -> [])
-
-let result_message ?spans ~id (r : Scheduler.result) counters =
-  let opt_str = function None -> J.Null | Some s -> J.Str s in
-  let reason, stage, error =
-    match r.Scheduler.r_status with
-    | Scheduler.Complete -> (None, None, None)
-    | Scheduler.Partial { reason; stage } -> (Some reason, Some stage, None)
-    | Scheduler.Failed message -> (None, None, Some message)
-  in
-  J.Obj
-    ([
-       ("op", J.Str "result");
-       ("id", J.Int id);
-       ("status", J.Str (Protocol.status_string r.Scheduler.r_status));
-       ("reason", opt_str reason);
-       ("stage", opt_str stage);
-       ("error", opt_str error);
-       ("tests", J.Int r.Scheduler.r_tests);
-       ("cycles", J.Int r.Scheduler.r_cycles);
-       ("detected", J.Int r.Scheduler.r_detected);
-       ("targets", J.Int r.Scheduler.r_targets);
-       ("iterations", J.Int r.Scheduler.r_iterations);
-       ("resumed", J.Bool r.Scheduler.r_resumed);
-       ("tset", opt_str r.Scheduler.r_tset);
-       ("counters", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) counters));
-     ]
-    @ match spans with None -> [] | Some s -> [ ("spans", s) ])
-
-let member_int json key =
-  Option.bind (J.member key json) J.as_int
-
-let member_str json key =
-  match J.member key json with
-  | Some (J.Str s) -> Some s
-  | _ -> None
-
-let result_of_message json =
-  let i key = Option.value ~default:0 (member_int json key) in
-  let status =
-    match member_str json "status" with
-    | Some "complete" -> Scheduler.Complete
-    | Some "partial" ->
-        Scheduler.Partial
-          {
-            reason = Option.value ~default:"" (member_str json "reason");
-            stage = Option.value ~default:"" (member_str json "stage");
-          }
-    | Some "failed" | _ ->
-        Scheduler.Failed
-          (Option.value ~default:"worker protocol error"
-             (member_str json "error"))
-  in
-  {
-    Scheduler.r_status = status;
-    r_tests = i "tests";
-    r_cycles = i "cycles";
-    r_detected = i "detected";
-    r_targets = i "targets";
-    r_iterations = i "iterations";
-    r_tset = member_str json "tset";
-    r_resumed =
-      (match Option.bind (J.member "resumed" json) J.as_bool with
-      | Some b -> b
-      | None -> false);
-  }
-
-let counters_of_message json =
-  match Option.bind (J.member "counters" json) J.as_obj with
-  | None -> []
-  | Some members ->
-      List.filter_map
-        (fun (k, v) -> Option.map (fun n -> (k, n)) (J.as_int v))
-        members
-
 (* --- Worker process ------------------------------------------------------ *)
 
-(* The worker's whole life: read job lines off [from_parent], run them
-   with a worker-private pool, ship each result (with this worker's
-   telemetry drain) up [to_parent], and heartbeat on idle ticks.  EOF
-   from the parent is an orderly shutdown; a chaos [Kill] exits 137 like
-   the CLI's kill contract; a dead parent pipe exits 0.  Exits use
-   [Unix._exit] so the child never flushes channel buffers it inherited
-   from the parent. *)
+(* The worker's whole life: read submit requests off [from_parent], run
+   them with a worker-private pool, answer each up [to_parent] with its
+   submit response plus this worker's telemetry drain under ["counters"]
+   (and, when the parent stitches a trace, its spans as trace events
+   under ["trace"]), and pong on idle ticks.  EOF from the parent is an
+   orderly shutdown; a chaos [Kill] exits 137 like the CLI's kill
+   contract; a dead parent pipe exits 0.  Exits use [Unix._exit] so the
+   child never flushes channel buffers it inherited from the parent. *)
 let worker_main t ~from_parent ~to_parent =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   let tel = Telemetry.create () in
   let pool = Option.bind t.make_pool (fun f -> f ~tel) in
   let sched =
-    Scheduler.create ?pool ~tel ?chaos:t.chaos ?state_dir:t.state_dir
-      ~persist_results:false ()
+    Scheduler.create ?pool ~tel ?chaos:t.chaos ?state_dir:t.state_dir ()
   in
   let send json =
     match Wire.write_line to_parent json with
@@ -300,53 +132,68 @@ let worker_main t ~from_parent ~to_parent =
   in
   (* The worker's telemetry origin minus the parent's: both known exactly
      here, so re-based span timestamps lose no precision on the wire. *)
-  let dt =
+  let shift =
     match t.tel with
     | Some parent_tel -> Telemetry.origin tel -. Telemetry.origin parent_tel
     | None -> 0.0
   in
-  let drain () =
+  let pid = Unix.getpid () in
+  let respond ~id result =
     let snap = Telemetry.drain tel in
     let counters =
-      List.filter (fun (_, v) -> v <> 0) snap.Telemetry.counters
+      List.filter_map
+        (fun (k, v) -> if v = 0 then None else Some (k, J.Int v))
+        snap.Telemetry.counters
     in
-    let spans =
-      (* Span buffers are preserved only when the parent stitches traces;
-         otherwise they are folded away with the drain as before. *)
+    (* Span buffers ship only when the parent stitches a trace; otherwise
+       they are folded away with the drain. *)
+    let trace =
       if t.trace && snap.Telemetry.tracks <> [] then
-        Some (spans_to_json ~dt snap.Telemetry.tracks)
-      else None
+        Telemetry.trace_events ~shift ~pid ~name:"asc worker"
+          snap.Telemetry.tracks
+      else []
     in
-    (counters, spans)
+    let response =
+      Protocol.submit_response ~id ~cached:false ~want_tset:true result
+    in
+    send
+      (J.Obj
+         (Option.value ~default:[] (J.as_obj response)
+         @ (("counters", J.Obj counters)
+           :: if trace = [] then [] else [ ("trace", J.List trace) ])))
   in
+  (* A frame the worker cannot run still draws a failed response that
+     carries its id, so the parent's slot never waits forever. *)
   let run_line line =
-    match J.parse line with
-    | Error _ -> true (* unparseable control frame: drop, stay alive *)
-    | Ok json -> (
-        let id = Option.value ~default:0 (member_int json "id") in
-        let source = Option.value ~default:0 (member_int json "source") in
-        let result =
-          match Protocol.spec_of_json json with
-          | Error message -> Scheduler.empty_result (Scheduler.Failed message)
-          | Ok spec -> (
-              match Scheduler.job_of_spec ~id ~source spec with
-              | Error message ->
-                  Scheduler.empty_result (Scheduler.Failed message)
-              | Ok job -> Scheduler.execute sched job)
-        in
-        let counters, spans = drain () in
-        send (result_message ?spans ~id result counters))
+    let json = J.parse line in
+    let id =
+      match json with
+      | Ok j -> Option.bind (J.member "id" j) J.as_int
+      | Error _ -> None
+    in
+    let failed message = Scheduler.empty_result (Scheduler.Failed message) in
+    let result =
+      match (Result.bind json Protocol.request_of_json, id) with
+      | Ok (Protocol.Submit { spec; _ }), Some id -> (
+          match Scheduler.job_of_spec ~id ~source:0 spec with
+          | Error message -> failed message
+          | Ok job -> Scheduler.execute sched job)
+      | Ok _, _ -> failed "a worker runs only submits that carry an id"
+      | Error message, _ -> failed message
+    in
+    respond ~id result
   in
   let rd = Wire.reader () in
   let rec loop () =
     match Unix.select [ from_parent ] [] [] 1.0 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     | [], _, _ ->
-        (* Idle tick: heartbeat.  A chaos [Fail] here models a dropped
-           heartbeat (skip the tick); [Kill] crashes the worker. *)
+        (* Idle tick: the heartbeat is a pong.  A chaos [Fail] here models
+           a dropped heartbeat (skip the tick); [Kill] crashes the
+           worker. *)
         let ok =
           match Chaos.hit t.chaos Chaos.worker_heartbeat with
-          | () -> send hb_message
+          | () -> send Protocol.ping_response
           | exception Sys_error _ -> true
         in
         if ok then loop () else Unix._exit 0
@@ -418,9 +265,7 @@ let requeue_or_fail t ~sched job =
         o_job = job;
         o_result = Scheduler.empty_result (Scheduler.Failed "worker_crash");
         o_counters = [];
-        o_worker_pid = -1;
-        o_worker_slot = -1;
-        o_tracks = [];
+        o_trace = [];
       }
       t.results
   end
@@ -503,26 +348,33 @@ let pump t ~sched =
 
 (* --- Parent: event channel and dispatch --------------------------------- *)
 
+(* A submit response to the busy job finishes it; a pong (the idle
+   heartbeat) only proves liveness, and a stale or duplicate response is
+   dropped. *)
 let handle_message t w json =
   w.w_last_hb <- Unix.gettimeofday ();
-  match member_str json "op" with
-  | Some "hb" -> ()
-  | Some "result" -> (
-      match w.w_busy with
-      | Some job
-        when Some job.Scheduler.j_id = member_int json "id" ->
-          w.w_busy <- None;
-          Queue.push
-            {
-              o_job = job;
-              o_result = result_of_message json;
-              o_counters = counters_of_message json;
-              o_worker_pid = w.w_pid;
-              o_worker_slot = w.w_slot;
-              o_tracks = (if t.trace then spans_of_message json else []);
-            }
-            t.results
-      | _ -> () (* stale or duplicate result: drop *))
+  match w.w_busy with
+  | Some job
+    when J.member "op" json = Some (J.Str "submit")
+         && J.member "id" json = Some (J.Int job.Scheduler.j_id) ->
+      w.w_busy <- None;
+      let members key f =
+        Option.value ~default:[] (Option.bind (J.member key json) f)
+      in
+      Queue.push
+        {
+          o_job = job;
+          o_result =
+            (match Protocol.result_of_response json with
+            | Ok result -> result
+            | Error message -> Scheduler.empty_result (Scheduler.Failed message));
+          o_counters =
+            List.filter_map
+              (fun (k, v) -> Option.map (fun n -> (k, n)) (J.as_int v))
+              (members "counters" J.as_obj);
+          o_trace = members "trace" J.as_list;
+        }
+        t.results
   | _ -> ()
 
 let handle_readable t ~sched fd =
@@ -568,7 +420,15 @@ let dispatch t ~sched =
               | exception Chaos.Killed _ -> true
               | exception Sys_error _ -> false (* transient: dispatch anyway *)
             in
-            match Wire.write_line w.w_to (job_message job) with
+            let submit =
+              Protocol.Submit
+                {
+                  spec = job.Scheduler.j_spec;
+                  want_tset = true;
+                  client_id = Some job.Scheduler.j_id;
+                }
+            in
+            match Wire.write_line w.w_to (Protocol.request_to_json submit) with
             | () ->
                 w.w_busy <- Some job;
                 Log.emit t.log "job.dispatched" ~job:job.Scheduler.j_key
@@ -663,12 +523,6 @@ let live_count t =
   Array.fold_left (fun acc w -> acc + if w.w_alive then 1 else 0) 0 t.workers
 
 let all_retired t = Array.for_all (fun w -> w.w_retired) t.workers
-
-let worker_pids t =
-  Array.fold_left
-    (fun acc w -> if w.w_alive then (w.w_slot, w.w_pid) :: acc else acc)
-    [] t.workers
-  |> List.rev
 
 let stop t =
   t.stopping <- true;

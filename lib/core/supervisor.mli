@@ -13,6 +13,10 @@
     a deterministic pool, so a supervised result is byte-identical to
     in-process serving and to the one-shot CLI.
 
+    Both pipes carry protocol v1 ({!Protocol}): the parent sends each
+    job as a [submit] whose [id] is the job id; the worker answers with
+    the submit response plus its telemetry drain, and pongs while idle.
+
     Failure semantics: a worker crash requeues its in-flight job, up to
     [job_retries] total dispatch attempts per job — past that the job
     fails cleanly with a typed [Failed "worker_crash"] result.  A slot
@@ -21,8 +25,8 @@
     {!Asc_util.Backoff.full_jitter}, so slots killed by one event don't
     respawn in lockstep) up to [restart_limit] times, then is retired;
     when every slot is retired ({!all_retired}), the caller should
-    degrade to in-process execution.  Idle workers heartbeat about once
-    a second and are killed/respawned when silent past [hb_stale]
+    degrade to in-process execution.  Idle workers pong about once a
+    second and are killed/respawned when silent past [hb_stale]
     seconds; busy workers don't heartbeat (they block in the job,
     bounded by its budget) — but a busy worker that overruns its job's
     deadline by more than [hb_stale] has stopped polling entirely
@@ -38,19 +42,16 @@ type t
 
 (** One finished job as the parent collects it.  [o_counters] is the
     worker's telemetry drain (nonzero counters only) for the server to
-    fold into the fleet table.  [o_tracks] carries the worker's span
-    buffers — already re-based onto the parent telemetry timeline — and
-    is nonempty only when the supervisor was created with
-    [~trace:true]; [o_worker_pid]/[o_worker_slot] identify the process
-    that ran the job ([-1] when none did, e.g. a retry-budget
-    exhaustion synthesised by the parent). *)
+    fold into the fleet table.  [o_trace] holds the worker's spans as
+    Chrome trace events ({!Asc_util.Telemetry.trace_events}, tagged with
+    the worker's pid and already on the parent's telemetry timeline),
+    and is nonempty only when the supervisor was created with
+    [~trace:true]. *)
 type outcome = {
   o_job : Scheduler.job;
   o_result : Scheduler.result;
   o_counters : (string * int) list;
-  o_worker_pid : int;
-  o_worker_slot : int;
-  o_tracks : Asc_util.Telemetry.track list;
+  o_trace : Asc_util.Json.t list;
 }
 
 (** [create ~workers ()] forks the initial fleet.  [make_pool] runs {e in
@@ -69,10 +70,10 @@ type outcome = {
     ([worker.start] / [worker.restart] / [worker.crash] /
     [worker.retired] / [job.dispatched] / [job.requeued]) — workers
     never write the event log, so lines cannot interleave.  [trace]
-    (default [false]) makes each worker ship its span buffers with
-    every result, re-based worker-side onto the parent's telemetry
-    timeline so the server can stitch one fleet-wide trace; off, span
-    buffers are folded away with the drain as before. *)
+    (default [false]) makes each worker ship its spans with every
+    result, as trace events re-based worker-side onto the parent's
+    telemetry timeline, so the server can stitch one fleet-wide trace;
+    off, span buffers are folded away with the drain. *)
 val create :
   ?tel:Asc_util.Telemetry.t ->
   ?chaos:Asc_util.Chaos.t ->
@@ -117,11 +118,6 @@ val live_count : t -> int
 (** Every slot exhausted its restart budget: degrade to in-process
     execution. *)
 val all_retired : t -> bool
-
-(** [(slot, pid)] of every live worker, in slot order — lets tests (and
-    diagnostics) address a specific worker process, e.g. to SIGSTOP it
-    and exercise the staleness path. *)
-val worker_pids : t -> (int * int) list
 
 (** Orderly shutdown: close job channels (workers exit on EOF) and reap
     every child.  In-flight work is abandoned — drain first. *)

@@ -438,75 +438,93 @@ let imbalance loads =
 (* µs, the trace-event time unit. *)
 let us ts = ts *. 1e6
 
-(* One trace document over any number of processes: each [(pid, name,
-   tracks)] element renders as a Perfetto process with one thread per
-   domain track.  Event timestamps must already share one timeline (the
-   server re-bases worker events onto its own origin before stitching). *)
-let stitched_trace_json processes =
-  let process_events (pid, pname, tracks) =
-    let process_meta =
-      Json.Obj
-        [
-          ("name", Json.Str "process_name");
-          ("ph", Json.Str "M");
-          ("pid", Json.Int pid);
-          ("args", Json.Obj [ ("name", Json.Str pname) ]);
-        ]
-    in
-    let meta =
-      List.map
-        (fun tr ->
-          Json.Obj
-            [
-              ("name", Json.Str "thread_name");
-              ("ph", Json.Str "M");
-              ("pid", Json.Int pid);
-              ("tid", Json.Int tr.dom);
-              ("args", Json.Obj [ ("name", Json.Str (Printf.sprintf "domain %d" tr.dom)) ]);
-            ])
-        tracks
-    in
-    let events =
-      List.concat_map
-        (fun tr ->
-          List.map
-            (function
-              | Begin { name; ts; args } ->
-                  Json.Obj
-                    ([
-                       ("name", Json.Str name);
-                       ("cat", Json.Str "asc");
-                       ("ph", Json.Str "B");
-                       ("ts", Json.Float (us ts));
-                       ("pid", Json.Int pid);
-                       ("tid", Json.Int tr.dom);
-                     ]
-                    @
-                    if args = [] then []
-                    else
-                      [
-                        ( "args",
-                          Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args)
-                        );
-                      ])
-              | End { name; ts } ->
-                  Json.Obj
+(* One process's trace events: its name, one named thread per domain
+   track, then every span event with its timestamp moved by [shift]
+   seconds (a worker process adds its origin minus the supervisor's, so
+   its events land on the supervisor's timeline). *)
+let trace_events ?(shift = 0.0) ~pid ~name tracks =
+  let process_meta =
+    Json.Obj
+      [
+        ("name", Json.Str "process_name");
+        ("ph", Json.Str "M");
+        ("pid", Json.Int pid);
+        ("args", Json.Obj [ ("name", Json.Str name) ]);
+      ]
+  in
+  let meta =
+    List.map
+      (fun tr ->
+        Json.Obj
+          [
+            ("name", Json.Str "thread_name");
+            ("ph", Json.Str "M");
+            ("pid", Json.Int pid);
+            ("tid", Json.Int tr.dom);
+            ("args", Json.Obj [ ("name", Json.Str (Printf.sprintf "domain %d" tr.dom)) ]);
+          ])
+      tracks
+  in
+  let events =
+    List.concat_map
+      (fun tr ->
+        List.map
+          (function
+            | Begin { name; ts; args } ->
+                Json.Obj
+                  ([
+                     ("name", Json.Str name);
+                     ("cat", Json.Str "asc");
+                     ("ph", Json.Str "B");
+                     ("ts", Json.Float (us (ts +. shift)));
+                     ("pid", Json.Int pid);
+                     ("tid", Json.Int tr.dom);
+                   ]
+                  @
+                  if args = [] then []
+                  else
                     [
-                      ("name", Json.Str name);
-                      ("cat", Json.Str "asc");
-                      ("ph", Json.Str "E");
-                      ("ts", Json.Float (us ts));
-                      ("pid", Json.Int pid);
-                      ("tid", Json.Int tr.dom);
+                      ( "args",
+                        Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args)
+                      );
                     ])
+            | End { name; ts } ->
+                Json.Obj
+                  [
+                    ("name", Json.Str name);
+                    ("cat", Json.Str "asc");
+                    ("ph", Json.Str "E");
+                    ("ts", Json.Float (us (ts +. shift)));
+                    ("pid", Json.Int pid);
+                    ("tid", Json.Int tr.dom);
+                  ])
           tr.events)
-        tracks
-    in
-    (process_meta :: meta) @ events
+      tracks
+  in
+  (process_meta :: meta) @ events
+
+(* One trace document over any number of processes, each rendered by
+   [trace_events] on a shared timeline, followed by [events] that other
+   processes rendered themselves.  A process that rendered its events in
+   several batches named itself and its threads in each: those metadata
+   events are kept once. *)
+let stitched_trace_json ?(events = []) processes =
+  let named = Hashtbl.create 16 in
+  let first event =
+    let meta = Json.member "ph" event = Some (Json.Str "M") in
+    let seen = meta && Hashtbl.mem named event in
+    if meta then Hashtbl.replace named event ();
+    not seen
   in
   Json.Obj
     [
-      ("traceEvents", Json.List (List.concat_map process_events processes));
+      ( "traceEvents",
+        Json.List
+          (List.filter first
+             (List.concat_map
+                (fun (pid, name, tracks) -> trace_events ~pid ~name tracks)
+                processes
+             @ events)) );
       ("displayTimeUnit", Json.Str "ms");
     ]
 

@@ -21,8 +21,8 @@ type t
 val create : unit -> t
 
 (** [Unix.gettimeofday] at handle creation; every event timestamp is
-    relative to it.  Lets a supervisor re-base spans shipped by worker
-    processes (whose handles have their own origins) onto one timeline. *)
+    relative to it.  Lets a worker process re-base its spans onto its
+    supervisor's timeline (the two handles have their own origins). *)
 val origin : t -> float
 
 (** {1 Counters}
@@ -165,11 +165,23 @@ val imbalance : load list -> float
     domain; loads in Perfetto and chrome://tracing). *)
 val trace_json : snapshot -> Json.t
 
-(** [stitched_trace_json [(pid, name, tracks); ...]] is one trace
+(** [trace_events ~pid ~name tracks] renders one process as Chrome trace
+    events: a process named [name], one thread per domain track, and
+    every span event with [shift] seconds (default 0) added to its
+    timestamp — how a worker process re-bases its spans onto its
+    supervisor's timeline (see {!origin}) before shipping them. *)
+val trace_events :
+  ?shift:float -> pid:int -> name:string -> track list -> Json.t list
+
+(** [stitched_trace_json ?events [(pid, name, tracks); ...]] is one trace
     document spanning several processes — a supervisor plus its workers —
-    each rendered as a Perfetto process with one thread per domain track.
-    All timestamps must already be on one timeline (see {!origin}). *)
-val stitched_trace_json : (int * string * track list) list -> Json.t
+    each rendered as a Perfetto process with one thread per domain track,
+    followed by [events] (default none) that other processes rendered
+    with {!trace_events}, possibly in several batches: repeated process
+    and thread names are written once.  All timestamps must already be
+    on one timeline. *)
+val stitched_trace_json :
+  ?events:Json.t list -> (int * string * track list) list -> Json.t
 
 (** [trace_json] written compactly to a file. *)
 val write_trace : string -> snapshot -> unit

@@ -115,6 +115,22 @@ let test_scheduler_cache_and_counters () =
   Alcotest.(check int) "result_cache_hits" 1 (count "result_cache_hits");
   Alcotest.(check int) "result_cache_misses" 1 (count "result_cache_misses")
 
+(* Only the process that answers a submit caches its result: a job run
+   through [job_of_spec] and [execute], as a supervised worker runs it,
+   leaves the scheduler's cache alone, so the same spec still queues. *)
+let test_execute_does_not_cache () =
+  let sched = Scheduler.create () in
+  let sp = spec ~circuit:"s27" () in
+  (match Scheduler.job_of_spec ~id:0 ~source:0 sp with
+  | Error e -> Alcotest.failf "spec did not resolve: %s" e
+  | Ok job ->
+      Alcotest.(check bool) "executed job completes" true
+        ((Scheduler.execute sched job).Scheduler.r_status = Scheduler.Complete));
+  match Scheduler.submit sched ~source:0 sp with
+  | Scheduler.Accepted _ -> ()
+  | Scheduler.Cached _ -> Alcotest.fail "execute must not fill the cache"
+  | _ -> Alcotest.fail "submit should queue"
+
 (* A finished job leaves the good-trace cache empty: its traces could
    only be hit again by the same spec, which the result cache answers.
    Simulating the job's first final test afterwards must miss. *)
@@ -395,7 +411,33 @@ let test_protocol_roundtrip () =
              ~timeout:2.5 ();
          want_tset = true;
          client_id = Some 42;
-       })
+       });
+  (* Submit responses decode back into the result they render. *)
+  let base =
+    { Scheduler.r_status = Scheduler.Complete; r_tests = 3; r_cycles = 41;
+      r_detected = 30; r_targets = 32; r_iterations = 2;
+      r_tset = Some "tset body"; r_resumed = true }
+  in
+  List.iter
+    (fun status ->
+      List.iter
+        (fun tset ->
+          let r = { base with Scheduler.r_status = status; r_tset = tset } in
+          let json =
+            Protocol.submit_response ~id:(Some 3) ~cached:false ~want_tset:true r
+          in
+          let line = Json.to_string ~compact:true json in
+          match Protocol.result_of_response (Json.of_string line) with
+          | Ok r' ->
+              Alcotest.(check bool) (Printf.sprintf "result of %s" line) true
+                (r = r')
+          | Error e -> Alcotest.failf "decoding %s failed: %s" line e)
+        [ Some "tset body"; None ])
+    [
+      Scheduler.Complete;
+      Scheduler.Partial { reason = "deadline"; stage = "phase4" };
+      Scheduler.Failed "boom";
+    ]
 
 let test_protocol_decode_errors () =
   let expect_error line msg_part =
@@ -1165,6 +1207,42 @@ let test_server_supervised_poison () =
     Alcotest.(check bool) "clean exit after poison job" true
       (st = Unix.WEXITED 0)
 
+(* Degraded mode: every spawn of the only slot fails (the first and all
+   5 restarts), so the slot is retired and the parent runs the job
+   in-process — still byte-identical to the one-shot CLI. *)
+let test_server_degraded_mode () =
+  if not (Sys.file_exists asc_exe) then Alcotest.skip ()
+  else begin
+    let dir = temp_dir "asc-degraded" in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let ref_path = Filename.concat dir "s27.ref" in
+    run_cli [ "save-tests"; "s27"; ref_path; "--domains"; "1" ];
+    let events = Filename.concat dir "events.jsonl" in
+    let schedule =
+      String.concat ","
+        (List.init 6 (fun i ->
+             Printf.sprintf "%s@%d=fail" Chaos.worker_fork (i + 1)))
+    in
+    let st =
+      with_server
+        ~env:[ "ASC_CHAOS=" ^ schedule ]
+        ~args:[ "--workers"; "1"; "--log-file"; events ]
+        (fun sock ->
+          let c = client_connect sock in
+          Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
+          client_request c (submit_line ~tset:true "s27");
+          let resp = client_recv c in
+          Alcotest.(check string) "complete" "complete" (str_member resp "status");
+          Alcotest.(check string) "in-process fallback = one-shot"
+            (read_file ref_path) (str_member resp "tset");
+          shutdown_server c)
+    in
+    Alcotest.(check bool) "clean exit in degraded mode" true
+      (st = Unix.WEXITED 0);
+    Alcotest.(check bool) "the slot was retired" true
+      (contains (read_file events) "\"worker.retired\"")
+  end
+
 (* The queue-depth gauge is computed from the queues themselves — redo
    queue plus per-source FIFOs — so a requeued in-flight job counts
    again and the number cannot drift from the real backlog. *)
@@ -1628,6 +1706,8 @@ let suite =
           test_scheduler_key_canonical;
         Alcotest.test_case "a finished job leaves no trace cache" `Quick
           test_execute_clears_trace_cache;
+        Alcotest.test_case "execute leaves the result cache to the answerer"
+          `Quick test_execute_does_not_cache;
         Alcotest.test_case "deadline job cannot poison or starve a peer" `Quick
           test_contention_deadline_isolation;
         Alcotest.test_case "kill mid-checkpoint, resume bit-identically" `Quick
@@ -1664,6 +1744,8 @@ let suite =
           test_server_supervised_chaos;
         Alcotest.test_case "poison job exhausts its retry budget" `Slow
           test_server_supervised_poison;
+        Alcotest.test_case "retired slots degrade to in-process jobs" `Slow
+          test_server_degraded_mode;
         Alcotest.test_case "pending counts redo queue plus FIFOs" `Quick
           test_scheduler_pending_counts_redo;
         Alcotest.test_case "observability never perturbs served results" `Slow

@@ -222,6 +222,25 @@ let test_cli_chaos_kill_exit_code () =
         | _ -> Alcotest.failf "expected one stderr line, got %d" (List.length lines))
   end
 
+(* Negative client retry settings are usage errors at parse time (exit
+   124, naming the option), never clamped or left to fail later. *)
+let test_cli_client_rejects_negative_retries () =
+  if not (Sys.file_exists asc_exe) then Alcotest.skip ()
+  else
+    List.iter
+      (fun (option, args) ->
+        let code, lines =
+          run_asc
+            ([ "client"; "--socket"; missing ^ "/s.sock" ] @ args @ [ "ping" ])
+        in
+        Alcotest.(check int) (option ^ ": exit code") 124 code;
+        Alcotest.(check bool) (option ^ ": names the option") true
+          (List.exists (fun l -> contains l ("'" ^ option ^ "'")) lines))
+      [
+        ("--retry-backoff", [ "--retries"; "1"; "--retry-backoff=-5" ]);
+        ("--retries", [ "--retries=-3" ]);
+      ]
+
 let suite =
   [
     ( "tools",
@@ -239,5 +258,7 @@ let suite =
           test_cli_checkpoint_degrades;
         Alcotest.test_case "cli: chaos kill exits 137" `Slow
           test_cli_chaos_kill_exit_code;
+        Alcotest.test_case "cli: negative client retries are usage errors"
+          `Quick test_cli_client_rejects_negative_retries;
       ] );
   ]
