@@ -23,6 +23,10 @@ module Scan_test = Asc_scan.Scan_test
 
 let config_with ~seed t0_source = { Pipeline.default_config with seed; t0_source }
 
+(* The configuration `asc run` gives a circuit: its directed T0. *)
+let directed ~seed name =
+  Result.get_ok (Asc_core.Experiments.config_for ~seed ~t0:"directed" name)
+
 (* --- A: T0 source quality ------------------------------------------------ *)
 
 let t0_sources name =
@@ -77,8 +81,7 @@ let scan_out_policy ~seed names =
   List.iter
     (fun name ->
       let c = Asc_circuits.Registry.get ~seed name in
-      let budget = Asc_circuits.Registry.t0_budget name in
-      let base = config_with ~seed (Pipeline.Directed budget) in
+      let base = directed ~seed name in
       let prepared = Pipeline.prepare ~config:base c in
       List.iter
         (fun (label, policy) ->
@@ -147,8 +150,7 @@ let partial_scan ~seed names =
   List.iter
     (fun name ->
       let c = Asc_circuits.Registry.get ~seed name in
-      let budget = Asc_circuits.Registry.t0_budget name in
-      let config = config_with ~seed (Pipeline.Directed budget) in
+      let config = directed ~seed name in
       let prepared = Pipeline.prepare ~config c in
       let r = Pipeline.run ~config prepared in
       List.iter
@@ -188,8 +190,7 @@ let multi_chain ~seed names =
   List.iter
     (fun name ->
       let c = Asc_circuits.Registry.get ~seed name in
-      let budget = Asc_circuits.Registry.t0_budget name in
-      let config = config_with ~seed (Pipeline.Directed budget) in
+      let config = directed ~seed name in
       let prepared = Pipeline.prepare ~config c in
       let r = Pipeline.run ~config prepared in
       let b = Asc_core.Baseline_static.run prepared in
@@ -228,8 +229,7 @@ let partial_adapted ~seed names =
   List.iter
     (fun name ->
       let c = Asc_circuits.Registry.get ~seed name in
-      let budget = Asc_circuits.Registry.t0_budget name in
-      let config = config_with ~seed (Pipeline.Directed budget) in
+      let config = directed ~seed name in
       let prepared = Pipeline.prepare ~config c in
       let full = Pipeline.run ~config prepared in
       let chain = Asc_scan.Partial.by_fanout c ~ratio:0.5 in
@@ -239,11 +239,7 @@ let partial_adapted ~seed names =
              (Asc_scan.Partial.coverage c chain full.final_tests ~faults:prepared.faults)
              prepared.targets)
       in
-      let pconfig =
-        { Asc_core.Pipeline_partial.default_config with
-          seed; t0_source = Pipeline.Directed budget }
-      in
-      let adapted = Asc_core.Pipeline_partial.run ~config:pconfig prepared ~chain in
+      let adapted = Asc_core.Pipeline_partial.run ~config prepared ~chain in
       let n_targets = Bitvec.count prepared.targets in
       Table.add_row t
         [

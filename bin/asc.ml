@@ -83,6 +83,15 @@ let int_at_least low what =
 let positive_int = int_at_least 1
 let non_negative_int = int_at_least 0
 
+let fraction what =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x >= 0.0 && x <= 1.0 -> Ok x
+    | Some x -> Error (`Msg (Printf.sprintf "%s must be in [0, 1], got %g" what x))
+    | None -> Error (`Msg (Printf.sprintf "expected a number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let domain_count = positive_int "domain count"
 
 let timeout_seconds =
@@ -210,11 +219,10 @@ let t0_arg =
   let doc = "T0 source: 'directed' or 'random'." in
   Arg.(value & opt string "directed" & info [ "t0" ] ~doc)
 
-let t0_source_of_flag name t0 =
-  match t0 with
-  | "directed" -> Pipeline.Directed (Asc_circuits.Registry.t0_budget name)
-  | "random" -> Pipeline.Random_seq 1000
-  | _ -> die exit_usage "bad --t0 %S (expected directed|random)" t0
+let job_config ~seed ~t0 name =
+  match Asc_core.Experiments.config_for ~seed ~t0 name with
+  | Ok config -> config
+  | Error msg -> die exit_usage "%s" msg
 
 let timeout_arg =
   let doc =
@@ -306,8 +314,7 @@ let run_cmd =
     let chaos = chaos_of_env ?tel () in
     let pool = make_pool ~budget ?tel ?chaos domains in
     let c = Asc_circuits.Registry.get ~seed name in
-    let t0_source = t0_source_of_flag name t0 in
-    let config = Asc_core.Experiments.config_for ~seed ~t0_source in
+    let config = job_config ~seed ~t0 name in
     let ran =
       (* The budget can fire while a budget-carrying pool is mid-sweep in
          [prepare]; that surfaces as [Exhausted] before any snapshot
@@ -473,8 +480,7 @@ let save_cmd =
     check_name name;
     let pool = make_pool domains in
     let c = Asc_circuits.Registry.get ~seed name in
-    let t0_source = t0_source_of_flag name t0 in
-    let config = Asc_core.Experiments.config_for ~seed ~t0_source in
+    let config = job_config ~seed ~t0 name in
     let prepared = Pipeline.prepare ?pool ~config c in
     let r = Pipeline.run ?pool ~config prepared in
     Asc_scan.Tset_io.write_file file c r.final_tests;
@@ -514,7 +520,7 @@ let import_cmd =
     let chaos = chaos_of_env () in
     let c = Asc_netlist.Bench_io.parse_file ?chaos file in
     Format.printf "%a@." Circuit.pp_stats c;
-    let config = Pipeline.default_config in
+    let config = job_config ~seed:1 ~t0:"directed" (Circuit.name c) in
     let prepared = Pipeline.prepare ~config c in
     let r = Pipeline.run ~config prepared in
     Printf.printf "proposed procedure: %d cycles initial, %d final, %d/%d detected\n"
@@ -528,16 +534,13 @@ let import_cmd =
 
 let partial_cmd =
   let ratio_arg =
-    let doc = "Fraction of flip-flops kept on the scan chain." in
-    Arg.(value & opt float 0.5 & info [ "ratio" ] ~doc)
+    let doc = "Fraction of flip-flops kept on the scan chain, in [0, 1]." in
+    Arg.(value & opt (fraction "ratio") 0.5 & info [ "ratio" ] ~doc)
   in
   let run name ratio seed =
     check_name name;
     let c = Asc_circuits.Registry.get ~seed name in
-    let budget = Asc_circuits.Registry.t0_budget name in
-    let config =
-      Asc_core.Experiments.config_for ~seed ~t0_source:(Pipeline.Directed budget)
-    in
+    let config = job_config ~seed ~t0:"directed" name in
     let prepared = Pipeline.prepare ~config c in
     let r = Pipeline.run ~config prepared in
     let chain = Asc_scan.Partial.by_fanout c ~ratio in
@@ -553,11 +556,7 @@ let partial_cmd =
       (Bv.count (Bv.inter cov prepared.targets))
       (Bv.count prepared.targets);
     (* The procedure adapted to the partial chain. *)
-    let pconfig =
-      { Asc_core.Pipeline_partial.default_config with
-        seed; t0_source = Pipeline.Directed budget }
-    in
-    let pr = Asc_core.Pipeline_partial.run ~config:pconfig prepared ~chain in
+    let pr = Asc_core.Pipeline_partial.run ~config prepared ~chain in
     Printf.printf
       "adapted partial-scan procedure: %d cycles, coverage %d/%d (%d tests)\n"
       pr.cycles_final
@@ -596,7 +595,7 @@ let waveform_cmd =
   let file_arg = Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE") in
   let len_arg =
     let doc = "Number of random functional cycles to dump." in
-    Arg.(value & opt int 32 & info [ "cycles" ] ~doc)
+    Arg.(value & opt (positive_int "cycles") 32 & info [ "cycles" ] ~doc)
   in
   let run name file len seed =
     guard @@ fun () ->
@@ -676,7 +675,7 @@ let serve_cmd =
        with per-job retry budgets and exponential-backoff restarts.  0 \
        (the default) serves in-process, one job at a time."
     in
-    Arg.(value & opt int 0 & info [ "workers" ] ~doc ~docv:"N")
+    Arg.(value & opt (non_negative_int "workers") 0 & info [ "workers" ] ~doc ~docv:"N")
   in
   let job_retries_arg =
     let doc =
@@ -729,7 +728,6 @@ let serve_cmd =
       max_pending_per_source log_file log_level trace prom_file verbose =
     guard @@ fun () ->
     setup_logs verbose;
-    if workers < 0 then die exit_usage "--workers must be >= 0";
     let listen = resolve_listen socket tcp in
     (* The pool carries no budget: deadlines are per-job, created by the
        scheduler at dispatch, so one job's deadline cannot poison the

@@ -32,22 +32,16 @@ type result = {
   aborted : Bitvec.t; (* PODEM gave up within the backtrack limit *)
 }
 
-type config = {
-  random_batches : int; (* max random-phase batches of 62 patterns *)
-  random_patience : int; (* stop after this many fruitless batches *)
-  backtrack_limit : int;
-  fill_tries : int; (* random fills simulated per PODEM cube *)
-}
-
-let default_config =
-  { random_batches = 24; random_patience = 3; backtrack_limit = 200; fill_tries = 1 }
+let random_batches = 24 (* max random-phase batches of 62 patterns *)
+let random_patience = 3 (* stop after this many fruitless batches *)
+let backtrack_limit = 200
 
 (* Per-fault PODEM outcome, produced in parallel and consumed by the
    sequential index-order merge. *)
 type candidate =
   | Cand_redundant
   | Cand_aborted
-  | Cand_fills of Pattern.t array (* fill_tries concrete fills of the cube *)
+  | Cand_fill of Pattern.t (* one random fill of the cube *)
 
 (* [budget] reaches two places: the random-phase batch loop (a fired budget
    stops proposing batches) and PODEM (which returns [Aborted] promptly).
@@ -55,8 +49,7 @@ type candidate =
    still returns a well-formed (if weaker) result after the budget fires —
    the cooperative unwind happens at the caller's next poll point.  (A pool
    carrying its own fired budget raises out of [generate] instead.) *)
-let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) c ~faults
-    ~rng =
+let generate ?pool ?(budget = Budget.unlimited) ?tel c ~faults ~rng =
   Telemetry.span tel "tgen:comb"
     ~args:[ ("faults", string_of_int (Array.length faults)) ]
   @@ fun () ->
@@ -72,14 +65,14 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
   let fruitless = ref 0 in
   let batch_index = ref 0 in
   while
-    !batch_index < config.random_batches
-    && !fruitless < config.random_patience
+    !batch_index < random_batches
+    && !fruitless < random_patience
     && not (Budget.exhausted budget)
   do
     incr batch_index;
     let batch = Array.init Word.width (fun _ -> Pattern.random rng ~n_pis ~n_ffs) in
     let only = undetected () in
-    if Bitvec.is_empty only then fruitless := config.random_patience
+    if Bitvec.is_empty only then fruitless := random_patience
     else begin
       let mat = Comb_fsim.detect_matrix ?pool ?tel ~only c ~patterns:batch ~faults in
       (* Keep, within the batch, only patterns that add coverage. *)
@@ -124,24 +117,19 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
         let fi = todo.(k) in
         cands.(k) <-
           (match
-             Podem.run ~backtrack_limit:config.backtrack_limit ~budget ?tel podem
-               faults.(fi)
+             Podem.run ~backtrack_limit ~budget ?tel podem faults.(fi)
            with
           | Podem.Redundant -> Cand_redundant
           | Podem.Aborted -> Cand_aborted
-          | Podem.Test cube ->
-              let frng = fill_rng fi in
-              Cand_fills
-                (Array.init (max 1 config.fill_tries) (fun _ -> Cube.fill frng cube)))
+          | Podem.Test cube -> Cand_fill (Cube.fill (fill_rng fi) cube))
       done);
   (* One parallel sweep gives every fill its detection row over the faults
      still undetected after the random phase; intersecting a row with the
      evolving undetected set during the merge equals simulating the fill
      against that evolving set directly. *)
   let all_fills =
-    Array.concat
-      (Array.to_list
-         (Array.map (function Cand_fills ps -> ps | _ -> [||]) cands))
+    Array.of_list
+      (List.filter_map (function Cand_fill p -> Some p | _ -> None) (Array.to_list cands))
   in
   Telemetry.add tel Telemetry.Tgen_candidates (Array.length all_fills);
   let fill_rows =
@@ -150,34 +138,22 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
   (* Sequential greedy merge in fault-index order: a fault fortuitously
      detected by an earlier accepted fill contributes nothing (its
      candidate is discarded, exactly as if PODEM had been skipped). *)
-  let offset = ref 0 in
+  let next_row = ref 0 in
   Array.iteri
     (fun k cand ->
       let fi = todo.(k) in
       match cand with
       | Cand_redundant -> if not (Bitvec.get detected fi) then Bitvec.set redundant fi
       | Cand_aborted -> if not (Bitvec.get detected fi) then Bitvec.set aborted fi
-      | Cand_fills fills ->
-          let base = !offset in
-          offset := base + Array.length fills;
+      | Cand_fill pattern ->
+          let row = Bitmat.row fill_rows !next_row in
+          incr next_row;
           if not (Bitvec.get detected fi) then begin
-            let best = ref None in
-            Array.iteri
-              (fun j pattern ->
-                let row = Bitmat.row fill_rows (base + j) in
-                let gain = Bitvec.count (Bitvec.diff row detected) in
-                match !best with
-                | Some (g, _, _) when g >= gain -> ()
-                | _ -> best := Some (gain, pattern, row))
-              fills;
-            match !best with
-            | Some (_, pattern, row) ->
-                kept := pattern :: !kept;
-                Bitvec.union_into ~into:detected row;
-                (* The cube's own target must be covered by construction;
-                   random fill cannot undo the PODEM assignments. *)
-                Bitvec.set detected fi
-            | None -> ()
+            kept := pattern :: !kept;
+            Bitvec.union_into ~into:detected row;
+            (* The cube's own target must be covered by construction;
+               random fill cannot undo the PODEM assignments. *)
+            Bitvec.set detected fi
           end)
     cands;
   (* Reverse-order compaction: walk the tests newest-first and keep only

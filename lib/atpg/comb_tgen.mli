@@ -18,15 +18,6 @@ type result = {
   aborted : Asc_util.Bitvec.t;  (** PODEM hit its backtrack limit. *)
 }
 
-type config = {
-  random_batches : int;
-  random_patience : int;
-  backtrack_limit : int;
-  fill_tries : int;
-}
-
-val default_config : config
-
 (** [budget] makes the generator degrade gracefully: a fired budget stops
     the random phase and makes PODEM return [Aborted] promptly, but the
     result record is still well-formed (unless a pool carrying its own
@@ -37,7 +28,6 @@ val generate :
   ?pool:Asc_util.Domain_pool.t ->
   ?budget:Asc_util.Budget.t ->
   ?tel:Asc_util.Telemetry.t ->
-  ?config:config ->
   Asc_netlist.Circuit.t ->
   faults:Asc_fault.Fault.t array ->
   rng:Asc_util.Rng.t ->

@@ -22,26 +22,11 @@ module Circuit = Asc_netlist.Circuit
 module Seq_fsim = Asc_fault.Seq_fsim
 module Kernel3 = Asc_sim.Kernel3
 
-type config = {
-  budget : int;
-  seg_len : int;
-  max_seg_len : int;
-  population : int;
-  generations : int;
-  mutation : float; (* per-bit flip probability *)
-  patience : int;
-}
-
-let default_config =
-  {
-    budget = 1000;
-    seg_len = 10;
-    max_seg_len = 40;
-    population = 8;
-    generations = 4;
-    mutation = 0.05;
-    patience = 3;
-  }
+let initial_seg_len = 10
+let max_seg_len = 40
+let population_size = 8
+let mutation = 0.05 (* per-bit flip probability *)
+let patience = 3
 
 type result = { seq : bool array array; detected : Bitvec.t }
 
@@ -82,12 +67,12 @@ let commit_states good state visited segment =
       Hashtbl.replace visited (state_signature state) ())
     segment
 
-(* [budget] (wall-clock, distinct from [config.budget]'s length cap): a
-   fired budget ends the evolution loop — unwinding out of the fitness
+(* [budget] (wall-clock, distinct from the [max_length] cap): a fired
+   budget ends the evolution loop — unwinding out of the fitness
    co-simulation via [Budget.Exhausted] — and the committed prefix is
    returned as the sequence. *)
-let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) c
-    ~faults ~rng =
+let generate ?pool ?(budget = Budget.unlimited) ?tel ?(max_length = 1000)
+    ?(generations = 4) c ~faults ~rng =
   Telemetry.span tel "tgen:ga"
     ~args:[ ("faults", string_of_int (Array.length faults)) ]
   @@ fun () ->
@@ -98,7 +83,7 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
   let good_state = Kernel3.x_state c in
   let visited = Hashtbl.create 1024 in
   let segments = ref [] in
-  let seg_len = ref config.seg_len in
+  let seg_len = ref initial_seg_len in
   let fruitless = ref 0 in
   let finished = ref false in
   let random_individual len =
@@ -112,7 +97,7 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
   let mutate ind =
     Array.map
       (fun vec ->
-        Array.map (fun b -> if Rng.float rng < config.mutation then not b else b) vec)
+        Array.map (fun b -> if Rng.float rng < mutation then not b else b) vec)
       ind
   in
   let crossover a b =
@@ -131,13 +116,13 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
   in
   (try
   while not !finished do
-    let remaining = config.budget - Seq_fsim.inc3_length inc in
+    let remaining = max_length - Seq_fsim.inc3_length inc in
     if remaining <= 0 || Budget.exhausted budget then finished := true
     else begin
       let len = min !seg_len remaining in
-      let population = ref (Array.init config.population (fun _ -> random_individual len)) in
+      let population = ref (Array.init population_size (fun _ -> random_individual len)) in
       let best = ref None in
-      for _gen = 1 to config.generations do
+      for _gen = 1 to generations do
         let scored =
           Array.map (fun ind -> (fitness ind, ind)) !population
         in
@@ -147,7 +132,7 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
         | Some (fb, _), (f, _ ) when f > fb -> best := Some scored.(0)
         | Some _, _ -> ());
         (* Elitism + offspring of the top half. *)
-        let parents = Array.sub scored 0 (max 1 (config.population / 2)) in
+        let parents = Array.sub scored 0 (max 1 (population_size / 2)) in
         let offspring k =
           if k = 0 then snd scored.(0)
           else begin
@@ -155,7 +140,7 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
             mutate (crossover (pick ()) (pick ()))
           end
         in
-        population := Array.init config.population offspring
+        population := Array.init population_size offspring
       done;
       match !best with
       | Some ((detections, novelty), ind) when detections > 0 || novelty > 0 ->
@@ -167,20 +152,20 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
           else begin
             (* Novel states only: useful, but don't wander forever. *)
             incr fruitless;
-            if !fruitless >= 3 * config.patience then finished := true
+            if !fruitless >= 3 * patience then finished := true
           end
       | _ ->
           incr fruitless;
-          if !fruitless >= config.patience then begin
+          if !fruitless >= patience then begin
             fruitless := 0;
-            if !seg_len >= config.max_seg_len then finished := true
-            else seg_len := min config.max_seg_len (2 * !seg_len)
+            if !seg_len >= max_seg_len then finished := true
+            else seg_len := min max_seg_len (2 * !seg_len)
           end
     end
   done
   with Budget.Exhausted _ -> ());
   if !segments = [] then begin
-    let seg = random_individual (min config.budget config.seg_len) in
+    let seg = random_individual (min max_length initial_seg_len) in
     (try
        let (_ : int) = Seq_fsim.inc3_commit ?pool inc seg in
        ()

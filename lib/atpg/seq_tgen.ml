@@ -17,28 +17,22 @@ open Asc_util
 module Circuit = Asc_netlist.Circuit
 module Seq_fsim = Asc_fault.Seq_fsim
 
-type config = {
-  budget : int; (* maximum total length *)
-  seg_len : int; (* initial candidate segment length *)
-  max_seg_len : int;
-  candidates : int; (* candidate segments per round *)
-  patience : int; (* fruitless rounds (per segment length) before backing off *)
-}
-
-let default_config =
-  { budget = 1000; seg_len = 8; max_seg_len = 64; candidates = 5; patience = 2 }
+let initial_seg_len = 8
+let max_seg_len = 64
+let candidates_per_round = 5
+let patience = 2 (* fruitless rounds (per segment length) before backing off *)
 
 type result = {
   seq : bool array array;
   detected : Bitvec.t; (* no-scan detections of the full sequence *)
 }
 
-(* [budget] (wall-clock, distinct from [config.budget]'s length cap) makes
-   the generator degrade gracefully: a fired budget stops the growth loop —
+(* [budget] (wall-clock, distinct from the [max_length] cap) makes the
+   generator degrade gracefully: a fired budget stops the growth loop —
    unwinding out of the co-simulation kernels via [Budget.Exhausted] — and
    the sequence committed so far is returned. *)
-let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) c
-    ~faults ~rng =
+let generate ?pool ?(budget = Budget.unlimited) ?tel ?(max_length = 1000) c ~faults
+    ~rng =
   Telemetry.span tel "tgen:seq"
     ~args:[ ("faults", string_of_int (Array.length faults)) ]
   @@ fun () ->
@@ -46,12 +40,12 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
   let inc = Seq_fsim.inc3_create c faults in
   let segments = ref [] in
   let last_vector = ref (Rng.bool_array rng n_pis) in
-  let seg_len = ref config.seg_len in
+  let seg_len = ref initial_seg_len in
   let fruitless = ref 0 in
   let finished = ref false in
   (try
   while not !finished do
-    let remaining = config.budget - Seq_fsim.inc3_length inc in
+    let remaining = max_length - Seq_fsim.inc3_length inc in
     if remaining <= 0 || Budget.exhausted budget then finished := true
     else begin
       let len = min !seg_len remaining in
@@ -69,7 +63,7 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
           Random_tgen.walk rng ~n_pis ~len ~flip ~start:!last_vector
         end
       in
-      let candidates = Array.init (max 1 config.candidates) make_candidate in
+      let candidates = Array.init candidates_per_round make_candidate in
       Telemetry.add tel Telemetry.Tgen_candidates (Array.length candidates);
       let best = ref (-1) and best_gain = ref 0 in
       Array.iteri
@@ -90,10 +84,10 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
       end
       else begin
         incr fruitless;
-        if !fruitless >= config.patience then begin
+        if !fruitless >= patience then begin
           fruitless := 0;
-          if !seg_len >= config.max_seg_len then finished := true
-          else seg_len := min config.max_seg_len (2 * !seg_len)
+          if !seg_len >= max_seg_len then finished := true
+          else seg_len := min max_seg_len (2 * !seg_len)
         end
       end
     end
@@ -102,7 +96,7 @@ let generate ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) 
   (* Guarantee a non-empty sequence even when nothing is detectable
      without scan — the compaction procedure still needs a T0 to work on. *)
   if !segments = [] then begin
-    let seg = Random_tgen.generate rng ~n_pis ~len:(min config.budget config.max_seg_len) in
+    let seg = Random_tgen.generate rng ~n_pis ~len:(min max_length max_seg_len) in
     (try
        let (_ : int) = Seq_fsim.inc3_commit ?pool inc seg in
        ()

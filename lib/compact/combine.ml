@@ -38,11 +38,10 @@ type result = {
   attempts : int; (* candidate pairs tried, remembered failures included *)
 }
 
-type config = { max_sweeps : int; max_attempts : int }
+let max_sweeps = 6
+let max_attempts = 60_000
 
-let default_config = { max_sweeps = 6; max_attempts = 60_000 }
-
-let run ?pool ?budget ?tel ?(config = default_config) c (tests : Scan_test.t array) ~faults ~targets =
+let run ?pool ?budget ?tel c (tests : Scan_test.t array) ~faults ~targets =
   let n = Array.length tests in
   if n = 0 then { tests; combinations = 0; attempts = 0 }
   else begin
@@ -102,7 +101,7 @@ let run ?pool ?budget ?tel ?(config = default_config) c (tests : Scan_test.t arr
     in
     let progress = ref true in
     let sweep = ref 0 in
-    while !progress && !sweep < config.max_sweeps && !attempts < config.max_attempts do
+    while !progress && !sweep < max_sweeps && !attempts < max_attempts do
       incr sweep;
       progress := false;
       (* Order candidate pairs by at-risk size (cheap to compute). *)
@@ -119,7 +118,7 @@ let run ?pool ?budget ?tel ?(config = default_config) c (tests : Scan_test.t arr
         (fun (_, i, j) ->
           if
             Pair_book.alive book i && Pair_book.alive book j
-            && !attempts < config.max_attempts
+            && !attempts < max_attempts
           then if try_combine i j then progress := true)
         pairs
     done;

@@ -12,15 +12,16 @@ type result = {
           answers without simulation. *)
 }
 
-type config = { max_sweeps : int; max_attempts : int }
+(** Sweeps over the candidate pairs, at most. *)
+val max_sweeps : int
 
-val default_config : config
+(** Candidate pairs tried, at most. *)
+val max_attempts : int
 
 val run :
   ?pool:Asc_util.Domain_pool.t ->
   ?budget:Asc_util.Budget.t ->
   ?tel:Asc_util.Telemetry.t ->
-  ?config:config ->
   Asc_netlist.Circuit.t ->
   Asc_scan.Scan_test.t array ->
   faults:Asc_fault.Fault.t array ->

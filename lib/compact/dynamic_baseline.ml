@@ -21,12 +21,8 @@ module Circuit = Asc_netlist.Circuit
 module Scan_test = Asc_scan.Scan_test
 module Naive = Asc_sim.Naive
 
-type config = {
-  extension_tries : int; (* PODEM targets attempted per extension step *)
-  backtrack_limit : int;
-}
-
-let default_config = { extension_tries = 10; backtrack_limit = 100 }
+let extension_tries = 10 (* PODEM targets attempted per extension step *)
+let backtrack_limit = 100
 
 type result = {
   tests : Scan_test.t array;
@@ -34,7 +30,7 @@ type result = {
   unresolved : Bitvec.t; (* targets PODEM could not classify or detect *)
 }
 
-let run ?(config = default_config) c ~faults ~targets ~rng =
+let run c ~faults ~targets ~rng =
   let n = Array.length faults in
   let podem = Asc_atpg.Podem.create c in
   let dff_gates = Circuit.dffs c in
@@ -74,8 +70,7 @@ let run ?(config = default_config) c ~faults ~targets ~rng =
            then begin
              incr tried;
              match
-               Asc_atpg.Podem.run ~backtrack_limit:config.backtrack_limit ~fixed podem
-                 faults.(f)
+               Asc_atpg.Podem.run ~backtrack_limit ~fixed podem faults.(f)
              with
              | Asc_atpg.Podem.Test cube -> result := Some cube
              | Asc_atpg.Podem.Redundant | Asc_atpg.Podem.Aborted -> ()
@@ -90,7 +85,7 @@ let run ?(config = default_config) c ~faults ~targets ~rng =
     let f = next_target () in
     if f < 0 then finished := true
     else begin
-      match Asc_atpg.Podem.run ~backtrack_limit:config.backtrack_limit podem faults.(f) with
+      match Asc_atpg.Podem.run ~backtrack_limit podem faults.(f) with
       | Asc_atpg.Podem.Redundant | Asc_atpg.Podem.Aborted -> Bitvec.set unresolved f
       | Asc_atpg.Podem.Test cube ->
           let pattern = Asc_atpg.Cube.fill rng cube in
@@ -100,7 +95,7 @@ let run ?(config = default_config) c ~faults ~targets ~rng =
           let state = ref (Naive.next_state_of c (Naive.eval_comb c ~pis:pattern.pis ~state:si)) in
           let extending = ref true in
           while !extending && List.length !seq < Circuit.n_dffs c do
-            match fresh_targets_from ~state:!state ~limit:config.extension_tries with
+            match fresh_targets_from ~state:!state ~limit:extension_tries with
             | None -> extending := false
             | Some cube' ->
                 let p' = Asc_atpg.Cube.fill rng cube' in
@@ -124,6 +119,9 @@ let run ?(config = default_config) c ~faults ~targets ~rng =
           in
           Bitvec.set det f;
           Bitvec.union_into ~into:detected det;
+          (* [undet] spans targets given up on earlier: one this test
+             detects is resolved after all. *)
+          Bitvec.diff_into ~into:unresolved det;
           tests := test :: !tests
     end
   done;

@@ -4,19 +4,15 @@
     stops paying.  An approximation — see DESIGN.md — used for Table 3's
     [2,3] column. *)
 
-type config = { extension_tries : int; backtrack_limit : int }
-
-val default_config : config
-
 type result = {
   tests : Asc_scan.Scan_test.t array;
   detected : Asc_util.Bitvec.t;
   unresolved : Asc_util.Bitvec.t;
-      (** Targets PODEM could not classify or detect. *)
+      (** Targets PODEM could not classify or detect; disjoint from
+          [detected]. *)
 }
 
 val run :
-  ?config:config ->
   Asc_netlist.Circuit.t ->
   faults:Asc_fault.Fault.t array ->
   targets:Asc_util.Bitvec.t ->

@@ -25,17 +25,8 @@ module Circuit = Asc_netlist.Circuit
 module Scan_test = Asc_scan.Scan_test
 module Naive = Asc_sim.Naive
 
-type config = {
-  combine : Combine.config; (* the plain combining pass run first *)
-  candidates : int; (* transfer candidates simulated per pair *)
-  verify_best : int; (* how many of them get a full coverage check *)
-  max_length : int option; (* cap on L(T_x); default N_SV / 4 *)
-  max_pairs : int; (* pairs attempted with transfers *)
-}
-
-let default_config =
-  { combine = Combine.default_config; candidates = 12; verify_best = 2;
-    max_length = None; max_pairs = 400 }
+let candidates = 12 (* transfer candidates simulated per pair *)
+let verify_best = 2 (* how many of them get a full coverage check *)
 
 type result = {
   tests : Scan_test.t array;
@@ -55,15 +46,11 @@ let hamming a b =
   Array.iteri (fun i v -> if v <> b.(i) then incr d) a;
   !d
 
-let run ?(config = default_config) c (tests : Scan_test.t array) ~faults ~targets ~rng =
+let run ?(max_pairs = 400) c (tests : Scan_test.t array) ~faults ~targets ~rng =
   (* Plain [4] combining first; transfers only attack the leftovers. *)
-  let base = Combine.run ~config:config.combine c tests ~faults ~targets in
+  let base = Combine.run c tests ~faults ~targets in
   let n = Array.length base.tests in
-  let max_length =
-    match config.max_length with
-    | Some l -> max 1 l
-    | None -> max 1 (Circuit.n_dffs c / 4)
-  in
+  let max_length = max 1 (Circuit.n_dffs c / 4) (* cap on L(T_x) *) in
   if n <= 1 || Circuit.n_dffs c = 0 then
     { tests = base.tests; combinations = base.combinations; transfers = 0;
       transfer_cycles = 0 }
@@ -90,7 +77,7 @@ let run ?(config = default_config) c (tests : Scan_test.t array) ~faults ~target
          already failed, but lengths may have changed since). *)
       let last = ti.seq.(Scan_test.length ti - 1) in
       let scored = ref [ (hamming from_state tj.si, [||]) ] in
-      for _ = 1 to config.candidates do
+      for _ = 1 to candidates do
         let len = 1 + Rng.int rng max_length in
         let tx = make_candidate len last in
         let final = run_state c ~state:from_state ~seq:tx in
@@ -101,7 +88,7 @@ let run ?(config = default_config) c (tests : Scan_test.t array) ~faults ~target
       let rec verify k = function
         | [] -> false
         | (_, tx) :: rest ->
-            if k >= config.verify_best then false
+            if k >= verify_best then false
             else begin
               let combined =
                 Scan_test.create ~si:ti.si ~seq:(Array.concat [ ti.seq; tx; tj.seq ])
@@ -126,7 +113,7 @@ let run ?(config = default_config) c (tests : Scan_test.t array) ~faults ~target
     (try
        for i = 0 to n - 1 do
          for j = 0 to n - 1 do
-           if !attempts >= config.max_pairs then raise Exit;
+           if !attempts >= max_pairs then raise Exit;
            if i <> j && Pair_book.alive book i && Pair_book.alive book j then
              ignore (try_pair i j)
          done

@@ -1,17 +1,11 @@
 (** Static compaction with transfer sequences, after [7]: when plain
     combining fails on a pair, search for a short transfer sequence [T_x]
     such that [(SI_i, T_i . T_x . T_j)] preserves coverage — trading
-    [L(T_x)] functional cycles for one scan operation ([N_SV] cycles). *)
+    [L(T_x)] functional cycles for one scan operation ([N_SV] cycles).
 
-type config = {
-  combine : Combine.config;  (** The plain combining pass run first. *)
-  candidates : int;  (** Transfer candidates simulated per pair. *)
-  verify_best : int;  (** Candidates given a full coverage check. *)
-  max_length : int option;  (** Cap on [L(T_x)]; default [N_SV / 4]. *)
-  max_pairs : int;  (** Pairs attempted with transfers. *)
-}
-
-val default_config : config
+    After a plain {!Combine.run} pass, each pair simulates 12 transfer
+    candidates of length at most [max 1 (N_SV / 4)] and gives the 2
+    closest a full coverage check. *)
 
 type result = {
   tests : Asc_scan.Scan_test.t array;
@@ -20,8 +14,10 @@ type result = {
   transfer_cycles : int;  (** Functional cycles spent on transfers. *)
 }
 
+(** [max_pairs] (default 400) bounds the pairs attempted with
+    transfers. *)
 val run :
-  ?config:config ->
+  ?max_pairs:int ->
   Asc_netlist.Circuit.t ->
   Asc_scan.Scan_test.t array ->
   faults:Asc_fault.Fault.t array ->

@@ -28,14 +28,9 @@ module Circuit = Asc_netlist.Circuit
 module Scan_test = Asc_scan.Scan_test
 module Seq_fsim = Asc_fault.Seq_fsim
 
-type config = {
-  max_checks : int;
-  initial_chunk : int;
-  max_work : int; (* budget in fault-group x cycle x gate units *)
-}
-
-let default_config =
-  { max_checks = 400; initial_chunk = 32; max_work = 60_000_000 }
+let max_checks = 400
+let initial_chunk = 32
+let max_work = 60_000_000 (* fault-group x cycle x gate units *)
 
 type result = {
   test : Scan_test.t;
@@ -43,7 +38,7 @@ type result = {
   checks : int; (* simulations spent *)
 }
 
-let run ?pool ?budget ?tel ?(config = default_config) c (test : Scan_test.t) ~faults ~required =
+let run ?pool ?budget ?tel c (test : Scan_test.t) ~faults ~required =
   let required = Array.of_list (Bitvec.to_list required) in
   if Array.length required = 0 then { test; omitted = 0; checks = 0 }
   else begin
@@ -54,7 +49,7 @@ let run ?pool ?budget ?tel ?(config = default_config) c (test : Scan_test.t) ~fa
        test; [max_int] for faults that rely on the scan-out.  Each pass's
        snapshot pass refreshes it. *)
     let po_time = Array.make (Array.length required) max_int in
-    let budget_left () = !checks < config.max_checks && !work < config.max_work in
+    let budget_left () = !checks < max_checks && !work < max_work in
     (* Try removing [count] vectors at [p], resuming from [snap] (the
        snapshot at [p]) and rejoining [pass_test] (the test the snapshot
        pass simulated, whose trace it cached). *)
@@ -97,7 +92,7 @@ let run ?pool ?budget ?tel ?(config = default_config) c (test : Scan_test.t) ~fa
         ok
       end
     in
-    let chunk = ref (min config.initial_chunk (max 1 (Scan_test.length test / 4))) in
+    let chunk = ref (min initial_chunk (max 1 (Scan_test.length test / 4))) in
     (* Round down to a power of two so halving refines cleanly. *)
     while !chunk land (!chunk - 1) <> 0 do
       chunk := !chunk land (!chunk - 1)

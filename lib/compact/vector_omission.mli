@@ -1,17 +1,11 @@
 (** Phase 2: vector omission, after [8] — shorten a test's PI sequence
     without losing any fault in [required].
 
-    Omissions are tried in halving chunks from the tail under a check
-    budget; per-fault earliest-PO-detection times narrow each check to the
-    faults an omission could actually disturb. *)
-
-type config = {
-  max_checks : int;  (** Trial-count budget. *)
-  initial_chunk : int;  (** Starting chunk size (rounded to a power of 2). *)
-  max_work : int;  (** Simulation-work budget (group x cycle x gate units). *)
-}
-
-val default_config : config
+    Omissions are tried in halving chunks from the tail, starting at 32
+    vectors, under a budget of 400 trials and 60,000,000 units of
+    simulation work (fault group x cycle x gate); per-fault
+    earliest-PO-detection times narrow each check to the faults an
+    omission could actually disturb. *)
 
 type result = {
   test : Asc_scan.Scan_test.t;
@@ -23,7 +17,6 @@ val run :
   ?pool:Asc_util.Domain_pool.t ->
   ?budget:Asc_util.Budget.t ->
   ?tel:Asc_util.Telemetry.t ->
-  ?config:config ->
   Asc_netlist.Circuit.t ->
   Asc_scan.Scan_test.t ->
   faults:Asc_fault.Fault.t array ->

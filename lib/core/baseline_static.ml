@@ -13,13 +13,12 @@ type result = {
   combinations : int;
 }
 
-let run ?pool ?(combine = Asc_compact.Combine.default_config) (p : Pipeline.prepared) =
+let run ?pool (p : Pipeline.prepared) =
   let c = p.circuit in
   let initial_tests = Array.map Scan_test.of_pattern p.comb_tests in
   let cycles_initial = Asc_scan.Time_model.cycles_of_tests c initial_tests in
   let combined =
-    Asc_compact.Combine.run ?pool ~config:combine c initial_tests ~faults:p.faults
-      ~targets:p.targets
+    Asc_compact.Combine.run ?pool c initial_tests ~faults:p.faults ~targets:p.targets
   in
   {
     initial_tests;

@@ -12,8 +12,4 @@ type result = {
   combinations : int;
 }
 
-val run :
-  ?pool:Asc_util.Domain_pool.t ->
-  ?combine:Asc_compact.Combine.config ->
-  Pipeline.prepared ->
-  result
+val run : ?pool:Asc_util.Domain_pool.t -> Pipeline.prepared -> result

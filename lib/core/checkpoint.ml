@@ -44,7 +44,6 @@
    [load_latest_valid] recovers by falling back across rotated copies
    when the newest one is corrupt or missing. *)
 
-module Circuit = Asc_netlist.Circuit
 module Scan_test = Asc_scan.Scan_test
 module Tset_io = Asc_scan.Tset_io
 
@@ -318,28 +317,8 @@ let of_string text =
     snap_phase3;
   }
 
-let validate (p : Pipeline.prepared) ~(config : Pipeline.config)
-    (s : Pipeline.snapshot) =
-  let c = p.circuit in
-  let expect what got want =
-    if got <> want then
-      raise
-        (Incompatible (Printf.sprintf "%s: checkpoint has %s, this run has %s" what got want))
-  in
-  expect "circuit" s.snap_circuit (Circuit.name c);
-  expect "inputs" (string_of_int s.snap_pis) (string_of_int (Circuit.n_inputs c));
-  expect "flip-flops" (string_of_int s.snap_ffs) (string_of_int (Circuit.n_dffs c));
-  expect "seed" (string_of_int s.snap_seed) (string_of_int config.seed);
-  expect "t0 source" s.snap_t0 (Pipeline.t0_fingerprint config.t0_source);
-  expect "|C|"
-    (string_of_int s.snap_comb_size)
-    (string_of_int (Array.length p.comb_tests));
-  match s.snap_phase3 with
-  | None -> ()
-  | Some p3 ->
-      expect "phase3 fault universe"
-        (string_of_int (Asc_util.Bitvec.length p3.ph3_uncovered))
-        (string_of_int (Array.length p.faults))
+let validate p ~config s =
+  Option.iter (fun m -> raise (Incompatible m)) (Pipeline.snapshot_mismatch p config s)
 
 module Chaos = Asc_util.Chaos
 module Tel = Asc_util.Telemetry

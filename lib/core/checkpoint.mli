@@ -27,7 +27,8 @@ val to_string : Pipeline.snapshot -> string
     saved. *)
 val of_string : string -> Pipeline.snapshot
 
-(** Check a loaded snapshot against the run about to resume from it. *)
+(** Check a loaded snapshot against the run about to resume from it:
+    raises {!Incompatible} with its {!Pipeline.snapshot_mismatch}. *)
 val validate : Pipeline.prepared -> config:Pipeline.config -> Pipeline.snapshot -> unit
 
 (** [write_file ?tel ?chaos ?keep ?retries path s] atomically replaces

@@ -21,22 +21,22 @@ type circuit_run = {
 let dynamic_cycles (d : Asc_compact.Dynamic_baseline.result) c =
   Asc_scan.Time_model.cycles_of_tests c d.tests
 
-let config_for ~seed ~t0_source = { Pipeline.default_config with seed; t0_source }
+let config_for ~seed ~t0 name =
+  let config t0_source = Ok { Pipeline.default_config with seed; t0_source } in
+  match t0 with
+  | "directed" -> config (Pipeline.Directed (Asc_circuits.Registry.t0_budget name))
+  | "random" -> config (Pipeline.Random_seq 1000)
+  | s -> Error (Printf.sprintf "bad t0 %S (expected directed|random)" s)
 
-let run_circuit ?pool ?tel ?(seed = 1) ?(with_dynamic = false) ?(random_t0_len = 1000)
-    name =
+let run_circuit ?pool ?tel ?(seed = 1) ?(with_dynamic = false) name =
   let c = Asc_circuits.Registry.get ~seed name in
-  let budget = Asc_circuits.Registry.t0_budget name in
-  let base_config = config_for ~seed ~t0_source:(Pipeline.Directed budget) in
+  let config t0 = Result.get_ok (config_for ~seed ~t0 name) in
+  let directed_config = config "directed" in
   let t_prepare = Unix.gettimeofday () in
-  let prepared = Pipeline.prepare ?pool ?tel ~config:base_config c in
+  let prepared = Pipeline.prepare ?pool ?tel ~config:directed_config c in
   let prepare_seconds = Unix.gettimeofday () -. t_prepare in
-  let directed = Pipeline.run ?pool ?tel ~config:base_config prepared in
-  let random =
-    Pipeline.run ?pool ?tel
-      ~config:(config_for ~seed ~t0_source:(Pipeline.Random_seq random_t0_len))
-      prepared
-  in
+  let directed = Pipeline.run ?pool ?tel ~config:directed_config prepared in
+  let random = Pipeline.run ?pool ?tel ~config:(config "random") prepared in
   let static_baseline = Baseline_static.run ?pool prepared in
   let dynamic_baseline =
     if with_dynamic then

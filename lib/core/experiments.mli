@@ -17,13 +17,19 @@ type circuit_run = {
 val dynamic_cycles :
   Asc_compact.Dynamic_baseline.result -> Asc_netlist.Circuit.t -> int
 
-val config_for : seed:int -> t0_source:Pipeline.t0_source -> Pipeline.config
+(** [config_for ~seed ~t0 name] is the configuration of a job on the
+    circuit called [name]: T0 flag ["directed"] takes
+    {!Asc_circuits.Registry.t0_budget}[ name] (50 for a name the profile
+    table does not know, such as an inline or imported netlist's),
+    ["random"] a 1,000-vector random sequence; any other flag is an
+    [Error] naming it. *)
+val config_for :
+  seed:int -> t0:string -> string -> (Pipeline.config, string) result
 
 val run_circuit :
   ?pool:Asc_util.Domain_pool.t ->
   ?tel:Asc_util.Telemetry.t ->
   ?seed:int ->
   ?with_dynamic:bool ->
-  ?random_t0_len:int ->
   string ->
   circuit_run

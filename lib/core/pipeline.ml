@@ -33,23 +33,12 @@ type t0_source = Directed of int | Random_seq of int | Genetic of int
 type config = {
   seed : int;
   t0_source : t0_source;
-  max_iterations : int;
   scan_out_policy : Phase1.scan_out_policy;
-  omission : Asc_compact.Vector_omission.config;
-  combine : Asc_compact.Combine.config;
-  comb_tgen : Asc_atpg.Comb_tgen.config;
 }
 
-let default_config =
-  {
-    seed = 1;
-    t0_source = Directed 1000;
-    max_iterations = 8;
-    scan_out_policy = Phase1.Earliest;
-    omission = Asc_compact.Vector_omission.default_config;
-    combine = Asc_compact.Combine.default_config;
-    comb_tgen = Asc_atpg.Comb_tgen.default_config;
-  }
+let default_config = { seed = 1; t0_source = Directed 1000; scan_out_policy = Phase1.Earliest }
+
+let max_iterations = 8 (* cap on Phase 1+2 rounds *)
 
 type prepared = {
   circuit : Circuit.t;
@@ -67,10 +56,7 @@ let prepare ?pool ?budget ?tel ?(config = default_config) c =
   let collapse = Asc_fault.Collapse.run c in
   let faults = Asc_fault.Collapse.reps collapse in
   let rng = Rng.of_name ~seed:config.seed (Circuit.name c ^ "/comb") in
-  let gen =
-    Asc_atpg.Comb_tgen.generate ?pool ?budget ?tel ~config:config.comb_tgen c ~faults
-      ~rng
-  in
+  let gen = Asc_atpg.Comb_tgen.generate ?pool ?budget ?tel c ~faults ~rng in
   let n = Array.length faults in
   let targets = Bitvec.init n (fun i -> not (Bitvec.get gen.redundant i)) in
   {
@@ -119,13 +105,15 @@ let make_t0 ?pool ?(budget = Budget.unlimited) ?tel config (p : prepared) =
     match config.t0_source with
     | Random_seq len ->
         (Asc_atpg.Random_tgen.generate rng ~n_pis:(Circuit.n_inputs c) ~len, None)
-    | Directed budget' ->
-        let config = { Asc_atpg.Seq_tgen.default_config with budget = budget' } in
-        let r = Asc_atpg.Seq_tgen.generate ?pool ~budget ?tel ~config c ~faults:p.faults ~rng in
+    | Directed max_length ->
+        let r =
+          Asc_atpg.Seq_tgen.generate ?pool ~budget ?tel ~max_length c ~faults:p.faults ~rng
+        in
         (r.seq, Some r.detected)
-    | Genetic budget' ->
-        let config = { Asc_atpg.Ga_tgen.default_config with budget = budget' } in
-        let r = Asc_atpg.Ga_tgen.generate ?pool ~budget ?tel ~config c ~faults:p.faults ~rng in
+    | Genetic max_length ->
+        let r =
+          Asc_atpg.Ga_tgen.generate ?pool ~budget ?tel ~max_length c ~faults:p.faults ~rng
+        in
         (r.seq, Some r.detected)
   in
   Budget.check budget;
@@ -189,6 +177,33 @@ type partial = {
 
 type outcome = Complete of result | Partial of partial
 
+let snapshot_mismatch (p : prepared) config s =
+  let c = p.circuit in
+  let fields =
+    [
+      ("circuit", s.snap_circuit, Circuit.name c);
+      ("inputs", string_of_int s.snap_pis, string_of_int (Circuit.n_inputs c));
+      ("flip-flops", string_of_int s.snap_ffs, string_of_int (Circuit.n_dffs c));
+      ("seed", string_of_int s.snap_seed, string_of_int config.seed);
+      ("t0 source", s.snap_t0, t0_fingerprint config.t0_source);
+      ("|C|", string_of_int s.snap_comb_size, string_of_int (Array.length p.comb_tests));
+    ]
+    @
+    match s.snap_phase3 with
+    | None -> []
+    | Some p3 ->
+        [
+          ( "phase3 fault universe",
+            string_of_int (Bitvec.length p3.ph3_uncovered),
+            string_of_int (Array.length p.faults) );
+        ]
+  in
+  List.find_map
+    (fun (what, got, want) ->
+      if got = want then None
+      else Some (Printf.sprintf "%s: snapshot has %s, this run has %s" what got want))
+    fields
+
 (* The deterministic-resume contract: a snapshot is taken only at an
    iteration *boundary* (after the "continue" updates), and it captures the
    loop's full explicit state — selected scan-ins, T_C, the best iterate,
@@ -209,25 +224,16 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
           detectable faults?)"
          (Circuit.name c))
   end;
-  (match resume with
-  | Some s ->
-      if
-        s.snap_circuit <> Circuit.name c
-        || s.snap_pis <> Circuit.n_inputs c
-        || s.snap_ffs <> Circuit.n_dffs c
-        || s.snap_comb_size <> Array.length p.comb_tests
-        || s.snap_seed <> config.seed
-        || s.snap_t0 <> t0_fingerprint config.t0_source
-      then
-        invalid_arg
-          (Printf.sprintf
-             "Pipeline.run_bounded: snapshot (%s seed %d t0 %s |C|=%d) does not match \
-              this run (%s seed %d t0 %s |C|=%d)"
-             s.snap_circuit s.snap_seed s.snap_t0 s.snap_comb_size (Circuit.name c)
-             config.seed
-             (t0_fingerprint config.t0_source)
-             (Array.length p.comb_tests))
-  | None -> ());
+  Option.iter
+    (fun s ->
+      Option.iter
+        (fun m -> invalid_arg ("Pipeline.run_bounded: " ^ m))
+        (snapshot_mismatch p config s);
+      (* A post-Phase-3 snapshot resumes into Phase 4 from its best
+         iterate. *)
+      if s.snap_phase3 <> None && s.snap_best = None then
+        invalid_arg "Pipeline.run_bounded: phase3 snapshot without a tau block")
+    resume;
   let faults = p.faults in
   let timed label f =
     let t0 = Sys.time () in
@@ -284,21 +290,6 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
       snap_phase3 = None;
     }
   in
-  (* A post-Phase-3 snapshot implies a best iterate and an uncovered set
-     sized to this run's fault universe; reject mismatches up front like
-     the identity fields above. *)
-  (match resume with
-  | Some { snap_phase3 = Some p3; snap_best; _ } ->
-      if snap_best = None then
-        invalid_arg "Pipeline.run_bounded: phase3 snapshot without a tau block";
-      if Bitvec.length p3.ph3_uncovered <> Array.length faults then
-        invalid_arg
-          (Printf.sprintf
-             "Pipeline.run_bounded: phase3 uncovered length %d does not match %d \
-              faults"
-             (Bitvec.length p3.ph3_uncovered)
-             (Array.length faults))
-  | _ -> ());
   let resume_phase3 =
     match resume with Some { snap_phase3 = Some p3; _ } -> Some p3 | _ -> None
   in
@@ -374,8 +365,8 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
             in
             let om =
               timed "vector_omission" (fun () ->
-                  Asc_compact.Vector_omission.run ?pool ~budget ?tel
-                    ~config:config.omission c so.test ~faults ~required:so.f_so)
+                  Asc_compact.Vector_omission.run ?pool ~budget ?tel c so.test ~faults
+                    ~required:so.f_so)
             in
             let f_c =
               Bitvec.inter
@@ -411,7 +402,7 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
             (* Stop on the paper's condition (a repeated scan-in state), on the
                iteration cap, or when the round brought no improvement — further
                rounds only re-shuffle equivalent scan-in states. *)
-            if choice.already_selected || !iter >= config.max_iterations || not better
+            if choice.already_selected || !iter >= max_iterations || not better
             then stop := true
             else begin
               Bitvec.set selected choice.index;
@@ -497,8 +488,8 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
             let final_tests, cycles_final, final_detected =
               Telemetry.span tel "phase4" @@ fun () ->
               let combined =
-                Asc_compact.Combine.run ?pool ~budget ?tel ~config:config.combine c
-                  initial_tests ~faults ~targets:p.targets
+                Asc_compact.Combine.run ?pool ~budget ?tel c initial_tests ~faults
+                  ~targets:p.targets
               in
               let final_tests = combined.tests in
               let cycles_final = Asc_scan.Time_model.cycles_of_tests c final_tests in

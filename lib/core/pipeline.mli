@@ -19,13 +19,10 @@ type t0_source =
 type config = {
   seed : int;
   t0_source : t0_source;
-  max_iterations : int;  (** Cap on Phase 1+2 rounds. *)
   scan_out_policy : Phase1.scan_out_policy;  (** [i_0] (paper) or [i_1]. *)
-  omission : Asc_compact.Vector_omission.config;
-  combine : Asc_compact.Combine.config;
-  comb_tgen : Asc_atpg.Comb_tgen.config;
 }
 
+(** Seed 1, [Directed 1000], [i_0]. *)
 val default_config : config
 
 type prepared = {
@@ -139,6 +136,13 @@ type snapshot = {
 (** Stable textual identity of a T0 source (recorded in snapshots). *)
 val t0_fingerprint : t0_source -> string
 
+(** The first identity field — circuit, input and flip-flop counts, seed,
+    T0 fingerprint, |C|, and for a post-Phase-3 snapshot the size of the
+    fault universe — in which [snapshot] differs from the run of [config]
+    on [prepared], as ["FIELD: snapshot has X, this run has Y"]; [None]
+    when the snapshot belongs to that run. *)
+val snapshot_mismatch : prepared -> config -> snapshot -> string option
+
 (** Where a run was when its budget fired. *)
 type stage = Stage_t0 | Stage_iterate | Stage_cover | Stage_combine
 
@@ -176,8 +180,8 @@ type outcome = Complete of result | Partial of partial
     computation continues without that snapshot.  [resume] restarts from
     such a snapshot: the remaining iterations and Phases 3–4 replay exactly, so
     the final result is bit-identical to an uninterrupted run for any
-    domain count.  Raises [Invalid_argument] if the snapshot does not
-    match this (circuit, seed, T0 source, |C|).
+    domain count.  Raises [Invalid_argument] with the
+    {!snapshot_mismatch} if the snapshot belongs to another run.
 
     [tel] records one span per phase (["t0-generation"], ["phase1+2"] with
     an [iter] argument per round, ["phase3"], ["phase4"]) plus the engine

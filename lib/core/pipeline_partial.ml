@@ -29,24 +29,10 @@ module Scan_test = Asc_scan.Scan_test
 module Partial = Asc_scan.Partial
 module Pair_book = Asc_compact.Pair_book
 
-type config = {
-  seed : int;
-  t0_source : Pipeline.t0_source;
-  max_iterations : int;
-  omission_chunk : int;
-  omission_checks : int;
-  combine_attempts : int;
-}
-
-let default_config =
-  {
-    seed = 1;
-    t0_source = Pipeline.Directed 1000;
-    max_iterations = 4;
-    omission_chunk = 16;
-    omission_checks = 120;
-    combine_attempts = 2_000;
-  }
+let max_iterations = 4
+let omission_chunk = 16
+let omission_checks = 120
+let combine_attempts = 2_000
 
 type result = {
   chain : Partial.chain;
@@ -109,14 +95,14 @@ let select_scan_out c chain ~faults ~si ~t0 ~f_si ~targets =
   (test, u, f_so)
 
 (* Phase 2 under partial scan: chunked omission with subset checks. *)
-let omit c chain (test : Scan_test.t) ~faults ~required ~config =
+let omit c chain (test : Scan_test.t) ~faults ~required =
   let keeps candidate =
     let det = Partial.detect ~only:required c chain candidate ~faults in
     Bitvec.subset required det
   in
   let current = ref test in
   let checks = ref 0 in
-  let chunk = ref (min config.omission_chunk (max 1 (Scan_test.length test / 4))) in
+  let chunk = ref (min omission_chunk (max 1 (Scan_test.length test / 4))) in
   while !chunk land (!chunk - 1) <> 0 do
     chunk := !chunk land (!chunk - 1)
   done;
@@ -125,7 +111,7 @@ let omit c chain (test : Scan_test.t) ~faults ~required ~config =
   while !continue_ do
     let len = Scan_test.length !current in
     let p = ref (len - !chunk) in
-    while !p >= 0 && !checks < config.omission_checks do
+    while !p >= 0 && !checks < omission_checks do
       (if !p + !chunk <= Scan_test.length !current && !chunk < Scan_test.length !current
        then begin
          incr checks;
@@ -134,7 +120,7 @@ let omit c chain (test : Scan_test.t) ~faults ~required ~config =
        end);
       p := !p - !chunk
     done;
-    if !chunk = 1 || !checks >= config.omission_checks then continue_ := false
+    if !chunk = 1 || !checks >= omission_checks then continue_ := false
     else chunk := !chunk / 2
   done;
   !current
@@ -143,7 +129,7 @@ let omit c chain (test : Scan_test.t) ~faults ~required ~config =
    verification.  The combined test's row is everything it detects, so an
    acceptance can raise counts; the book forgets the failures that may
    depend on them. *)
-let combine c chain tests ~faults ~targets ~config =
+let combine c chain tests ~faults ~targets =
   let n = Array.length tests in
   if n <= 1 then tests
   else begin
@@ -169,13 +155,13 @@ let combine c chain tests ~faults ~targets ~config =
       end
     in
     let progress = ref true in
-    while !progress && !attempts < config.combine_attempts do
+    while !progress && !attempts < combine_attempts do
       progress := false;
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
           if
             i <> j && Pair_book.alive book i && Pair_book.alive book j
-            && !attempts < config.combine_attempts
+            && !attempts < combine_attempts
           then if try_combine i j then progress := true
         done
       done
@@ -183,13 +169,10 @@ let combine c chain tests ~faults ~targets ~config =
     Pair_book.survivors book
   end
 
-let run ?(config = default_config) (p : Pipeline.prepared) ~chain =
+let run ?(config = Pipeline.default_config) (p : Pipeline.prepared) ~chain =
   let c = p.circuit in
   let faults = p.faults in
-  let pipeline_config =
-    { Pipeline.default_config with seed = config.seed; t0_source = config.t0_source }
-  in
-  let t0, f0 = Pipeline.make_t0 pipeline_config p in
+  let t0, f0 = Pipeline.make_t0 config p in
   (* Phases 1 + 2, iterated. *)
   let selected = Bitvec.create (Array.length p.comb_tests) in
   let current_seq = ref t0 in
@@ -208,7 +191,7 @@ let run ?(config = default_config) (p : Pipeline.prepared) ~chain =
         ~si:p.comb_tests.(index).state
         ~t0:!current_seq ~f_si ~targets:p.targets
     in
-    let omitted = omit c chain test ~faults ~required:f_so ~config in
+    let omitted = omit c chain test ~faults ~required:f_so in
     let f_c = Bitvec.inter (Partial.detect ~only:p.targets c chain omitted ~faults) p.targets in
     let better =
       match !tau with
@@ -218,7 +201,7 @@ let run ?(config = default_config) (p : Pipeline.prepared) ~chain =
           cmp > 0 || (cmp = 0 && Scan_test.length omitted < Scan_test.length t)
     in
     if better then tau := Some (omitted, f_c);
-    if already_selected || !iter >= config.max_iterations || not better then stop := true
+    if already_selected || !iter >= max_iterations || not better then stop := true
     else begin
       Bitvec.set selected index;
       current_seq := omitted.seq;
@@ -246,7 +229,7 @@ let run ?(config = default_config) (p : Pipeline.prepared) ~chain =
   let initial_tests = Array.append [| tau_seq |] added in
   let cycles_initial = Partial.cycles c chain initial_tests in
   (* Phase 4. *)
-  let final_tests = combine c chain initial_tests ~faults ~targets:p.targets ~config in
+  let final_tests = combine c chain initial_tests ~faults ~targets:p.targets in
   let cycles_final = Partial.cycles c chain final_tests in
   let final_detected = Partial.coverage c chain final_tests ~faults in
   Bitvec.inter_into ~into:final_detected p.targets;

@@ -5,18 +5,11 @@
     X at test start, the scan-out observes scanned flip-flops only, and a
     scan operation costs [N_scanned] cycles.  Complete full-scan coverage
     is generally unreachable; the result reports the partial-scan
-    detectable coverage. *)
+    detectable coverage.
 
-type config = {
-  seed : int;
-  t0_source : Pipeline.t0_source;
-  max_iterations : int;
-  omission_chunk : int;
-  omission_checks : int;
-  combine_attempts : int;
-}
-
-val default_config : config
+    The loops are bounded: at most 4 Phase 1+2 rounds, omission trials
+    in halving chunks from 16 vectors under a budget of 120, and at most
+    2,000 combining attempts. *)
 
 type result = {
   chain : Asc_scan.Partial.chain;
@@ -29,5 +22,8 @@ type result = {
   cycles_final : int;
 }
 
+(** [config] (default {!Pipeline.default_config}) gives the seed and the
+    T0 source; its scan-out policy is not used (the scan-out time is the
+    earliest valid one). *)
 val run :
-  ?config:config -> Pipeline.prepared -> chain:Asc_scan.Partial.chain -> result
+  ?config:Pipeline.config -> Pipeline.prepared -> chain:Asc_scan.Partial.chain -> result

@@ -63,17 +63,6 @@ type submit_outcome =
 
 (* --- Spec resolution --------------------------------------------------- *)
 
-(* The fallback directed-T0 length budget for circuits the profile table
-   does not know (inline netlists) — the same value {!Registry.t0_budget}
-   falls back to, so a netlist submitted inline and the same circuit
-   submitted by name configure identically. *)
-let fallback_t0_budget = 50
-
-let t0_source_of ~directed_budget = function
-  | "directed" -> Ok (Pipeline.Directed directed_budget)
-  | "random" -> Ok (Pipeline.Random_seq 1000)
-  | s -> Error (Printf.sprintf "bad t0 %S (expected directed|random)" s)
-
 (* The canonical content of a job: everything that can change the result,
    with the netlist in its canonical rendering so two spellings of the
    same circuit share a cache line.  The key doubles the 32-bit CRC with
@@ -99,18 +88,15 @@ type resolved = {
 }
 
 let resolve spec =
-  let with_circuit circuit name ~directed_budget =
-    match t0_source_of ~directed_budget spec.sp_t0 with
-    | Error _ as e -> e
-    | Ok t0_source ->
-        let config = Experiments.config_for ~seed:spec.sp_seed ~t0_source in
-        Ok
-          {
-            rv_circuit = circuit;
-            rv_name = name;
-            rv_config = config;
-            rv_key = key_of_canonical (canonical circuit config);
-          }
+  let with_circuit circuit name =
+    Experiments.config_for ~seed:spec.sp_seed ~t0:spec.sp_t0 name
+    |> Result.map (fun config ->
+           {
+             rv_circuit = circuit;
+             rv_name = name;
+             rv_config = config;
+             rv_key = key_of_canonical (canonical circuit config);
+           })
   in
   match (spec.sp_circuit, spec.sp_netlist) with
   | Some _, Some _ ->
@@ -120,15 +106,13 @@ let resolve spec =
       if not (Asc_circuits.Registry.mem name) then
         Error (Printf.sprintf "unknown circuit %S" name)
       else
-        with_circuit
-          (Asc_circuits.Registry.get ~seed:spec.sp_seed name)
-          name
-          ~directed_budget:(Asc_circuits.Registry.t0_budget name)
+        with_circuit (Asc_circuits.Registry.get ~seed:spec.sp_seed name) name
   | None, Some text -> (
       try
+        (* Named [inline], an inline netlist configures like any circuit
+           the profile table does not know. *)
         let circuit = Bench_io.parse_string ~name:"inline" text in
         with_circuit circuit (Circuit.name circuit)
-          ~directed_budget:fallback_t0_budget
       with
       | Bench_io.Parse_error { line; message } ->
           Error (Printf.sprintf "netlist parse error at line %d: %s" line message)

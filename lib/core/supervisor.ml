@@ -89,8 +89,6 @@ type t = {
   trace : bool; (* workers ship their spans with each result *)
   state_dir : string option;
   job_retries : int;
-  restart_limit : int;
-  backoff_base : float;
   hb_stale : float;
   make_pool : (tel:Telemetry.t -> Asc_util.Domain_pool.t option) option;
   on_child_fork : (unit -> unit) option;
@@ -100,12 +98,15 @@ type t = {
   mutable stopping : bool;
 }
 
-(* Respawn delays take full jitter — uniform in [0, base * 2^restarts],
+(* A slot respawns at most [restart_limit] times, then is retired. *)
+let restart_limit = 5
+
+(* Respawn delays take full jitter — uniform in [0, 0.05 s * 2^restarts],
    capped at 5 s — so N slots killed by the same event (a chaos schedule,
    an OOM sweep) do not respawn in lockstep and stampede the machine.
    The stream is seeded from the parent pid: deterministic within one
    supervisor, decorrelated across a fleet of servers. *)
-let backoff t restarts = Backoff.full_jitter ~cap:5.0 ~rng:t.rng ~base:t.backoff_base restarts
+let backoff t restarts = Backoff.full_jitter ~cap:5.0 ~rng:t.rng ~base:0.05 restarts
 
 (* --- Worker process ------------------------------------------------------ *)
 
@@ -309,7 +310,7 @@ let pump t ~sched =
   Array.iter
     (fun w ->
       if (not w.w_alive) && (not w.w_retired) && now >= w.w_restart_at then begin
-        if w.w_restarts >= t.restart_limit then begin
+        if w.w_restarts >= restart_limit then begin
           w.w_retired <- true;
           Log.emit t.log "worker.retired" ~level:Log.Warn
             ~fields:
@@ -454,8 +455,7 @@ let dispatch t ~sched =
 (* --- Lifecycle and queries ---------------------------------------------- *)
 
 let create ?tel ?chaos ?log ?(trace = false) ?state_dir ?(job_retries = 3)
-    ?(restart_limit = 5) ?(backoff_base = 0.05) ?(hb_stale = 30.0) ?make_pool
-    ?on_child_fork ~workers () =
+    ?(hb_stale = 30.0) ?make_pool ?on_child_fork ~workers () =
   if workers < 1 then invalid_arg "Supervisor.create: workers must be >= 1";
   if job_retries < 1 then invalid_arg "Supervisor.create: job_retries must be >= 1";
   let t =
@@ -466,8 +466,6 @@ let create ?tel ?chaos ?log ?(trace = false) ?state_dir ?(job_retries = 3)
       trace;
       state_dir;
       job_retries;
-      restart_limit;
-      backoff_base;
       hb_stale;
       make_pool;
       on_child_fork;

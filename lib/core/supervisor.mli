@@ -21,9 +21,9 @@
     [job_retries] total dispatch attempts per job — past that the job
     fails cleanly with a typed [Failed "worker_crash"] result.  A slot
     restarts with full-jitter exponential backoff (uniform in
-    [\[0, backoff_base · 2{^restarts}\]], capped at 5 s —
+    [\[0, 0.05 s · 2{^restarts}\]], capped at 5 s —
     {!Asc_util.Backoff.full_jitter}, so slots killed by one event don't
-    respawn in lockstep) up to [restart_limit] times, then is retired;
+    respawn in lockstep) up to 5 times, then is retired;
     when every slot is retired ({!all_retired}), the caller should
     degrade to in-process execution.  Idle workers pong about once a
     second and are killed/respawned when silent past [hb_stale]
@@ -81,8 +81,6 @@ val create :
   ?trace:bool ->
   ?state_dir:string ->
   ?job_retries:int ->
-  ?restart_limit:int ->
-  ?backoff_base:float ->
   ?hb_stale:float ->
   ?make_pool:(tel:Asc_util.Telemetry.t -> Asc_util.Domain_pool.t option) ->
   ?on_child_fork:(unit -> unit) ->

@@ -324,18 +324,14 @@ let test_seq_tgen_consistency () =
           true (Bitvec.equal detected batch)
       in
       let r =
-        Asc_atpg.Seq_tgen.generate
-          ~config:{ Asc_atpg.Seq_tgen.default_config with budget = 120 }
-          c ~faults ~rng:(Rng.create 4)
+        Asc_atpg.Seq_tgen.generate ~max_length:120 c ~faults ~rng:(Rng.create 4)
       in
       check (name ^ " seq_tgen") r.seq r.detected;
       if name = "s298" then
         Alcotest.(check bool) "detects a majority" true
           (Bitvec.count r.detected * 2 > Array.length faults);
       let g =
-        Asc_atpg.Ga_tgen.generate
-          ~config:{ Asc_atpg.Ga_tgen.default_config with budget = 120 }
-          c ~faults ~rng:(Rng.create 4)
+        Asc_atpg.Ga_tgen.generate ~max_length:120 c ~faults ~rng:(Rng.create 4)
       in
       check (name ^ " ga_tgen") g.seq g.detected)
     [ "s27"; "s298"; "s344"; "s382"; "b01"; "b06" ]

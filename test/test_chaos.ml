@@ -299,8 +299,7 @@ let test_pool_survives_poisoned_task () =
    uninterrupted run — at every kill occurrence, and at 1 and 4 domains. *)
 let soak name =
   let c = Asc_circuits.Registry.get name in
-  let t0_source = Pipeline.Directed (Asc_circuits.Registry.t0_budget name) in
-  let config = Asc_core.Experiments.config_for ~seed:1 ~t0_source in
+  let config = Result.get_ok (Asc_core.Experiments.config_for ~seed:1 ~t0:"directed" name) in
   let prepared = Pipeline.prepare ~config c in
   let reference =
     match Pipeline.run_bounded ~config prepared with
@@ -436,8 +435,9 @@ let test_soak_s344 () = soak "s344"
    write fails, yet the run completes with the reference result. *)
 let test_degrade_on_persistent_write_failure () =
   let c = Asc_circuits.Registry.get "s298" in
-  let t0_source = Pipeline.Directed (Asc_circuits.Registry.t0_budget "s298") in
-  let config = Asc_core.Experiments.config_for ~seed:1 ~t0_source in
+  let config =
+    Result.get_ok (Asc_core.Experiments.config_for ~seed:1 ~t0:"directed" "s298")
+  in
   let prepared = Pipeline.prepare ~config c in
   let reference =
     match Pipeline.run_bounded ~config prepared with

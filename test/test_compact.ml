@@ -92,7 +92,8 @@ let test_combine_single_test_noop () =
    failed-pair memo and no snapshots.  Combine.run must make exactly the
    same decisions and the same number of attempts. *)
 let reference_combine c (tests : Scan_test.t array) ~faults ~targets =
-  let config = Asc_compact.Combine.default_config in
+  let max_sweeps = Asc_compact.Combine.max_sweeps in
+  let max_attempts = Asc_compact.Combine.max_attempts in
   let n = Array.length tests and n_faults = Array.length faults in
   let rows =
     Array.map (fun t -> Bitvec.inter (Scan_test.detect ~only:targets c t ~faults) targets) tests
@@ -129,7 +130,7 @@ let reference_combine c (tests : Scan_test.t array) ~faults ~targets =
     else false
   in
   let progress = ref true and sweep = ref 0 in
-  while !progress && !sweep < config.max_sweeps && !attempts < config.max_attempts do
+  while !progress && !sweep < max_sweeps && !attempts < max_attempts do
     incr sweep;
     progress := false;
     let pairs = ref [] in
@@ -141,7 +142,7 @@ let reference_combine c (tests : Scan_test.t array) ~faults ~targets =
     done;
     List.iter
       (fun (_, i, j) ->
-        if alive.(i) && alive.(j) && !attempts < config.max_attempts && try_combine i j then
+        if alive.(i) && alive.(j) && !attempts < max_attempts && try_combine i j then
           progress := true)
       (List.sort compare !pairs)
   done;
@@ -326,18 +327,25 @@ let test_dynamic_baseline_coverage () =
   let lengths = Array.map Scan_test.length r.tests in
   Alcotest.(check bool) "some test extends" true (Array.exists (fun l -> l > 1) lengths)
 
+(* The claimed coverage is real, and no detected target is also
+   reported unresolved. *)
+let dynamic_baseline_sound seed =
+  let c = small_circuit seed in
+  let faults = Collapse.reps (Collapse.run c) in
+  let targets = Bitvec.create ~default:true (Array.length faults) in
+  let rng = Rng.create (seed + 33) in
+  let r = Asc_compact.Dynamic_baseline.run c ~faults ~targets ~rng in
+  let cov = Asc_scan.Tset.coverage c r.tests ~faults in
+  Bitvec.subset r.detected cov && Bitvec.is_empty (Bitvec.inter r.detected r.unresolved)
+
 let prop_dynamic_baseline_sound =
   QCheck.Test.make ~name:"dynamic baseline's claimed coverage is real" ~count:5
     QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let c = small_circuit seed in
-      let faults = Collapse.reps (Collapse.run c) in
-      let targets = Bitvec.create ~default:true (Array.length faults) in
-      let rng = Rng.create (seed + 33) in
-      let r = Asc_compact.Dynamic_baseline.run c ~faults ~targets ~rng in
-      let cov = Asc_scan.Tset.coverage c r.tests ~faults in
-      Bitvec.subset r.detected cov
-      && Bitvec.is_empty (Bitvec.inter r.detected r.unresolved))
+    dynamic_baseline_sound
+
+(* Input 272 gives up on a target that a later test detects. *)
+let test_dynamic_baseline_resolves_late_detections () =
+  Alcotest.(check bool) "input 272 sound" true (dynamic_baseline_sound 272)
 
 let suite =
   [
@@ -358,5 +366,7 @@ let suite =
         qtest prop_set_cover_covers;
         Alcotest.test_case "dynamic baseline s27" `Quick test_dynamic_baseline_coverage;
         qtest prop_dynamic_baseline_sound;
+        Alcotest.test_case "dynamic baseline resolves late detections" `Quick
+          test_dynamic_baseline_resolves_late_detections;
       ] );
   ]

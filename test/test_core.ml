@@ -98,9 +98,7 @@ let run_s298 =
   (* One shared full run on the s298 stand-in (directed T0). *)
   lazy
     (let c = Asc_circuits.Registry.get "s298" in
-     let config =
-       { Pipeline.default_config with t0_source = Pipeline.Directed 120 }
-     in
+     let config = Result.get_ok (Asc_core.Experiments.config_for ~seed:1 ~t0:"directed" "s298") in
      let prepared = Pipeline.prepare ~config c in
      (c, prepared, Pipeline.run ~config prepared))
 
@@ -143,7 +141,7 @@ let test_pipeline_fseq_is_tau_seq_coverage () =
 
 let test_pipeline_deterministic () =
   let c = Asc_circuits.Registry.get "s344" in
-  let config = { Pipeline.default_config with t0_source = Pipeline.Directed 60 } in
+  let config = Result.get_ok (Asc_core.Experiments.config_for ~seed:1 ~t0:"directed" "s344") in
   let p1 = Pipeline.prepare ~config c in
   let r1 = Pipeline.run ~config p1 in
   let p2 = Pipeline.prepare ~config c in
@@ -192,7 +190,7 @@ let test_n_cyc_regression () =
     b.cycles_final;
   (* s344: a second, independent run. *)
   let c2 = Asc_circuits.Registry.get "s344" in
-  let config = { Pipeline.default_config with t0_source = Pipeline.Directed 60 } in
+  let config = Result.get_ok (Asc_core.Experiments.config_for ~seed:1 ~t0:"directed" "s344") in
   let p2 = Pipeline.prepare ~config c2 in
   let r2 = Pipeline.run ~config p2 in
   Alcotest.(check int) "s344 initial N_cyc" (n_cyc_by_hand c2 r2.initial_tests)

@@ -81,10 +81,7 @@ let prop_combine_is_concatenation =
    independently, on the pipeline's real output. *)
 let test_audit_vs_pipeline () =
   let c = Asc_circuits.Registry.get "s344" in
-  let config =
-    { Asc_core.Pipeline.default_config with
-      t0_source = Asc_core.Pipeline.Directed 60 }
-  in
+  let config = Result.get_ok (Asc_core.Experiments.config_for ~seed:1 ~t0:"directed" "s344") in
   let prepared = Asc_core.Pipeline.prepare ~config c in
   let r = Asc_core.Pipeline.run ~config prepared in
   let report =
@@ -100,10 +97,7 @@ let test_audit_vs_pipeline () =
 (* Saved and reloaded test sets behave identically. *)
 let test_tset_io_behavioural_roundtrip () =
   let c = Asc_circuits.Registry.get "s298" in
-  let config =
-    { Asc_core.Pipeline.default_config with
-      t0_source = Asc_core.Pipeline.Directed 120 }
-  in
+  let config = Result.get_ok (Asc_core.Experiments.config_for ~seed:1 ~t0:"directed" "s298") in
   let prepared = Asc_core.Pipeline.prepare ~config c in
   let r = Asc_core.Pipeline.run ~config prepared in
   let text = Asc_scan.Tset_io.to_string c r.final_tests in

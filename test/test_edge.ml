@@ -108,10 +108,7 @@ let test_inc3_compaction_consistent () =
 let test_single_pi_profile () =
   let c = Asc_circuits.Registry.get "b02" in
   Alcotest.(check int) "one PI" 1 (Circuit.n_inputs c);
-  let config =
-    { Asc_core.Pipeline.default_config with
-      t0_source = Asc_core.Pipeline.Directed 50 }
-  in
+  let config = Result.get_ok (Asc_core.Experiments.config_for ~seed:1 ~t0:"directed" "b02") in
   let prepared = Asc_core.Pipeline.prepare ~config c in
   let r = Asc_core.Pipeline.run ~config prepared in
   Alcotest.(check bool) "some coverage" true (Bitvec.count r.final_detected > 0);

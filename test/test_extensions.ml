@@ -19,8 +19,7 @@ let test_ga_tgen_consistency () =
   let c = Asc_circuits.Registry.get "s298" in
   let faults = Collapse.reps (Collapse.run c) in
   let rng = Rng.create 5 in
-  let cfg = { Asc_atpg.Ga_tgen.default_config with budget = 120 } in
-  let r = Asc_atpg.Ga_tgen.generate ~config:cfg c ~faults ~rng in
+  let r = Asc_atpg.Ga_tgen.generate ~max_length:120 c ~faults ~rng in
   Alcotest.(check bool) "non-empty" true (Array.length r.seq > 0);
   Alcotest.(check bool) "within budget" true (Array.length r.seq <= 120);
   let batch = Asc_fault.Seq_fsim.detect_no_scan c ~seq:r.seq ~faults in
@@ -31,9 +30,8 @@ let test_ga_tgen_consistency () =
 let test_ga_deterministic () =
   let c = Asc_circuits.Registry.get "s27" in
   let faults = Collapse.reps (Collapse.run c) in
-  let cfg = { Asc_atpg.Ga_tgen.default_config with budget = 40 } in
-  let r1 = Asc_atpg.Ga_tgen.generate ~config:cfg c ~faults ~rng:(Rng.create 9) in
-  let r2 = Asc_atpg.Ga_tgen.generate ~config:cfg c ~faults ~rng:(Rng.create 9) in
+  let r1 = Asc_atpg.Ga_tgen.generate ~max_length:40 c ~faults ~rng:(Rng.create 9) in
+  let r2 = Asc_atpg.Ga_tgen.generate ~max_length:40 c ~faults ~rng:(Rng.create 9) in
   Alcotest.(check bool) "same sequence" true (r1.seq = r2.seq)
 
 (* --- Transfer sequences ([7]) ------------------------------------------- *)

@@ -105,13 +105,11 @@ let test_hard_circuit_generators () =
   in
   let gen_directed () =
     let rng = Rng.create 7 in
-    let cfg = { Asc_atpg.Seq_tgen.default_config with budget } in
-    Bitvec.count (Asc_atpg.Seq_tgen.generate ~config:cfg c ~faults ~rng).detected
+    Bitvec.count (Asc_atpg.Seq_tgen.generate ~max_length:budget c ~faults ~rng).detected
   in
   let gen_ga () =
     let rng = Rng.create 7 in
-    let cfg = { Asc_atpg.Ga_tgen.default_config with budget } in
-    Bitvec.count (Asc_atpg.Ga_tgen.generate ~config:cfg c ~faults ~rng).detected
+    Bitvec.count (Asc_atpg.Ga_tgen.generate ~max_length:budget c ~faults ~rng).detected
   in
   let r = gen_random () and d = gen_directed () and g = gen_ga () in
   Alcotest.(check bool)

@@ -251,16 +251,12 @@ let test_t0_deterministic () =
   let name, c = ("s298", Asc_circuits.Registry.get "s298") in
   let faults = Asc_fault.Collapse.reps (Asc_fault.Collapse.run c) in
   let directed pool =
-    let cfg = { Asc_atpg.Seq_tgen.default_config with budget = 60 } in
     let rng = Rng.of_name ~seed:13 (name ^ "/par-t0") in
-    (Asc_atpg.Seq_tgen.generate ?pool ~config:cfg c ~faults ~rng).seq
+    (Asc_atpg.Seq_tgen.generate ?pool ~max_length:60 c ~faults ~rng).seq
   in
   let genetic pool =
-    let cfg =
-      { Asc_atpg.Ga_tgen.default_config with budget = 30; generations = 2 }
-    in
     let rng = Rng.of_name ~seed:17 (name ^ "/par-ga") in
-    (Asc_atpg.Ga_tgen.generate ?pool ~config:cfg c ~faults ~rng).seq
+    (Asc_atpg.Ga_tgen.generate ?pool ~max_length:30 ~generations:2 c ~faults ~rng).seq
   in
   List.iter
     (fun (label, gen) ->

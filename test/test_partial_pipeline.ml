@@ -7,16 +7,17 @@ module Partial = Asc_scan.Partial
 module Pipeline = Asc_core.Pipeline
 module Pp = Asc_core.Pipeline_partial
 
+(* s298 as `asc run s298` configures it (directed T0, 120 vectors). *)
+let config = Result.get_ok (Asc_core.Experiments.config_for ~seed:1 ~t0:"directed" "s298")
+
 let prepared_s298 =
   lazy
     (let c = Asc_circuits.Registry.get "s298" in
-     let config = { Pipeline.default_config with t0_source = Pipeline.Directed 120 } in
      (c, Pipeline.prepare ~config c))
 
 let run_at ratio =
   let c, prepared = Lazy.force prepared_s298 in
   let chain = Partial.by_fanout c ~ratio in
-  let config = { Pp.default_config with t0_source = Pipeline.Directed 120 } in
   (c, prepared, chain, Pp.run ~config prepared ~chain)
 
 let test_full_chain_equivalent_semantics () =
@@ -60,8 +61,7 @@ let test_partial_beats_reused_full_scan_tests () =
      partial chain should cover at least as much as the full-scan tests
      re-evaluated under the same chain. *)
   let c, prepared, chain, half = run_at 0.5 in
-  let full_config = { Pipeline.default_config with t0_source = Pipeline.Directed 120 } in
-  let full = Pipeline.run ~config:full_config prepared in
+  let full = Pipeline.run ~config prepared in
   let reused =
     Bitvec.inter
       (Partial.coverage c chain full.final_tests ~faults:prepared.faults)

@@ -112,7 +112,7 @@ let test_seq_tgen_degrades () =
      (at most one max_seg_len chunk) may be committed. *)
   Alcotest.(check bool) "fallback T0 only" true
     (Array.length r.seq > 0
-    && Array.length r.seq <= Asc_atpg.Seq_tgen.default_config.max_seg_len);
+    && Array.length r.seq <= Asc_atpg.Seq_tgen.max_seg_len);
   (* A pool whose own budget fired cuts the fallback commit short: the
      reported detections must still be those of the returned sequence. *)
   let pool = Domain_pool.create ~budget:(cancelled_budget ()) ~domains:1 () in
@@ -382,8 +382,7 @@ let test_checkpoint_incompatible () =
    are bit-identical to the uninterrupted run — for 1 and 4 domains. *)
 let check_resume_deterministic name =
   let c = Asc_circuits.Registry.get name in
-  let t0_source = Pipeline.Directed (Asc_circuits.Registry.t0_budget name) in
-  let config = Asc_core.Experiments.config_for ~seed:1 ~t0_source in
+  let config = Result.get_ok (Asc_core.Experiments.config_for ~seed:1 ~t0:"directed" name) in
   let prepared = Pipeline.prepare ~config c in
   let reference =
     match Pipeline.run_bounded ~config prepared with
@@ -461,10 +460,7 @@ let test_resume_s344 () = check_resume_deterministic "s344"
 let test_resume_from_phase3_snapshot () =
   let name = "s298" in
   let c = Asc_circuits.Registry.get name in
-  let config =
-    Asc_core.Experiments.config_for ~seed:1
-      ~t0_source:(Pipeline.Directed (Asc_circuits.Registry.t0_budget name))
-  in
+  let config = Result.get_ok (Asc_core.Experiments.config_for ~seed:1 ~t0:"directed" name) in
   let prepared = Pipeline.prepare ~config c in
   let last_snap = ref None in
   let reference =

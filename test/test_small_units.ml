@@ -75,8 +75,7 @@ let test_bitmat_copy_independent () =
 let test_seq_tgen_tiny_budget () =
   let c = Asc_circuits.S27.circuit () in
   let faults = Asc_fault.Collapse.reps (Asc_fault.Collapse.run c) in
-  let cfg = { Asc_atpg.Seq_tgen.default_config with budget = 3; seg_len = 8 } in
-  let r = Asc_atpg.Seq_tgen.generate ~config:cfg c ~faults ~rng:(Rng.create 2) in
+  let r = Asc_atpg.Seq_tgen.generate ~max_length:3 c ~faults ~rng:(Rng.create 2) in
   Alcotest.(check bool) "respects tiny budget" true
     (Array.length r.seq >= 1 && Array.length r.seq <= 3)
 
@@ -91,8 +90,7 @@ let test_transfer_zero_pairs_is_plain_combine () =
   in
   let targets = Asc_scan.Tset.coverage c tests ~faults in
   let plain = Asc_compact.Combine.run c tests ~faults ~targets in
-  let cfg = { Asc_compact.Transfer.default_config with max_pairs = 0 } in
-  let tr = Asc_compact.Transfer.run ~config:cfg c tests ~faults ~targets ~rng in
+  let tr = Asc_compact.Transfer.run ~max_pairs:0 c tests ~faults ~targets ~rng in
   Alcotest.(check int) "no transfers attempted" 0 tr.transfers;
   Alcotest.(check int) "same test count as plain" (Array.length plain.tests)
     (Array.length tr.tests)

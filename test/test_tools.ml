@@ -103,17 +103,18 @@ let asc_exe =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     "bin/asc.exe"
 
-(* Run the CLI, returning (exit code, stderr lines). *)
-let run_asc ?(env = "") args =
+(* Run the CLI with stdout sent to [stdout], returning (exit code,
+   stderr lines). *)
+let run_asc ?(env = "") ?(stdout = "/dev/null") args =
   let err = Filename.temp_file "asc-cli" ".err" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
     (fun () ->
       let cmd =
-        Printf.sprintf "%s %s %s >/dev/null 2>%s" env
+        Printf.sprintf "%s %s %s >%s 2>%s" env
           (Filename.quote asc_exe)
           (String.concat " " (List.map Filename.quote args))
-          (Filename.quote err)
+          (Filename.quote stdout) (Filename.quote err)
       in
       let code =
         match Unix.system cmd with
@@ -222,24 +223,87 @@ let test_cli_chaos_kill_exit_code () =
         | _ -> Alcotest.failf "expected one stderr line, got %d" (List.length lines))
   end
 
-(* Negative client retry settings are usage errors at parse time (exit
+(* A numeric flag out of its range is a usage error at parse time (exit
    124, naming the option), never clamped or left to fail later. *)
+let check_rejected_flag (option, args) =
+  let code, lines = run_asc args in
+  Alcotest.(check int) (option ^ ": exit code") 124 code;
+  Alcotest.(check bool) (option ^ ": names the option") true
+    (List.exists (fun l -> contains l ("'" ^ option ^ "'")) lines)
+
 let test_cli_client_rejects_negative_retries () =
   if not (Sys.file_exists asc_exe) then Alcotest.skip ()
   else
     List.iter
       (fun (option, args) ->
-        let code, lines =
-          run_asc
-            ([ "client"; "--socket"; missing ^ "/s.sock" ] @ args @ [ "ping" ])
-        in
-        Alcotest.(check int) (option ^ ": exit code") 124 code;
-        Alcotest.(check bool) (option ^ ": names the option") true
-          (List.exists (fun l -> contains l ("'" ^ option ^ "'")) lines))
+        check_rejected_flag
+          (option, [ "client"; "--socket"; missing ^ "/s.sock" ] @ args @ [ "ping" ]))
       [
         ("--retry-backoff", [ "--retries"; "1"; "--retry-backoff=-5" ]);
         ("--retries", [ "--retries=-3" ]);
       ]
+
+let test_cli_rejects_out_of_range_flags () =
+  if not (Sys.file_exists asc_exe) then Alcotest.skip ()
+  else
+    List.iter check_rejected_flag
+      [
+        ("--cycles", [ "waveform"; "s27"; missing ^ "/w.vcd"; "--cycles=-1" ]);
+        ("--cycles", [ "waveform"; "s27"; missing ^ "/w.vcd"; "--cycles"; "0" ]);
+        ("--ratio", [ "partial"; "s27"; "--ratio=-1" ]);
+        ("--ratio", [ "partial"; "s27"; "--ratio"; "2.5" ]);
+        ("--workers", [ "serve"; "--socket"; missing ^ "/s.sock"; "--workers=-1" ]);
+      ]
+
+(* Run the CLI, failing the test unless it exits 0; returns its stdout. *)
+let asc_stdout args =
+  let out = Filename.temp_file "asc-cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      let code, err = run_asc ~stdout:out args in
+      if code <> 0 then
+        Alcotest.failf "asc %s: exit %d: %s" (String.concat " " args) code
+          (String.concat " | " err);
+      In_channel.with_open_text out In_channel.input_all)
+
+(* The line of [text] that starts with [prefix]. *)
+let line_with text prefix =
+  match
+    List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' text)
+  with
+  | Some line -> line
+  | None -> Alcotest.failf "no %S line in:\n%s" prefix text
+
+(* `asc import` configures a netlist the way `asc run` configures the
+   registry circuit of the same name: an exported s298 reports the same
+   cycles and coverage either way. *)
+let test_cli_import_configures_like_run () =
+  if not (Sys.file_exists asc_exe) then Alcotest.skip ()
+  else begin
+    let dir = Filename.temp_dir "asc-cli" "" in
+    let bench = Filename.concat dir "s298.bench" in
+    Fun.protect
+      ~finally:(fun () ->
+        (try Sys.remove bench with Sys_error _ -> ());
+        Sys.rmdir dir)
+      (fun () ->
+        ignore (asc_stdout [ "export"; "s298"; bench ]);
+        let run = asc_stdout [ "run"; "s298"; "--domains"; "1" ] in
+        let imported = asc_stdout [ "import"; bench ] in
+        let initial, final =
+          Scanf.sscanf (line_with run "cycles:") "cycles: %d initial, %d after phase 4"
+            (fun i f -> (i, f))
+        in
+        let detected, targets =
+          Scanf.sscanf (line_with run "final coverage:") "final coverage: %d / %d"
+            (fun d t -> (d, t))
+        in
+        Alcotest.(check string) "import reports what run reports"
+          (Printf.sprintf "proposed procedure: %d cycles initial, %d final, %d/%d detected"
+             initial final detected targets)
+          (line_with imported "proposed procedure:"))
+  end
 
 let suite =
   [
@@ -260,5 +324,9 @@ let suite =
           test_cli_chaos_kill_exit_code;
         Alcotest.test_case "cli: negative client retries are usage errors"
           `Quick test_cli_client_rejects_negative_retries;
+        Alcotest.test_case "cli: out-of-range numeric flags are usage errors"
+          `Quick test_cli_rejects_out_of_range_flags;
+        Alcotest.test_case "cli: import configures like run" `Quick
+          test_cli_import_configures_like_run;
       ] );
   ]
