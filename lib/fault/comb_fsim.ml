@@ -47,40 +47,25 @@ let pack c (patterns : Pattern.t array) =
    once with the closure-free schedule sweep, [det] runs one fault as a
    cone-limited difference against it and returns its detection word —
    a difference at a PO or in the captured state, DFF pin-0 overrides
-   included — and [flush] drains kernel-local counters into telemetry at
-   chunk end. *)
-let make_sim c tel =
-  let k = Kernel.create c in
-  let gv = Array.make (Circuit.n_gates c) 0 in
-  let prep group =
-    Kernel.good_cycle k ~pi_words:group.pi_words ~state:group.state_words ~v:gv
-  in
-  let det group fault =
-    Kernel.set_overrides k [ Fault.to_override fault ~lanes:Word.mask ];
-    Kernel.reset k;
-    Kernel.cycle k ~gw:gv;
-    let d = ref (Kernel.po_diff k) in
-    Kernel.finish_cycle k ~gw:gv;
-    d := !d lor Kernel.state_diff_word k;
-    !d land group.lanes
-  in
-  let flush () =
-    Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k)
-  in
-  (prep, det, flush)
+   included. *)
+type sim = { k : Kernel.t; gv : int array }
 
-(* Chunked parallel sweep over pattern groups (see Asc_util.Domain_pool):
-   each chunk simulates a contiguous group range on a private engine and
-   fills its own slot of [parts]; the submitter merges in index order. *)
-let sweep_groups ?pool groups ~chunk ~merge ~empty =
-  let n = Array.length groups in
-  let ranges = Domain_pool.split ~n ~pieces:(Domain_pool.chunk_count pool n) in
-  let parts = Array.make (Array.length ranges) empty in
-  Domain_pool.run_opt pool (Array.length ranges) (fun ci -> parts.(ci) <- chunk ranges.(ci));
-  Array.iteri (fun ci part -> merge ranges.(ci) part) parts
+let make_sim c = { k = Kernel.create c; gv = Array.make (Circuit.n_gates c) 0 }
+
+let prep s group =
+  Kernel.good_cycle s.k ~pi_words:group.pi_words ~state:group.state_words ~v:s.gv
+
+let det s group fault =
+  Kernel.set_overrides s.k [ Fault.to_override fault ~lanes:Word.mask ];
+  Kernel.reset s.k;
+  Kernel.cycle s.k ~gw:s.gv;
+  let d = Kernel.po_diff s.k in
+  Kernel.finish_cycle s.k ~gw:s.gv;
+  (d lor Kernel.state_diff_word s.k) land group.lanes
 
 (* Detection matrix: rows are patterns, columns are faults.  [only]
-   restricts the simulated fault indices (default: all). *)
+   restricts the simulated fault indices (default: all).  The items are
+   pattern groups, each setting bits in its own rows. *)
 let detect_matrix ?pool ?(budget = Budget.unlimited) ?tel ?only c ~patterns ~faults =
   Telemetry.span tel "fsim:matrix"
     ~args:
@@ -92,101 +77,39 @@ let detect_matrix ?pool ?(budget = Budget.unlimited) ?tel ?only c ~patterns ~fau
   let n_faults = Array.length faults in
   let mat = Bitmat.create (Array.length patterns) n_faults in
   let groups = pack c patterns in
-  let chunk (start, count) =
-    let prep, det, flush = make_sim c tel in
-    let base0 = groups.(start).base in
-    let last = groups.(start + count - 1) in
-    let rows =
-      Array.init (last.base + last.count - base0) (fun _ -> Bitvec.create n_faults)
-    in
-    let sims = ref 0 and hits = ref 0 in
-    for gi = start to start + count - 1 do
-      Budget.check budget;
-      let group = groups.(gi) in
-      prep group;
-      let simulate fi =
-        incr sims;
-        let d = det group faults.(fi) in
-        hits := !hits + Word.popcount d;
-        Word.iter_set (fun lane -> Bitvec.set rows.(group.base - base0 + lane) fi) d
-      in
-      match only with
-      | None ->
-          for fi = 0 to n_faults - 1 do
-            simulate fi
-          done
-      | Some mask -> Bitvec.iter_set simulate mask
-    done;
-    Telemetry.add tel Telemetry.Faults_simulated !sims;
-    Telemetry.add tel Telemetry.Faulty_cycles !sims;
-    Telemetry.add tel Telemetry.Good_cycles count;
-    Telemetry.add tel Telemetry.Fault_detections !hits;
-    Telemetry.add tel Telemetry.Budget_polls count;
-    flush ();
-    rows
+  let simulated =
+    match only with
+    | None -> Array.init n_faults Fun.id
+    | Some mask -> Array.of_list (Bitvec.to_list mask)
   in
-  sweep_groups ?pool groups ~chunk ~empty:[||] ~merge:(fun (start, _) rows ->
-      let base0 = groups.(start).base in
-      Array.iteri (fun k row -> Bitmat.set_row mat (base0 + k) row) rows);
+  ignore
+    (Sweep.run ?pool ~budget ?tel
+       ~engine:(fun _ -> make_sim c)
+       ~evaluated:(fun s -> Kernel.take_evaluated s.k)
+       ~init:() (Array.length groups)
+       (fun s w gi ->
+         let group = groups.(gi) in
+         prep s group;
+         Array.iter
+           (fun fi ->
+             let d = det s group faults.(fi) in
+             w.hits <- w.hits + Word.popcount d;
+             Word.iter_set (fun lane -> Bitmat.set mat (group.base + lane) fi) d)
+           simulated;
+         w.lanes <- w.lanes + Array.length simulated;
+         w.cycles <- w.cycles + Array.length simulated)
+      : unit array);
+  Telemetry.add tel Telemetry.Good_cycles (Array.length groups);
   mat
-
-(* Union detection: the set of fault indices detected by at least one
-   pattern.  [only] restricts the simulated faults.  Sequentially, a fault
-   already detected by an earlier group is skipped; across domains the
-   skip applies within each chunk only (results are identical, some
-   redundant simulation is traded for wall-clock). *)
-let detect_union ?pool ?(budget = Budget.unlimited) ?tel ?only c ~patterns ~faults =
-  Telemetry.span tel "fsim:union"
-    ~args:
-      [
-        ("patterns", string_of_int (Array.length patterns));
-        ("faults", string_of_int (Array.length faults));
-      ]
-  @@ fun () ->
-  let n_faults = Array.length faults in
-  let det = Bitvec.create n_faults in
-  let groups = pack c patterns in
-  let chunk (start, count) =
-    let prep, detw, flush = make_sim c tel in
-    let local = Bitvec.create n_faults in
-    let sims = ref 0 in
-    for gi = start to start + count - 1 do
-      Budget.check budget;
-      let group = groups.(gi) in
-      prep group;
-      let simulate fi =
-        if not (Bitvec.get local fi) then begin
-          incr sims;
-          if detw group faults.(fi) <> 0 then Bitvec.set local fi
-        end
-      in
-      match only with
-      | None ->
-          for fi = 0 to n_faults - 1 do
-            simulate fi
-          done
-      | Some mask -> Bitvec.iter_set simulate mask
-    done;
-    Telemetry.add tel Telemetry.Faults_simulated !sims;
-    Telemetry.add tel Telemetry.Faulty_cycles !sims;
-    Telemetry.add tel Telemetry.Good_cycles count;
-    Telemetry.add tel Telemetry.Fault_detections (Bitvec.count local);
-    Telemetry.add tel Telemetry.Budget_polls count;
-    flush ();
-    local
-  in
-  sweep_groups ?pool groups ~chunk ~empty:(Bitvec.create n_faults)
-    ~merge:(fun _ local -> Bitvec.union_into ~into:det local);
-  det
 
 (* Per-pattern detection of a *single* fault: which patterns detect it. *)
 let patterns_detecting c ~patterns ~fault =
   let result = Bitvec.create (Array.length patterns) in
-  let prep, det, _flush = make_sim c None in
+  let s = make_sim c in
   Array.iter
     (fun group ->
-      prep group;
-      let d = det group fault in
+      prep s group;
+      let d = det s group fault in
       Word.iter_set (fun lane -> Bitvec.set result (group.base + lane)) d)
     (pack c patterns);
   result

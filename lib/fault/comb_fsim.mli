@@ -21,17 +21,6 @@ val detect_matrix :
   faults:Fault.t array ->
   Asc_util.Bitmat.t
 
-(** Fault indices detected by at least one pattern. *)
-val detect_union :
-  ?pool:Asc_util.Domain_pool.t ->
-  ?budget:Asc_util.Budget.t ->
-  ?tel:Asc_util.Telemetry.t ->
-  ?only:Asc_util.Bitvec.t ->
-  Asc_netlist.Circuit.t ->
-  patterns:Asc_sim.Pattern.t array ->
-  faults:Fault.t array ->
-  Asc_util.Bitvec.t
-
 (** Which patterns detect one given fault. *)
 val patterns_detecting :
   Asc_netlist.Circuit.t ->

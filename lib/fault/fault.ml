@@ -15,7 +15,6 @@ let input gate pin stuck =
   if pin < 0 then invalid_arg "Fault.input: negative pin";
   { gate; pin; stuck }
 
-let compare = compare
 let equal = ( = )
 
 let to_string c f =

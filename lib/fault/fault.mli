@@ -6,7 +6,6 @@ type t = { gate : int; pin : int; stuck : bool }
 val output : int -> bool -> t
 val input : int -> int -> bool -> t
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 
 (** ["signal/sa0"] or ["signal.in2/sa1"]. *)

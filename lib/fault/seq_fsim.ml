@@ -14,14 +14,13 @@
    Each faulty machine runs on the levelized kernel (Asc_sim.Kernel) as a
    cone-limited difference against the fault-free trace.
 
-   On top of the word-level parallelism, every entry point takes an
-   optional [pool] (see Asc_util.Domain_pool): fault groups (or, in
-   [candidate_detections], fault indices) are split into contiguous chunks
-   and simulated on worker domains.  Each chunk owns a private kernel — no
-   simulation state is shared between domains; the fault-free trace and the
-   packed PI words are shared read-only.  Chunks report results into
-   chunk-indexed slots which the submitting domain merges in index order,
-   so detection bit vectors are bit-identical for any domain count.
+   On top of the word-level parallelism, every entry point is one
+   [Sweep.run] over its fault groups (or, in [candidate_detections],
+   fault indices), which takes an optional [pool]: the items are split
+   into contiguous chunks, each on a private kernel; the fault-free trace
+   and the packed PI words are shared read-only.  Each item reports into
+   its own slot, which the submitting domain merges in index order, so
+   detection bit vectors are bit-identical for any domain count.
 
    [profile] additionally records, per fault, the earliest PO detection
    time and the set of time units at which the faulty state differs — the
@@ -31,9 +30,9 @@
    combining verify candidate suffixes without re-simulating the prefix.
 
    Every entry point also takes an optional [budget] (Asc_util.Budget),
-   polled once per fault group: a fired deadline or cancellation raises
-   [Budget.Exhausted] at the next group boundary (through the pool's
-   fail-fast path when domains are involved), never mid-group. *)
+   which the sweep polls once per item: a fired deadline or cancellation
+   raises [Budget.Exhausted] at the next group boundary (through the
+   pool's fail-fast path when domains are involved), never mid-group. *)
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
@@ -152,18 +151,33 @@ module Trace_cache = struct
 
   let clear () = Mutex.protect lock (fun () -> entries := [])
 
-  let find c ~hash key =
-    Mutex.protect lock (fun () ->
-        let rec go acc = function
-          | [] -> None
-          | ((c', h, k', d, _) as e) :: rest when c' == c && h = hash && k' = key ->
-              entries := e :: List.rev_append acc rest;
-              Some d
-          | e :: rest -> go (e :: acc) rest
-        in
-        go [] !entries)
+  (* The entry of [key] (and its hash), counting the hit or the miss. *)
+  let lookup tel c key =
+    let hash = hash key in
+    let found =
+      Mutex.protect lock (fun () ->
+          let rec go acc = function
+            | [] -> None
+            | ((c', h, k', d, _) as e) :: rest when c' == c && h = hash && k' = key ->
+                entries := e :: List.rev_append acc rest;
+                Some d
+            | e :: rest -> go (e :: acc) rest
+          in
+          go [] !entries)
+    in
+    Telemetry.incr tel
+      (if Option.is_some found then Telemetry.Trace_cache_hits
+       else Telemetry.Trace_cache_misses);
+    (hash, found)
 
-  let add c ~hash key data size =
+  (* Enter [data] under a copy of [key]: the caller may mutate its own. *)
+  let add c ~hash { flavor; seq } data size =
+    let flavor =
+      match flavor with
+      | Splat si -> Splat (Array.copy si)
+      | Packed w -> Packed (Array.copy w)
+    in
+    let key = { flavor; seq = Array.map Array.copy seq } in
     Mutex.protect lock (fun () ->
         let used = ref 0 in
         entries :=
@@ -178,8 +192,6 @@ module Trace_cache = struct
 end
 
 let clear_trace_cache = Trace_cache.clear
-
-let deep_copy_seq (s : seq) = Array.map Array.copy s
 
 (* Fault-free run recording every gate's good bit per cycle.  With
    [shared = (rows, from)], the run stops at the first time unit
@@ -220,38 +232,27 @@ let good_trace_bits ?shared tel k c ~sw ~si ~len =
 (* Good bits for every gate at every time unit of the scan test
    (si, seq), through the cache.  The byte rows are handed to the
    kernel's [_bits] entry points as-is — no expansion, and the whole
-   trace stays cache-resident.  [Good_cycles] counts only computed
-   (miss) cycles. *)
-let good_gb tel k c ~si ~sw ~seq ~len =
-  let n = Circuit.n_gates c in
-  let lookup = { Trace_cache.flavor = Trace_cache.Splat si; seq } in
-  let hash = Trace_cache.hash lookup in
-  match Trace_cache.find c ~hash lookup with
-  | Some (Trace_cache.Bits bits) ->
-      Telemetry.incr tel Telemetry.Trace_cache_hits;
-      bits
-  | Some (Trace_cache.Words _) -> assert false (* flavors never collide *)
-  | None ->
-      Telemetry.incr tel Telemetry.Trace_cache_misses;
-      let bits = good_trace_bits tel k c ~sw ~si ~len in
-      Trace_cache.add c ~hash
-        { Trace_cache.flavor = Trace_cache.Splat (Array.copy si);
-          seq = deep_copy_seq seq }
-        (Trace_cache.Bits bits) (len * n);
+   trace stays cache-resident.  Only a miss builds a kernel and the PI
+   words, and [Good_cycles] counts only its computed cycles. *)
+let good_gb tel c ~si ~seq =
+  let key = { Trace_cache.flavor = Trace_cache.Splat si; seq } in
+  match Trace_cache.lookup tel c key with
+  | _, Some (Trace_cache.Bits bits) -> bits
+  | _, Some (Trace_cache.Words _) -> assert false (* flavors never collide *)
+  | hash, None ->
+      let len = Array.length seq in
+      let bits = good_trace_bits tel (Kernel.create c) c ~sw:(seq_words c seq) ~si ~len in
+      Trace_cache.add c ~hash key (Trace_cache.Bits bits) (len * Circuit.n_gates c);
       bits
 
 (* Good word trace of one packed candidate group (lanes = candidates). *)
 let good_cand_gw tel k c ~init_words ~sw ~seq ~len =
   let n = Circuit.n_gates c in
-  let lookup = { Trace_cache.flavor = Trace_cache.Packed init_words; seq } in
-  let hash = Trace_cache.hash lookup in
-  match Trace_cache.find c ~hash lookup with
-  | Some (Trace_cache.Words ws) ->
-      Telemetry.incr tel Telemetry.Trace_cache_hits;
-      ws
-  | Some (Trace_cache.Bits _) -> assert false
-  | None ->
-      Telemetry.incr tel Telemetry.Trace_cache_misses;
+  let key = { Trace_cache.flavor = Trace_cache.Packed init_words; seq } in
+  match Trace_cache.lookup tel c key with
+  | _, Some (Trace_cache.Words ws) -> ws
+  | _, Some (Trace_cache.Bits _) -> assert false
+  | hash, None ->
       Telemetry.add tel Telemetry.Good_cycles len;
       let v = Array.make n 0 in
       let state = Array.copy init_words in
@@ -262,11 +263,7 @@ let good_cand_gw tel k c ~init_words ~sw ~seq ~len =
             Kernel.good_capture k ~v ~state;
             snapshot)
       in
-      Trace_cache.add c ~hash
-        { Trace_cache.flavor = Trace_cache.Packed (Array.copy init_words);
-          seq = deep_copy_seq seq }
-        (Trace_cache.Words ws)
-        (len * n * 8);
+      Trace_cache.add c ~hash key (Trace_cache.Words ws) (len * n * 8);
       ws
 
 (* Detection word of one fault group over the good rows [gb], with an
@@ -276,11 +273,11 @@ let good_cand_gw tel k c ~init_words ~sw ~seq ~len =
    their detection bit is a monotonic OR, so the result word is
    unchanged while the cone shrinks to the still-undetected faults.
    [start] sets the group's starting state difference: zero from the
-   scan-in ([from_scan_in]), or one recorded in a snapshot.  [cycles]
-   accumulates the evaluated time units (telemetry). *)
+   scan-in ([from_scan_in]), or one recorded in a snapshot.  The group's
+   lanes and evaluated time units go to [w]. *)
 let from_scan_in k (_ : group) = Kernel.reset k
 
-let detect_group k ~gb ~len ~cycles ~start (group : group) =
+let detect_group k (w : Sweep.work) ~gb ~len ~start (group : group) =
   Kernel.set_overrides k group.overrides;
   start k group;
   let det = ref 0 in
@@ -291,30 +288,37 @@ let detect_group k ~gb ~len ~cycles ~start (group : group) =
     Kernel.finish_cycle_bits k ~gb:gb.(!t);
     incr t
   done;
-  cycles := !cycles + !t;
+  w.lanes <- w.lanes + Array.length group.members;
+  w.cycles <- w.cycles + !t;
   if !t = len && !det <> group.lanes then det := !det lor Kernel.state_diff_word k;
   !det land group.lanes
 
-(* Chunked parallel sweep over [groups]: each chunk simulates a contiguous
-   group range on its own engine (built by [make_engine] — a Kernel, or a
-   Kernel3 for the 3-valued entry points) and fills its own result slot;
-   [merge] is then applied chunk by chunk on the submitting domain, in
-   index order. *)
-let sweep_groups ?pool ~make_engine groups ~chunk ~merge ~empty =
-  let n = Array.length groups in
-  let ranges = Domain_pool.split ~n ~pieces:(Domain_pool.chunk_count pool n) in
-  let parts = Array.make (Array.length ranges) empty in
-  Domain_pool.run_opt pool (Array.length ranges) (fun ci ->
-      parts.(ci) <- chunk (make_engine ()) ranges.(ci));
-  Array.iteri (fun ci part -> merge ranges.(ci) part) parts
+(* [Sweep.run] with a private 2-valued kernel per chunk. *)
+let sweep ?pool ?budget ?tel ?stop c ~init n step =
+  Sweep.run ?pool ?budget ?tel ?stop
+    ~engine:(fun _ -> Kernel.create c)
+    ~evaluated:Kernel.take_evaluated ~init n step
+
+(* A step's detection word [d], counted as [w]'s hits. *)
+let hits (w : Sweep.work) d =
+  w.hits <- w.hits + Word.popcount d;
+  d
+
+(* The fault indices of [groups] whose lanes are set in their [dets]. *)
+let detected_members n groups dets =
+  let result = Bitvec.create n in
+  Array.iteri
+    (fun gi d ->
+      Word.iter_set (fun lane -> Bitvec.set result groups.(gi).members.(lane)) d)
+    dets;
+  result
 
 (* Which of [faults] does the scan test (si, seq) detect?  [only] restricts
    the simulated fault indices. *)
 let detect ?pool ?(budget = Budget.unlimited) ?tel ?only c ~si ~seq ~faults =
   let n = Array.length faults in
-  let result = Bitvec.create n in
   let subset = subset_of_only n only in
-  if Array.length subset = 0 then result
+  if Array.length subset = 0 then Bitvec.create n
   else
     Telemetry.span tel "fsim:detect"
       ~args:
@@ -323,35 +327,12 @@ let detect ?pool ?(budget = Budget.unlimited) ?tel ?only c ~si ~seq ~faults =
           ("len", string_of_int (Array.length seq));
         ]
       (fun () ->
-        let sw = seq_words c seq in
         let len = Array.length seq in
         let groups = make_groups faults subset in
-        let merge _range hits = List.iter (Bitvec.set result) hits in
-        let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
-        let chunk k (start, count) =
-          let hits = ref [] and nhits = ref 0 and lanes = ref 0 and cycles = ref 0 in
-          for gi = start to start + count - 1 do
-            Budget.check budget;
-            let group = groups.(gi) in
-            let d = detect_group k ~gb ~len ~cycles ~start:from_scan_in group in
-            lanes := !lanes + Array.length group.members;
-            Word.iter_set
-              (fun lane ->
-                hits := group.members.(lane) :: !hits;
-                incr nhits)
-              d
-          done;
-          Telemetry.add tel Telemetry.Faults_simulated !lanes;
-          Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-          Telemetry.add tel Telemetry.Fault_detections !nhits;
-          Telemetry.add tel Telemetry.Budget_polls count;
-          Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
-          !hits
-        in
-        sweep_groups ?pool
-          ~make_engine:(fun () -> Kernel.create c)
-          groups ~chunk ~empty:[] ~merge;
-        result)
+        let gb = good_gb tel c ~si ~seq in
+        sweep ?pool ~budget ?tel c ~init:0 (Array.length groups) (fun k w gi ->
+            hits w (detect_group k w ~gb ~len ~start:from_scan_in groups.(gi)))
+        |> detected_members n groups)
 
 (* Detection-time profile over a fault subset.
 
@@ -371,13 +352,15 @@ type profile = {
   state_diff_at : Bitvec.t array;
 }
 
-(* The profile loop of one group whose starting state is loaded: runs
-   until every lane is PO-detected or the rows run out, and prunes each
-   lane after its first PO detection.  [on_po lane t] reports
-   a first PO detection at row [t]; [after t po_seen] runs after the clock
-   edge of row [t], with the state difference entering [t + 1] in the
-   kernel and [po_seen] the lanes PO-detected so far. *)
-let profile_group k ~gb ~len ~cycles ~on_po ~after (group : group) =
+(* The profile loop of one group started by [start]: runs until every
+   lane is PO-detected or the rows run out, and prunes each lane after
+   its first PO detection.  [on_po lane t] reports a first PO detection
+   at row [t]; [after t po_seen] runs after the clock edge of row [t],
+   with the state difference entering [t + 1] in the kernel and
+   [po_seen] the lanes PO-detected so far. *)
+let profile_group k (w : Sweep.work) ~gb ~len ~start ~on_po ~after (group : group) =
+  Kernel.set_overrides k group.overrides;
+  start k group;
   let po_seen = ref 0 in
   let t = ref 0 in
   while !po_seen <> group.lanes && !t < len do
@@ -391,7 +374,8 @@ let profile_group k ~gb ~len ~cycles ~on_po ~after (group : group) =
     after !t !po_seen;
     incr t
   done;
-  cycles := !cycles + !t
+  w.lanes <- w.lanes + Array.length group.members;
+  w.cycles <- w.cycles + !t
 
 let profile ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset =
   Telemetry.span tel "fsim:profile"
@@ -402,46 +386,22 @@ let profile ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset =
       ]
   @@ fun () ->
   let len = Array.length seq in
-  let sw = seq_words c seq in
   let total = Array.length subset in
   let po_time = Array.make total max_int in
-  let state_diff_at = Array.make total (Bitvec.create len) in
+  let state_diff_at = Array.init total (fun _ -> Bitvec.create len) in
   let groups = make_groups faults subset in
-  let merge (gstart, _) (po, sdiff) =
-    let base0 = gstart * Word.width in
-    Array.blit po 0 po_time base0 (Array.length po);
-    Array.blit sdiff 0 state_diff_at base0 (Array.length sdiff)
-  in
-  let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
-  (* A chunk covers subset positions [gstart*W, gstart*W + span) and
-     returns its profile slices; the submitter blits them into place. *)
-  let chunk k (gstart, gcount) =
-    let base0 = gstart * Word.width in
-    let span = min total ((gstart + gcount) * Word.width) - base0 in
-    let po = Array.make span max_int in
-    let sdiff = Array.init span (fun _ -> Bitvec.create len) in
-    let cycles = ref 0 in
-    Telemetry.add tel Telemetry.Faults_simulated span;
-    Telemetry.add tel Telemetry.Budget_polls gcount;
-    for gi = gstart to gstart + gcount - 1 do
-      Budget.check budget;
-      let group = groups.(gi) in
-      let base = (gi * Word.width) - base0 in
-      Kernel.set_overrides k group.overrides;
-      Kernel.reset k;
-      profile_group k ~gb ~len ~cycles group
-        ~on_po:(fun lane t -> po.(base + lane) <- t)
-        ~after:(fun t _ ->
-          let sd = Kernel.state_diff_word k land group.lanes in
-          Word.iter_set (fun lane -> Bitvec.set sdiff.(base + lane) t) sd)
-    done;
-    Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-    Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
-    (po, sdiff)
-  in
-  sweep_groups ?pool
-    ~make_engine:(fun () -> Kernel.create c)
-    groups ~chunk ~empty:([||], [||]) ~merge;
+  let gb = good_gb tel c ~si ~seq in
+  (* Group [gi] writes only its own positions [gi*W, gi*W + lanes). *)
+  ignore
+    (sweep ?pool ~budget ?tel c ~init:() (Array.length groups) (fun k w gi ->
+         let group = groups.(gi) in
+         let base = gi * Word.width in
+         profile_group k w ~gb ~len ~start:from_scan_in group
+           ~on_po:(fun lane t -> po_time.(base + lane) <- t)
+           ~after:(fun t _ ->
+             let sd = Kernel.state_diff_word k land group.lanes in
+             Word.iter_set (fun lane -> Bitvec.set state_diff_at.(base + lane) t) sd))
+      : unit array);
   { subset; po_time; state_diff_at }
 
 (* Faults detected by the test truncated to end (and scan out) at time
@@ -461,10 +421,10 @@ let profile_detected_at p ~u =
 
    Parallel decomposition: the candidate packing and the fault-free runs
    (one per candidate group) are cheap and stay on the submitting domain;
-   the [subset] faults — the heavy dimension — are chunked across the
-   pool, each chunk simulating its faults against every candidate group on
-   a private kernel.  Chunks return raw detection words; the submitter
-   alone writes the result matrix. *)
+   the sweep's items are the [subset] faults — the heavy dimension — each
+   simulated against every candidate group on its chunk's kernel.  Each
+   returns raw detection words; the submitter alone writes the result
+   matrix, in index order. *)
 let candidate_detections ?pool ?(budget = Budget.unlimited) ?tel c ~sis ~seq ~faults ~subset =
   Telemetry.span tel "fsim:candidates"
     ~args:
@@ -501,9 +461,8 @@ let candidate_detections ?pool ?(budget = Budget.unlimited) ?tel c ~sis ~seq ~fa
     let k0 = Kernel.create c in
     Array.map (fun (_, _, init_words) -> good_cand_gw tel k0 c ~init_words ~sw ~seq ~len) meta
   in
-  (* One fault at a time, injected in every candidate lane.  [cycles]
-     accumulates evaluated time units for the chunk's telemetry. *)
-  let detect_cand k ~cycles fi cgi =
+  (* One fault at a time, injected in every candidate lane. *)
+  let detect_cand k (w : Sweep.work) fi cgi =
     let _, cfull, _ = meta.(cgi) in
     let gwt = traces.(cgi) in
     Kernel.set_overrides k [ Fault.to_override faults.(fi) ~lanes:Word.mask ];
@@ -516,79 +475,34 @@ let candidate_detections ?pool ?(budget = Budget.unlimited) ?tel c ~sis ~seq ~fa
       Kernel.finish_cycle k ~gw:gwt.(!t);
       incr t
     done;
-    cycles := !cycles + !t;
+    w.cycles <- w.cycles + !t;
     if !t = len && !det <> cfull then det := !det lor Kernel.state_diff_word k;
-    !det land cfull
+    hits w (!det land cfull)
   in
-  (* Chunk the [subset] faults — the heavy dimension — across the pool;
-     each chunk returns raw per-(fault, cgroup) detection words and the
-     submitter alone writes the result matrix, in index order. *)
-  let nf = Array.length subset in
-  let ranges = Domain_pool.split ~n:nf ~pieces:(Domain_pool.chunk_count pool nf) in
-  let parts = Array.make (Array.length ranges) [||] in
-  Domain_pool.run_opt pool (Array.length ranges) (fun ci ->
-      let start, count = ranges.(ci) in
-      let k = Kernel.create c in
-      let dets = Array.make_matrix count n_cgroups 0 in
-      let cycles = ref 0 and nhits = ref 0 in
-      for j = 0 to count - 1 do
-        Budget.check budget;
-        let fi = subset.(start + j) in
-        for cgi = 0 to n_cgroups - 1 do
-          let d = detect_cand k ~cycles fi cgi in
-          nhits := !nhits + Word.popcount d;
-          dets.(j).(cgi) <- d
-        done
-      done;
-      Telemetry.add tel Telemetry.Faults_simulated count;
-      Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-      Telemetry.add tel Telemetry.Fault_detections !nhits;
-      Telemetry.add tel Telemetry.Budget_polls count;
-      Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
-      parts.(ci) <- dets);
+  let dets =
+    sweep ?pool ~budget ?tel c ~init:[||] (Array.length subset) (fun k w j ->
+        w.lanes <- w.lanes + 1;
+        Array.init n_cgroups (detect_cand k w subset.(j)))
+  in
   Array.iteri
-    (fun ci dets ->
-      let start, _ = ranges.(ci) in
+    (fun j per_cg ->
       Array.iteri
-        (fun j per_cg ->
-          let fi = subset.(start + j) in
-          Array.iteri
-            (fun cgi det ->
-              let cbase, _, _ = meta.(cgi) in
-              Word.iter_set (fun lane -> Bitmat.set result (cbase + lane) fi) det)
-            per_cg)
-        dets)
-    parts;
+        (fun cgi det ->
+          let cbase, _, _ = meta.(cgi) in
+          Word.iter_set (fun lane -> Bitmat.set result (cbase + lane) subset.(j)) det)
+        per_cg)
+    dets;
   result
 
 (* The verify loop: does every group, started by [start] and
    run over the good rows [gb], detect all its lanes?  Any failing group
-   stops the sweep: sequentially via the loop condition, across domains
-   via a shared flag checked between groups. *)
+   stops the sweep (its [stop] rule: sequentially no later group runs,
+   across domains the other chunks stop between groups). *)
 let verify_groups ?pool ~budget ?tel c ~gb ~len ~start groups =
-  let failed = Atomic.make false in
-  let chunk k (first, count) =
-    let gi = ref first in
-    let lanes = ref 0 and cycles = ref 0 and polls = ref 0 in
-    while (not (Atomic.get failed)) && !gi < first + count do
-      Budget.check budget;
-      incr polls;
-      let group = groups.(!gi) in
-      let d = detect_group k ~gb ~len ~cycles ~start group in
-      lanes := !lanes + Array.length group.members;
-      if d <> group.lanes then Atomic.set failed true;
-      incr gi
-    done;
-    Telemetry.add tel Telemetry.Faults_simulated !lanes;
-    Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-    Telemetry.add tel Telemetry.Budget_polls !polls;
-    Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k)
-  in
-  sweep_groups ?pool
-    ~make_engine:(fun () -> Kernel.create c)
-    groups ~chunk ~empty:()
-    ~merge:(fun _ () -> ());
-  not (Atomic.get failed)
+  sweep ?pool ~budget ?tel c ~init:true ~stop:not (Array.length groups) (fun k w gi ->
+      let group = groups.(gi) in
+      detect_group k w ~gb ~len ~start group = group.lanes)
+  |> Array.for_all Fun.id
 
 (* Verification: does (si, seq) detect *every* fault index in [subset]?
    It is [verify_groups] from the scan-in — the time-0 snapshot: state
@@ -599,9 +513,8 @@ let verify_required ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~
     Telemetry.span tel "fsim:verify"
       ~args:[ ("faults", string_of_int (Array.length subset)) ]
       (fun () ->
-        let sw = seq_words c seq in
         let len = Array.length seq in
-        let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
+        let gb = good_gb tel c ~si ~seq in
         verify_groups ?pool ~budget ?tel c ~gb ~len ~start:from_scan_in
           (make_groups faults subset))
 
@@ -654,56 +567,44 @@ let snapshots ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset
   let diffs = Array.map (fun _ -> Hashtbl.create 64) boundaries in
   let dffs = Circuit.dffs c in
   let n_ff = Array.length dffs in
-  let sw = seq_words c seq in
-  let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
+  let gb = good_gb tel c ~si ~seq in
   let good_state b =
     if b = 0 then Array.copy si
     else if b < len then Array.map (fun g -> Bytes.get gb.(b) g = '\001') dffs
     else Array.map (fun g -> Bytes.get gb.(len - 1) (Circuit.dff_input c g) = '\001') dffs
   in
   let groups = make_groups faults subset in
-  (* Chunks write disjoint positions of [po_time] directly and return
-     their differences per boundary; the submitter files those. *)
-  let chunk k (gstart, gcount) =
-    let cycles = ref 0 and lanes = ref 0 in
-    let acc = Array.make Word.width [] in
-    let found = Array.map (fun _ -> []) boundaries in
-    for gi = gstart to gstart + gcount - 1 do
-      Budget.check budget;
-      let group = groups.(gi) in
-      let base = gi * Word.width in
-      lanes := !lanes + Array.length group.members;
-      Kernel.set_overrides k group.overrides;
-      Kernel.reset k;
-      profile_group k ~gb ~len ~cycles group
-        ~on_po:(fun lane t -> po_time.(base + lane) <- t)
-        ~after:(fun t po_seen ->
-          let bi = slot.(t + 1) in
-          if bi >= 0 then begin
-            let live = group.lanes land lnot po_seen in
-            for i = n_ff - 1 downto 0 do
-              Word.iter_set (fun lane -> acc.(lane) <- i :: acc.(lane)) (Kernel.state_diff k i land live)
-            done;
-            Word.iter_set
-              (fun lane ->
-                if acc.(lane) <> [] then begin
-                  found.(bi) <- (base + lane, Array.of_list acc.(lane)) :: found.(bi);
-                  acc.(lane) <- []
-                end)
-              live
-          end)
-    done;
-    Telemetry.add tel Telemetry.Faults_simulated !lanes;
-    Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-    Telemetry.add tel Telemetry.Budget_polls gcount;
-    Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
-    found
+  (* Groups write their own positions of [po_time] directly and return
+     their differences (boundary slot, position, flip-flops); the
+     submitter files those. *)
+  let found =
+    sweep ?pool ~budget ?tel c ~init:[] (Array.length groups) (fun k w gi ->
+        let group = groups.(gi) in
+        let base = gi * Word.width in
+        let acc = Array.make Word.width [] in
+        let found = ref [] in
+        profile_group k w ~gb ~len ~start:from_scan_in group
+          ~on_po:(fun lane t -> po_time.(base + lane) <- t)
+          ~after:(fun t po_seen ->
+            let bi = slot.(t + 1) in
+            if bi >= 0 then begin
+              let live = group.lanes land lnot po_seen in
+              for i = n_ff - 1 downto 0 do
+                Word.iter_set
+                  (fun lane -> acc.(lane) <- i :: acc.(lane))
+                  (Kernel.state_diff k i land live)
+              done;
+              Word.iter_set
+                (fun lane ->
+                  if acc.(lane) <> [] then begin
+                    found := (bi, base + lane, Array.of_list acc.(lane)) :: !found;
+                    acc.(lane) <- []
+                  end)
+                live
+            end);
+        !found)
   in
-  sweep_groups ?pool
-    ~make_engine:(fun () -> Kernel.create c)
-    groups ~chunk ~empty:[||]
-    ~merge:(fun _ found ->
-      Array.iteri (fun bi l -> List.iter (fun (pos, d) -> Hashtbl.replace diffs.(bi) pos d) l) found);
+  Array.iter (List.iter (fun (bi, pos, d) -> Hashtbl.replace diffs.(bi) pos d)) found;
   ( po_time,
     Array.mapi
       (fun bi b -> { boundary = b; good_state = good_state b; index; po_time; diffs = diffs.(bi) })
@@ -749,10 +650,9 @@ let suffix_rows ?rejoin tel c s suffix =
     match rejoin with
     | None -> None
     | Some (si, seq) -> (
-        let lookup = { Trace_cache.flavor = Trace_cache.Splat si; seq } in
-        match Trace_cache.find c ~hash:(Trace_cache.hash lookup) lookup with
-        | Some (Trace_cache.Bits rows) ->
-            Telemetry.incr tel Telemetry.Trace_cache_hits;
+        let key = { Trace_cache.flavor = Trace_cache.Splat si; seq } in
+        match Trace_cache.lookup tel c key with
+        | _, Some (Trace_cache.Bits rows) ->
             (* Suffix row [j] aligns with the rejoin test's row [j + shift];
                the two input sequences agree from [from] on. *)
             let shift = Array.length seq - len in
@@ -764,10 +664,8 @@ let suffix_rows ?rejoin tel c s suffix =
             done;
             let aligned j = if j + shift < 0 then Bytes.empty else rows.(j + shift) in
             Some (Array.init len aligned, !from)
-        | Some (Trace_cache.Words _) -> assert false
-        | None ->
-            Telemetry.incr tel Telemetry.Trace_cache_misses;
-            None)
+        | _, Some (Trace_cache.Words _) -> assert false
+        | _, None -> None)
   in
   good_trace_bits ?shared tel (Kernel.create c) c ~sw:(seq_words c suffix) ~si:s.good_state
     ~len
@@ -800,51 +698,27 @@ let resume_po_time ?pool ?(budget = Budget.unlimited) ?tel ?rejoin c s ~suffix ~
         let gb = suffix_rows ?rejoin tel c s suffix in
         let groups = make_groups faults (Array.map (fun k -> subset.(k)) live) in
         let start = from_snapshot c s in
-        (* Chunks write disjoint entries of [result]. *)
-        let chunk k (gstart, gcount) =
-          let cycles = ref 0 and lanes = ref 0 in
-          for gi = gstart to gstart + gcount - 1 do
-            Budget.check budget;
-            let group = groups.(gi) in
-            lanes := !lanes + Array.length group.members;
-            Kernel.set_overrides k group.overrides;
-            start k group;
-            profile_group k ~gb ~len ~cycles group
-              ~on_po:(fun lane t -> result.(live.((gi * Word.width) + lane)) <- s.boundary + t)
-              ~after:(fun _ _ -> ())
-          done;
-          Telemetry.add tel Telemetry.Faults_simulated !lanes;
-          Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-          Telemetry.add tel Telemetry.Budget_polls gcount;
-          Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k)
-        in
-        sweep_groups ?pool
-          ~make_engine:(fun () -> Kernel.create c)
-          groups ~chunk ~empty:()
-          ~merge:(fun _ () -> ()));
+        (* Groups write their own entries of [result]. *)
+        ignore
+          (sweep ?pool ~budget ?tel c ~init:() (Array.length groups) (fun k w gi ->
+               profile_group k w ~gb ~len ~start groups.(gi)
+                 ~on_po:(fun lane t ->
+                   result.(live.((gi * Word.width) + lane)) <- s.boundary + t)
+                 ~after:(fun _ _ -> ()))
+            : unit array));
   result
 
 (* --- 3-valued, unknown initial state ("without scan") ------------------ *)
 
-(* Detection word of one fault group over the good rows [gbs], from a
-   zero state difference.  3-valued detection only: a PO whose good value
-   is binary while the faulty value is the complement. *)
-let detect_group3 k ~gbs ~cycles (group : group) =
-  Kernel3.set_overrides k group.overrides;
-  Kernel3.reset k;
-  let det, n = Kernel3.detect_po k ~gbs ~want:group.lanes in
-  cycles := !cycles + n;
-  det
-
 (* A fault counts as detected only when the fault-free value at a PO is a
    binary value and the faulty value is the complementary binary value.
    The fault-free run from the all-X state is computed once per call and
-   shared read-only by the chunks. *)
+   shared read-only by the chunks; each group starts from a zero state
+   difference. *)
 let detect_no_scan ?pool ?(budget = Budget.unlimited) ?tel ?only c ~seq ~faults =
   let n = Array.length faults in
-  let result = Bitvec.create n in
   let subset = subset_of_only n only in
-  if Array.length subset = 0 then result
+  if Array.length subset = 0 then Bitvec.create n
   else
     Telemetry.span tel "fsim:detect-no-scan"
       ~args:
@@ -856,30 +730,18 @@ let detect_no_scan ?pool ?(budget = Budget.unlimited) ?tel ?only c ~seq ~faults 
         let gbs = Kernel3.good_trace (Kernel3.create c) ~state:(Kernel3.x_state c) ~seq in
         Telemetry.add tel Telemetry.Good_cycles (Array.length seq);
         let groups = make_groups faults subset in
-        let chunk k (start, count) =
-          let hits = ref [] and nhits = ref 0 and lanes = ref 0 and cycles = ref 0 in
-          for gi = start to start + count - 1 do
-            Budget.check budget;
+        Sweep.run ?pool ~budget ?tel
+          ~engine:(fun _ -> Kernel3.create c)
+          ~evaluated:Kernel3.take_evaluated ~init:0 (Array.length groups)
+          (fun k w gi ->
             let group = groups.(gi) in
-            lanes := !lanes + Array.length group.members;
-            Word.iter_set
-              (fun lane ->
-                hits := group.members.(lane) :: !hits;
-                incr nhits)
-              (detect_group3 k ~gbs ~cycles group)
-          done;
-          Telemetry.add tel Telemetry.Faults_simulated !lanes;
-          Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-          Telemetry.add tel Telemetry.Fault_detections !nhits;
-          Telemetry.add tel Telemetry.Budget_polls count;
-          Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel3.take_evaluated k);
-          !hits
-        in
-        sweep_groups ?pool
-          ~make_engine:(fun () -> Kernel3.create c)
-          groups ~chunk ~empty:[]
-          ~merge:(fun _ hits -> List.iter (Bitvec.set result) hits);
-        result)
+            Kernel3.set_overrides k group.overrides;
+            Kernel3.reset k;
+            let det, cycles = Kernel3.detect_po k ~gbs ~want:group.lanes in
+            w.lanes <- w.lanes + Array.length group.members;
+            w.cycles <- w.cycles + cycles;
+            hits w det)
+        |> detected_members n groups)
 
 (* --- Incremental 3-valued co-simulation (for sequence generation) ------ *)
 
@@ -979,7 +841,7 @@ let undetected_lanes t gi =
    undetected lanes are simulated, each pruned once detected, and the run
    stops when all of them are.  [store] writes the final difference back
    (a commit); a peek leaves the group untouched. *)
-let run_segment k t gi ~gbs ~cycles ~store =
+let run_segment k (w : Sweep.work) t gi ~gbs ~store =
   let want = undetected_lanes t gi in
   if want = 0 then 0
   else begin
@@ -987,7 +849,7 @@ let run_segment k t gi ~gbs ~cycles ~store =
     Kernel3.set_overrides k t.groups3.(gi).overrides;
     Kernel3.load_state_diff k ~z ~o;
     let det, n = Kernel3.detect_po k ~gbs ~want in
-    cycles := !cycles + n;
+    w.cycles <- w.cycles + n;
     if store then Kernel3.store_state_diff k ~z ~o;
     det
   end
@@ -1005,34 +867,24 @@ let good_segment t segment ~advance =
   in
   (gbs, any_known)
 
-(* Chunked parallel sweep over the fault groups.  Each chunk owns a
-   contiguous group range and a kernel kept across sweeps: group [gi]'s
-   difference is touched only by the task that owns [gi], the good rows
-   and [detected3] are read-only during the sweep, and per-group results
-   land in group-indexed slots the submitter merges in index order — so
-   peek counts and commit detections are bit-identical for any domain
+(* [Sweep.run] of [run_segment] over the fault groups, on per-chunk
+   kernels kept across sweeps (grown here, on the submitter): group
+   [gi]'s difference is touched only by the task that owns [gi], and the
+   good rows and [detected3] are read-only during the sweep — so peek
+   counts and commit detections are bit-identical for any domain
    count. *)
-let inc3_sweep ?pool ?tel t ~f =
+let inc3_sweep ?pool ?budget ?tel t ~gbs ~store =
   let n_groups = Array.length t.groups3 in
-  let dets = Array.make n_groups 0 in
-  let ranges =
-    Domain_pool.split ~n:n_groups ~pieces:(Domain_pool.chunk_count pool n_groups)
-  in
+  let chunks = Domain_pool.chunk_count pool n_groups in
   let nk = Array.length t.kernels in
-  if nk < Array.length ranges then
+  if nk < chunks then
     t.kernels <-
-      Array.init (Array.length ranges) (fun ci ->
+      Array.init chunks (fun ci ->
           if ci < nk then t.kernels.(ci) else Kernel3.create t.c3);
-  Domain_pool.run_opt pool (Array.length ranges) (fun ci ->
-      let k = t.kernels.(ci) in
-      let start, count = ranges.(ci) in
-      let cycles = ref 0 in
-      for gi = start to start + count - 1 do
-        dets.(gi) <- f k ~cycles gi
-      done;
-      Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-      Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel3.take_evaluated k));
-  dets
+  Sweep.run ?pool ?budget ?tel
+    ~engine:(fun ci -> t.kernels.(ci))
+    ~evaluated:Kernel3.take_evaluated ~init:0 n_groups
+    (fun k w gi -> run_segment k w t gi ~gbs ~store)
 
 (* Evaluate a candidate segment without committing: number of newly
    detected faults.  No group state is written, so an exhausted budget
@@ -1041,14 +893,9 @@ let inc3_peek ?pool ?(budget = Budget.unlimited) ?tel t (segment : seq) =
   let gbs, any_known = good_segment t segment ~advance:false in
   Telemetry.add tel Telemetry.Good_cycles (Array.length segment);
   if not any_known then 0
-  else begin
-    let dets =
-      inc3_sweep ?pool ?tel t ~f:(fun k ~cycles gi ->
-          Budget.check budget;
-          run_segment k t gi ~gbs ~cycles ~store:false)
-    in
-    Array.fold_left (fun acc d -> acc + Word.popcount d) 0 dets
-  end
+  else
+    inc3_sweep ?pool ~budget ?tel t ~gbs ~store:false
+    |> Array.fold_left (fun acc d -> acc + Word.popcount d) 0
 
 (* Append a segment: update every undetected machine, mark newly detected
    faults, return how many were newly detected.  The budget is polled only
@@ -1065,9 +912,7 @@ let inc3_commit ?pool ?(budget = Budget.unlimited) ?tel t (segment : seq) =
   t.intact <- false;
   let gbs, _ = good_segment t segment ~advance:true in
   Telemetry.add tel Telemetry.Good_cycles (Array.length segment);
-  let dets =
-    inc3_sweep ?pool ?tel t ~f:(fun k ~cycles gi -> run_segment k t gi ~gbs ~cycles ~store:true)
-  in
+  let dets = inc3_sweep ?pool ?tel t ~gbs ~store:true in
   let newly = ref 0 in
   Array.iteri
     (fun gi group ->

@@ -93,7 +93,6 @@ let create c =
     evaluated = 0;
   }
 
-let circuit t = t.c
 
 (* Grouping and application order: see [Sched.group]. *)
 let set_overrides t overrides =

@@ -22,8 +22,6 @@ type t
 
 val create : Asc_netlist.Circuit.t -> t
 
-val circuit : t -> Asc_netlist.Circuit.t
-
 (** Swap the injected fault set (no state-array reallocation).  Overrides
     are applied in {!Sched.group}'s order, shared with {!Kernel3}. *)
 val set_overrides : t -> Override.t list -> unit

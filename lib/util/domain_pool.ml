@@ -223,12 +223,3 @@ let split ~n ~pieces =
 (* Chunk count for splitting [n] independent work items over [pool]:
    oversubscribe so uneven chunks rebalance through the shared counter. *)
 let chunk_count pool n = max 1 (min n (4 * match pool with Some p -> p.size | None -> 1))
-
-let map pool arr ~f =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    run_opt pool n (fun i -> results.(i) <- Some (f arr.(i)));
-    Array.map (function Some x -> x | None -> assert false) results
-  end

@@ -68,10 +68,8 @@ val shutdown : t -> unit
     [(start, len)] ranges of near-equal length. *)
 val split : n:int -> pieces:int -> (int * int) array
 
-(** Task count to split [n] independent items into over [pool] (a few
-    chunks per domain, capped at [n]; 1 when [pool] is [None]). *)
+(** Task count to split [n] independent items into over [pool]: four
+    chunks per participating domain, counting [None] as one domain, and
+    capped at [n] (at least 1).  So a sweep without a pool still runs in
+    up to four chunks, one after another. *)
 val chunk_count : t option -> int -> int
-
-(** [map pool arr ~f] maps [f] over [arr] with one task per element and
-    returns results in element order. *)
-val map : t option -> 'a array -> f:('a -> 'b) -> 'b array

@@ -4,7 +4,10 @@
 # An edit that changes a compaction decision changes at least one file.
 # Also check the seed-1 PODEM counters of s1423 and s5378 (decisions /
 # backtracks / aborts / tests / redundant): a faster implication must not
-# change a single search decision.
+# change a single search decision.  And check s5378's one-domain work
+# (cone gates / faults simulated / faulty cycles / good cycles /
+# detections / trace-cache hits / misses): a change that keeps every
+# decision keeps it, and one that removes work lowers it.
 #
 # Usage: sh scripts/golden_tsets.sh [ASC]
 #   ASC  the asc binary (default: _build/default/bin/asc.exe; build it
@@ -31,16 +34,19 @@ check() {
   fi
 }
 
-podem() {
-  want=$1 circuit=$2
-  got=$("$asc" run "$circuit" --domains 2 --counters | awk '
-    $1 ~ /^podem_/ { v[$1] = $2 }
-    END { printf "%s/%s/%s/%s/%s", v["podem_decisions"], v["podem_backtracks"],
-            v["podem_aborts"], v["podem_tests"], v["podem_redundant"] }')
+# counters WANT LABEL KEYS ARGS...: the slash-joined values of the
+# comma-separated counters KEYS printed by `asc run ARGS --counters`.
+counters() {
+  want=$1 label=$2 keys=$3
+  shift 3
+  got=$("$asc" run "$@" --counters | awk -v keys="$keys" '
+    { v[$1] = $2 }
+    END { n = split(keys, k, ",")
+          for (i = 1; i <= n; i++) printf "%s%s", (i > 1 ? "/" : ""), v[k[i]] }')
   if [ "$got" = "$want" ]; then
-    echo "ok   $circuit-podem $got"
+    echo "ok   $label $got"
   else
-    echo "FAIL $circuit-podem: counters $got, want $want"
+    echo "FAIL $label: counters $got, want $want"
     status=1
   fi
 }
@@ -50,6 +56,10 @@ for d in 1 2; do
   check 6c7eb203 "s1423-random-d$d" s1423 --t0 random --domains "$d"
 done
 check 300e7ab3 s5378-d2 s5378 --domains 2
-podem 11057/8915/43/11/5 s1423
-podem 40434/25466/127/18/0 s5378
+podem=podem_decisions,podem_backtracks,podem_aborts,podem_tests,podem_redundant
+counters 11057/8915/43/11/5 s1423-podem $podem s1423 --domains 2
+counters 40434/25466/127/18/0 s5378-podem $podem s5378 --domains 2
+counters 164707832/306942/1617190/14673/1386231/581/342 s5378-work-d1 \
+  cone_gates_evaluated,faults_simulated,faulty_cycles,good_cycles,fault_detections,trace_cache_hits,trace_cache_misses \
+  s5378 --domains 1
 exit $status

@@ -82,7 +82,8 @@ let prop_podem_sound_and_complete =
           | Podem.Test cube ->
               let p = Asc_atpg.Cube.fill rng cube in
               let det =
-                Asc_fault.Comb_fsim.detect_union c ~patterns:[| p |] ~faults
+                Bitmat.column_union
+                  (Asc_fault.Comb_fsim.detect_matrix c ~patterns:[| p |] ~faults)
               in
               if not (Bitvec.get det fi) then ok := false
           | Podem.Redundant -> if exhaustively_detectable c f then ok := false
@@ -225,6 +226,36 @@ let test_podem_counters_pinned () =
       ("s1423", [ 11057; 8915; 43; 11; 5 ]);
     ]
 
+(* Seed-1 work of s1423's one-domain job, directed and random T0, as
+   [asc run s1423 --t0 T --domains 1 --counters] prints it: cone gates,
+   faults simulated, faulty cycles, good cycles, detections, budget
+   polls, trace-cache hits and misses.  Every count is a function of the
+   compaction decisions, so a change that keeps the decisions keeps
+   them, and a change that removes work lowers them. *)
+let test_s1423_work_pinned () =
+  let c = Asc_circuits.Registry.get "s1423" in
+  List.iter
+    (fun (t0, want) ->
+      Asc_fault.Seq_fsim.clear_trace_cache ();
+      let config = Result.get_ok (Asc_core.Experiments.config_for ~seed:1 ~t0 "s1423") in
+      let tel = Telemetry.create () in
+      let prepared = Asc_core.Pipeline.prepare ~tel ~config c in
+      ignore
+        (Asc_core.Pipeline.run_bounded ~tel ~config prepared : Asc_core.Pipeline.outcome);
+      let snap = Telemetry.drain tel in
+      let got =
+        List.map (Telemetry.counter_value snap)
+          [
+            "cone_gates_evaluated"; "faults_simulated"; "faulty_cycles"; "good_cycles";
+            "fault_detections"; "budget_polls"; "trace_cache_hits"; "trace_cache_misses";
+          ]
+      in
+      Alcotest.(check (list int)) ("s1423 " ^ t0) want got)
+    [
+      ("directed", [ 28408879; 77800; 767483; 38125; 186974; 24560; 418; 43 ]);
+      ("random", [ 19516885; 82929; 994185; 27133; 201387; 22071; 644; 210 ]);
+    ]
+
 (* --- Combinational test-set generation --------------------------------- *)
 
 let prop_comb_tgen_complete =
@@ -245,7 +276,10 @@ let prop_comb_tgen_complete =
            reproduce the recorded coverage. *)
         Bitvec.is_empty (Bitvec.inter r.detected r.redundant)
         &&
-        let cov = Asc_fault.Comb_fsim.detect_union c ~patterns:r.tests ~faults in
+        let cov =
+          Bitmat.column_union
+            (Asc_fault.Comb_fsim.detect_matrix c ~patterns:r.tests ~faults)
+        in
         Bitvec.equal cov r.detected
       end)
 
@@ -347,6 +381,7 @@ let suite =
         Alcotest.test_case "podem dff pin fault" `Quick test_podem_dff_pin_fault;
         qtest prop_podem_implication;
         Alcotest.test_case "podem counters pinned" `Quick test_podem_counters_pinned;
+        Alcotest.test_case "s1423 work pinned" `Quick test_s1423_work_pinned;
         qtest prop_comb_tgen_complete;
         qtest prop_parallel_podem_oracle;
         Alcotest.test_case "comb_tgen s27" `Quick test_comb_tgen_s27_full_coverage;

@@ -28,7 +28,8 @@ let prop_three_paths_agree =
       in
       let test = Scan_test.of_pattern p in
       let comb =
-        Asc_fault.Comb_fsim.detect_union c ~patterns:[| p |] ~faults
+        Bitmat.column_union
+          (Asc_fault.Comb_fsim.detect_matrix c ~patterns:[| p |] ~faults)
       in
       let seq = Scan_test.detect c test ~faults in
       let partial =

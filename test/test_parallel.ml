@@ -1,12 +1,14 @@
 (* Tests for the domain-parallel simulation layer.
 
-   Three families: unit tests of Asc_util.Domain_pool itself (scheduling,
+   Four families: unit tests of Asc_util.Domain_pool itself (scheduling,
    determinism of the merge contract, exception propagation, nesting),
    end-to-end determinism tests asserting that every parallel fault-sim
    entry point returns bit-identical results for 1, 2 and 4 domains — on
    the embedded s27 netlist and on a synthetic circuit from
-   Asc_circuits.Generator — and ATPG determinism tests asserting the same
-   for Pipeline.prepare (PODEM + the set C) and the T0 generators. *)
+   Asc_circuits.Generator — tests of Asc_fault.Sweep (its contract, and
+   every work counter equal at any domain count), and ATPG determinism
+   tests asserting the same for Pipeline.prepare (PODEM + the set C) and
+   the T0 generators. *)
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
@@ -75,13 +77,6 @@ let test_pool_split () =
            (if n = 0 then [||] else covered));
       Alcotest.(check bool) "at most pieces" true (Array.length ranges <= max 1 pieces))
     [ (0, 4); (1, 4); (7, 3); (8, 3); (100, 16); (5, 8) ]
-
-let test_pool_map_order () =
-  with_pool 4 (fun pool ->
-      let arr = Array.init 257 (fun i -> i) in
-      let out = Domain_pool.map (Some pool) arr ~f:(fun x -> x * x) in
-      Alcotest.(check bool) "map preserves order" true
-        (Array.for_all (fun i -> out.(i) = i * i) arr))
 
 let test_pool_env_default () =
   (* ASC_DOMAINS is not readable reliably inside the suite (the runner may
@@ -200,8 +195,9 @@ let test_comb_deterministic () =
               state = Rng.bool_array rng (Circuit.n_dffs c);
             })
       in
-      across_pools ~label:(name ^ " comb detect_union") ~check:check_bitvec
-        (fun pool -> Comb_fsim.detect_union ?pool c ~patterns ~faults);
+      across_pools ~label:(name ^ " comb detect_matrix union") ~check:check_bitvec
+        (fun pool ->
+          Bitmat.column_union (Comb_fsim.detect_matrix ?pool c ~patterns ~faults));
       across_pools ~label:(name ^ " comb detect_matrix")
         ~check:(fun label a b ->
           Alcotest.(check bool) label true
@@ -210,6 +206,175 @@ let test_comb_deterministic () =
                (Array.init (Bitmat.rows a) (fun r -> r))))
         (fun pool -> Comb_fsim.detect_matrix ?pool c ~patterns ~faults))
     (test_circuits ())
+
+(* --- Sweep: the one chunked loop behind every fault simulator -------- *)
+
+module Sweep = Asc_fault.Sweep
+
+let counter tel name = Telemetry.counter_value (Telemetry.drain tel) name
+
+(* Items come back in index order, and every item of a chunk runs on that
+   chunk's engine: the engines read along the items never decrease. *)
+let test_sweep_order () =
+  let check label out =
+    Alcotest.(check (array int)) (label ^ " results") (Array.init 257 (fun i -> i * i))
+      (Array.map snd out);
+    Alcotest.(check bool) (label ^ " contiguous chunks") true
+      (Array.for_all (fun i -> fst out.(i - 1) <= fst out.(i)) (Array.init 256 succ))
+  in
+  let sweep pool =
+    Sweep.run ?pool ~engine:Fun.id ~evaluated:(fun _ -> 0) ~init:(-1, -1) 257
+      (fun ci _ i -> (ci, i * i))
+  in
+  check "no pool" (sweep None);
+  List.iter
+    (fun domains ->
+      with_pool domains (fun pool ->
+          check (Printf.sprintf "%d domains" domains) (sweep (Some pool))))
+    [ 1; 2; 4 ]
+
+(* At one domain, the item that meets [stop] is the last to run. *)
+let test_sweep_stop () =
+  let run pool =
+    let ran = Array.make 100 false in
+    let out =
+      Sweep.run ?pool ~stop:(fun r -> r = 10) ~engine:ignore
+        ~evaluated:(fun () -> 0)
+        ~init:(-1) 100
+        (fun () _ i ->
+          ran.(i) <- true;
+          i)
+    in
+    Alcotest.(check (array int)) "later items keep init"
+      (Array.init 100 (fun i -> if i <= 10 then i else -1))
+      out;
+    Alcotest.(check (array bool))
+      "later items never ran"
+      (Array.init 100 (fun i -> i <= 10))
+      ran
+  in
+  run None;
+  with_pool 1 (fun pool -> run (Some pool))
+
+let test_sweep_budget () =
+  let budget = Budget.create () in
+  Budget.cancel budget;
+  let ran = ref 0 in
+  (match
+     Sweep.run ~budget ~engine:ignore ~evaluated:(fun () -> 0) ~init:() 10 (fun () _ _ ->
+         incr ran)
+   with
+  | _ -> Alcotest.fail "expected Budget.Exhausted"
+  | exception Budget.Exhausted Budget.Cancelled -> ());
+  Alcotest.(check int) "no item ran" 0 !ran
+
+(* Polls are counted only when a budget is given; the work the steps
+   report and the engines' evaluated gates are counted once per chunk. *)
+let test_sweep_accounting () =
+  let run ?budget () =
+    let tel = Telemetry.create () in
+    ignore
+      (Sweep.run ?budget ~tel ~engine:ignore ~evaluated:(fun () -> 1) ~init:() 10
+         (fun () w _ ->
+           w.lanes <- w.lanes + 2;
+           w.cycles <- w.cycles + 3;
+           w.hits <- w.hits + 1)
+        : unit array);
+    List.map
+      (Telemetry.counter_value (Telemetry.drain tel))
+      [
+        "budget_polls"; "faults_simulated"; "faulty_cycles"; "fault_detections";
+        "cone_gates_evaluated";
+      ]
+  in
+  Alcotest.(check (list int))
+    "with a budget" [ 10; 20; 30; 10; 4 ]
+    (run ~budget:Budget.unlimited ());
+  Alcotest.(check (list int)) "without a budget" [ 0; 20; 30; 10; 4 ] (run ())
+
+(* Every counter of every swept entry point is the same at any domain
+   count (the pools carry no telemetry of their own, which would add
+   their task counts).  [verify_required] is left out: across domains
+   its chunks race to the shared stop flag. *)
+let test_sweep_counters_invariant () =
+  List.iter
+    (fun name ->
+      let c = Asc_circuits.Registry.get name in
+      let faults = Asc_fault.Collapse.(reps (run c)) in
+      let all = Array.init (Array.length faults) Fun.id in
+      let rng = Rng.of_name ~seed:21 (name ^ "/sweep-counters") in
+      let si, seq = scan_test_of c ~rng ~len:40 in
+      let sis = Array.init 70 (fun _ -> Rng.bool_array rng (Circuit.n_dffs c)) in
+      let patterns =
+        Array.init 100 (fun _ ->
+            {
+              Asc_sim.Pattern.pis = Rng.bool_array rng (Circuit.n_inputs c);
+              state = Rng.bool_array rng (Circuit.n_dffs c);
+            })
+      in
+      let inc3 ?pool ~tel () =
+        let t = Seq_fsim.inc3_create c faults in
+        for s = 0 to 9 do
+          let segment = Array.sub seq (4 * s) 4 in
+          ignore (Seq_fsim.inc3_peek ?pool ~tel t segment : int);
+          ignore (Seq_fsim.inc3_commit ?pool ~tel t segment : int)
+        done
+      in
+      let entries =
+        [
+          ( "detect",
+            fun ?pool ~tel () -> ignore (Seq_fsim.detect ?pool ~tel c ~si ~seq ~faults) );
+          ( "profile",
+            fun ?pool ~tel () ->
+              ignore (Seq_fsim.profile ?pool ~tel c ~si ~seq ~faults ~subset:all) );
+          ( "snapshots",
+            fun ?pool ~tel () ->
+              ignore
+                (Seq_fsim.snapshots ?pool ~tel c ~si ~seq ~faults ~subset:all
+                   ~boundaries:[| 0; 13; 40 |]) );
+          ( "candidate_detections",
+            fun ?pool ~tel () ->
+              ignore
+                (Seq_fsim.candidate_detections ?pool ~tel c ~sis ~seq ~faults ~subset:all)
+          );
+          ( "detect_no_scan",
+            fun ?pool ~tel () ->
+              ignore (Seq_fsim.detect_no_scan ?pool ~tel c ~seq ~faults) );
+          ("inc3_peek/inc3_commit", inc3);
+          ( "detect_matrix",
+            fun ?pool ~tel () ->
+              ignore (Comb_fsim.detect_matrix ?pool ~tel c ~patterns ~faults) );
+        ]
+      in
+      List.iter
+        (fun (label, (f : ?pool:Domain_pool.t -> tel:Telemetry.t -> unit -> unit)) ->
+          across_pools ~label:(name ^ " " ^ label)
+            ~check:(fun label a b -> Alcotest.(check (list (pair string int))) label a b)
+            (fun pool ->
+              Seq_fsim.clear_trace_cache ();
+              let tel = Telemetry.create () in
+              f ?pool ~tel ();
+              (Telemetry.drain tel).counters))
+        entries)
+    [ "s298"; "s1423" ]
+
+(* A peek polls the budget once per fault group, and counts each poll; a
+   commit polls on entry only, uncounted. *)
+let test_peek_polls_per_group () =
+  let c = Asc_circuits.Registry.get "s298" in
+  let faults = Asc_fault.Collapse.(reps (run c)) in
+  let rng = Rng.of_name ~seed:23 "s298/peek-polls" in
+  let _, segment = scan_test_of c ~rng ~len:20 in
+  let t = Seq_fsim.inc3_create c faults in
+  let tel = Telemetry.create () in
+  Alcotest.(check bool)
+    "the segment detects" true
+    (Seq_fsim.inc3_peek ~tel t segment > 0);
+  Alcotest.(check int) "one poll per group"
+    ((Array.length faults + Word.width - 1) / Word.width)
+    (counter tel "budget_polls");
+  ignore (Seq_fsim.inc3_commit ~tel t segment : int);
+  Alcotest.(check int) "commit polls uncounted" 0 (counter tel "budget_polls")
 
 (* --- ATPG (prepare) determinism across domain counts ----------------- *)
 
@@ -297,7 +462,6 @@ let suite =
         Alcotest.test_case "pool re-raises task exceptions" `Quick test_pool_exception;
         Alcotest.test_case "nested pool runs degrade inline" `Quick test_pool_nested;
         Alcotest.test_case "split covers without overlap" `Quick test_pool_split;
-        Alcotest.test_case "map preserves element order" `Quick test_pool_map_order;
         Alcotest.test_case "pool sizing" `Quick test_pool_env_default;
         Alcotest.test_case "detect is domain-count invariant" `Quick
           test_detect_deterministic;
@@ -307,6 +471,15 @@ let suite =
           test_candidates_deterministic;
         Alcotest.test_case "comb fsim is domain-count invariant" `Quick
           test_comb_deterministic;
+        Alcotest.test_case "sweep returns results in index order" `Quick test_sweep_order;
+        Alcotest.test_case "sweep stop leaves later items unrun" `Quick test_sweep_stop;
+        Alcotest.test_case "sweep raises on a fired budget" `Quick test_sweep_budget;
+        Alcotest.test_case "sweep counts polls only with a budget" `Quick
+          test_sweep_accounting;
+        Alcotest.test_case "sweep counters are domain-count invariant" `Quick
+          test_sweep_counters_invariant;
+        Alcotest.test_case "peek counts one poll per group" `Quick
+          test_peek_polls_per_group;
         Alcotest.test_case "prepare is domain-count invariant" `Quick
           test_prepare_deterministic;
         Alcotest.test_case "t0 generators are domain-count invariant" `Quick
