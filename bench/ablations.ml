@@ -14,7 +14,7 @@
       Table 3 (scan operations get cheaper, so the proposed procedure's
       advantage shrinks).
    F. Partial scan, adapted: the procedure re-run for a 50% chain
-      (Pipeline_partial) against full-scan tests merely re-used there. *)
+      (Pipeline.run ~chain) against full-scan tests merely re-used there. *)
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
@@ -164,7 +164,7 @@ let partial_scan ~seed names =
               name;
               Printf.sprintf "%.0f%%" (100.0 *. ratio);
               string_of_int (Asc_scan.Partial.n_scanned chain);
-              string_of_int (Asc_scan.Partial.cycles c chain r.final_tests);
+              string_of_int (Asc_scan.Partial.cycles chain r.final_tests);
               Printf.sprintf "%d/%d"
                 (Bitvec.count (Bitvec.inter cov prepared.targets))
                 (Bitvec.count prepared.targets);
@@ -239,12 +239,12 @@ let partial_adapted ~seed names =
              (Asc_scan.Partial.coverage c chain full.final_tests ~faults:prepared.faults)
              prepared.targets)
       in
-      let adapted = Asc_core.Pipeline_partial.run ~config prepared ~chain in
+      let adapted = Pipeline.run ~config ~chain prepared in
       let n_targets = Bitvec.count prepared.targets in
       Table.add_row t
         [
           name;
-          string_of_int (Asc_scan.Partial.cycles c chain full.final_tests);
+          string_of_int (Asc_scan.Partial.cycles chain full.final_tests);
           Printf.sprintf "%d/%d" reused_cov n_targets;
           string_of_int adapted.cycles_final;
           Printf.sprintf "%d/%d" (Bitvec.count adapted.final_detected) n_targets;

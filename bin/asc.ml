@@ -539,24 +539,25 @@ let partial_cmd =
   in
   let run name ratio seed =
     check_name name;
+    let pool = make_pool None in
     let c = Asc_circuits.Registry.get ~seed name in
     let config = job_config ~seed ~t0:"directed" name in
-    let prepared = Pipeline.prepare ~config c in
-    let r = Pipeline.run ~config prepared in
+    let prepared = Pipeline.prepare ?pool ~config c in
+    let r = Pipeline.run ?pool ~config prepared in
     let chain = Asc_scan.Partial.by_fanout c ~ratio in
-    let cov = Asc_scan.Partial.coverage c chain r.final_tests ~faults:prepared.faults in
+    let cov = Asc_scan.Partial.coverage ?pool c chain r.final_tests ~faults:prepared.faults in
     Printf.printf
       "%s with %d/%d flip-flops scanned (full-scan tests reused): %d cycles \
        (full scan: %d), coverage %d/%d\n"
       name
       (Asc_scan.Partial.n_scanned chain)
       (Circuit.n_dffs c)
-      (Asc_scan.Partial.cycles c chain r.final_tests)
+      (Asc_scan.Partial.cycles chain r.final_tests)
       r.cycles_final
       (Bv.count (Bv.inter cov prepared.targets))
       (Bv.count prepared.targets);
     (* The procedure adapted to the partial chain. *)
-    let pr = Asc_core.Pipeline_partial.run ~config prepared ~chain in
+    let pr = Pipeline.run ?pool ~config ~chain prepared in
     Printf.printf
       "adapted partial-scan procedure: %d cycles, coverage %d/%d (%d tests)\n"
       pr.cycles_final

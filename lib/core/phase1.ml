@@ -11,7 +11,6 @@
    of the paper's per-u re-simulations (same i_0 criterion). *)
 
 open Asc_util
-module Circuit = Asc_netlist.Circuit
 module Pattern = Asc_sim.Pattern
 module Scan_test = Asc_scan.Scan_test
 module Seq_fsim = Asc_fault.Seq_fsim
@@ -25,14 +24,14 @@ type scan_in_choice = {
 }
 
 (* Step 2. [selected] marks candidates chosen in earlier iterations. *)
-let select_scan_in ?pool ?budget ?tel c ~faults ~candidates ~t0 ~f0 ~targets ~selected =
+let select_scan_in ?tel (m : Scan_model.t) ~candidates ~t0 ~f0 ~targets ~selected =
   Telemetry.span tel "phase1:scan-in" @@ fun () ->
   let subset =
     Array.of_list
       (Bitvec.to_list (Bitvec.diff targets f0))
   in
   let sis = Array.map (fun (p : Pattern.t) -> p.state) candidates in
-  let rows = Seq_fsim.candidate_detections ?pool ?budget ?tel c ~sis ~seq:t0 ~faults ~subset in
+  let rows = m.candidate_rows ~sis ~seq:t0 ~subset in
   let best_of pred =
     let best = ref (-1) and best_count = ref (-1) in
     Array.iteri
@@ -88,11 +87,11 @@ let valid_times (prof : Seq_fsim.profile) ~len =
   allowed
 
 (* Step 3. *)
-let select_scan_out ?pool ?budget ?tel ?(policy = Earliest) c ~faults ~si ~t0 ~f_si ~targets =
+let select_scan_out ?tel ?(policy = Earliest) (m : Scan_model.t) ~si ~t0 ~f_si ~targets =
   Telemetry.span tel "phase1:scan-out" @@ fun () ->
   let len = Array.length t0 in
   let subset = Array.of_list (Bitvec.to_list f_si) in
-  let prof = Seq_fsim.profile ?pool ?budget ?tel c ~si ~seq:t0 ~faults ~subset in
+  let prof = m.profile ~si ~seq:t0 ~subset in
   let allowed = valid_times prof ~len in
   (* u = len-1 is always valid: f_si are the full test's detections. *)
   if Bitvec.first_set allowed < 0 then Bitvec.set allowed (len - 1);
@@ -103,7 +102,7 @@ let select_scan_out ?pool ?budget ?tel ?(policy = Earliest) c ~faults ~si ~t0 ~f
         (* Count, for every valid u, the target faults the truncated test
            would detect, from one profile over all targets. *)
         let all = Array.of_list (Bitvec.to_list targets) in
-        let full = Seq_fsim.profile ?pool ?budget ?tel c ~si ~seq:t0 ~faults ~subset:all in
+        let full = m.profile ~si ~seq:t0 ~subset:all in
         let best_u = ref (-1) and best_count = ref (-1) in
         Bitvec.iter_set
           (fun u ->
@@ -117,5 +116,5 @@ let select_scan_out ?pool ?budget ?tel ?(policy = Earliest) c ~faults ~si ~t0 ~f
         !best_u
   in
   let test = Scan_test.create ~si ~seq:(Array.sub t0 0 (u + 1)) in
-  let f_so = Bitvec.inter (Scan_test.detect ?pool ?budget ?tel ~only:targets c test ~faults) targets in
+  let f_so = Bitvec.inter (m.detect ~only:targets test) targets in
   { test; u; f_so }

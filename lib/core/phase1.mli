@@ -13,12 +13,10 @@ type scan_in_choice = {
           iteration's termination condition. *)
 }
 
+(** Step 2, asking [model] (span ["phase1:scan-in"]). *)
 val select_scan_in :
-  ?pool:Asc_util.Domain_pool.t ->
-  ?budget:Asc_util.Budget.t ->
   ?tel:Asc_util.Telemetry.t ->
-  Asc_netlist.Circuit.t ->
-  faults:Asc_fault.Fault.t array ->
+  Scan_model.t ->
   candidates:Asc_sim.Pattern.t array ->
   t0:bool array array ->
   f0:Asc_util.Bitvec.t ->
@@ -37,13 +35,11 @@ type scan_out_choice = {
     discusses and rejects. *)
 type scan_out_policy = Earliest | Max_detection
 
+(** Step 3, asking [model] (span ["phase1:scan-out"]). *)
 val select_scan_out :
-  ?pool:Asc_util.Domain_pool.t ->
-  ?budget:Asc_util.Budget.t ->
   ?tel:Asc_util.Telemetry.t ->
   ?policy:scan_out_policy ->
-  Asc_netlist.Circuit.t ->
-  faults:Asc_fault.Fault.t array ->
+  Scan_model.t ->
   si:bool array ->
   t0:bool array array ->
   f_si:Asc_util.Bitvec.t ->

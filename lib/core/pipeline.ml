@@ -11,6 +11,9 @@
    4. static compaction of the resulting set with the combining procedure
       of [4].
 
+   Every question a phase asks of the scan architecture goes to one
+   [Scan_model.t] per run: full scan, or partial scan given a chain.
+
    [prepare] builds everything the procedure (and the baselines) share:
    the collapsed fault list, the combinational test set C, and the target
    fault set (collapsed faults minus proven-redundant ones). *)
@@ -37,8 +40,6 @@ type config = {
 }
 
 let default_config = { seed = 1; t0_source = Directed 1000; scan_out_policy = Phase1.Earliest }
-
-let max_iterations = 8 (* cap on Phase 1+2 rounds *)
 
 type prepared = {
   circuit : Circuit.t;
@@ -98,7 +99,7 @@ type result = {
    random T0 is simulated here.  [budget] is checked between generation
    and that simulation, so a fired budget ends at T0 generation either
    way. *)
-let make_t0 ?pool ?(budget = Budget.unlimited) ?tel config (p : prepared) =
+let make_t0 ?pool ~budget ?tel config (p : prepared) =
   let c = p.circuit in
   let rng = Rng.of_name ~seed:config.seed (Circuit.name c ^ "/t0") in
   let seq, detected =
@@ -210,8 +211,9 @@ let snapshot_mismatch (p : prepared) config s =
    the iteration log.  The derived state (no-scan detections of T_C, the
    best iterate's detection set) is recomputed on resume by the same
    deterministic simulations the uninterrupted run used, so a resumed run
-   replays the remaining iterations and Phases 3–4 bit-identically. *)
-let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config)
+   replays the remaining iterations and Phases 3–4 bit-identically.
+   Only [run] passes [chain], which a snapshot does not record. *)
+let run_phases ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_config) ?chain
     ?resume ?on_checkpoint (p : prepared) =
   let c = p.circuit in
   if Array.length p.comb_tests = 0 then begin
@@ -235,6 +237,14 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
         invalid_arg "Pipeline.run_bounded: phase3 snapshot without a tau block")
     resume;
   let faults = p.faults in
+  let no_scan seq =
+    Bitvec.inter (Seq_fsim.detect_no_scan ?pool ~budget ?tel c ~seq ~faults) p.targets
+  in
+  let model =
+    match chain with
+    | None -> Scan_model.full ?pool ~budget ?tel c ~faults
+    | Some chain -> Scan_model.partial ?pool ~budget ?tel c ~faults chain
+  in
   let timed label f =
     let t0 = Sys.time () in
     let r = f () in
@@ -267,9 +277,7 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
         p_iterations = List.rev !iterations;
         p_tests = tests;
         p_detected = detected;
-        p_cycles =
-          (if Array.length tests = 0 then 0
-           else Asc_scan.Time_model.cycles_of_tests c tests);
+        p_cycles = (if Array.length tests = 0 then 0 else model.cycles tests);
       }
   in
   let snapshot () =
@@ -314,17 +322,10 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
           t0_length := s.snap_t0_length;
           f0_count := s.snap_f0_count;
           current_seq := s.snap_seq;
-          current_f0 :=
-            Bitvec.inter
-              (Seq_fsim.detect_no_scan ?pool ~budget ?tel c ~seq:!current_seq ~faults)
-              p.targets;
+          current_f0 := no_scan !current_seq;
           tau :=
             Option.map
-              (fun t ->
-                ( t,
-                  Bitvec.inter
-                    (Scan_test.detect ?pool ~budget ?tel ~only:p.targets c t ~faults)
-                    p.targets ))
+              (fun t -> (t, Bitvec.inter (model.detect ~only:p.targets t) p.targets))
               s.snap_best
       | None ->
           Telemetry.span tel "t0-generation" (fun () ->
@@ -352,38 +353,30 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
             @@ fun () ->
             let choice =
               timed "select_scan_in" (fun () ->
-                  Phase1.select_scan_in ?pool ~budget ?tel c ~faults
-                    ~candidates:p.comb_tests ~t0:!current_seq ~f0:!current_f0
-                    ~targets:p.targets ~selected)
+                  Phase1.select_scan_in ?tel model ~candidates:p.comb_tests
+                    ~t0:!current_seq ~f0:!current_f0 ~targets:p.targets ~selected)
             in
             let so =
               timed "select_scan_out" (fun () ->
-                  Phase1.select_scan_out ?pool ~budget ?tel
-                    ~policy:config.scan_out_policy c ~faults
+                  Phase1.select_scan_out ?tel ~policy:config.scan_out_policy model
                     ~si:p.comb_tests.(choice.index).state
                     ~t0:!current_seq ~f_si:choice.f_si ~targets:p.targets)
             in
             let om =
-              timed "vector_omission" (fun () ->
-                  Asc_compact.Vector_omission.run ?pool ~budget ?tel c so.test ~faults
-                    ~required:so.f_so)
+              timed "vector_omission" (fun () -> model.omit so.test ~required:so.f_so)
             in
-            let f_c =
-              Bitvec.inter
-                (Scan_test.detect ?pool ~budget ?tel ~only:p.targets c om.test ~faults)
-                p.targets
-            in
+            let f_c = Bitvec.inter (model.detect ~only:p.targets om) p.targets in
             Log.debug (fun m ->
                 m "%s iter %d: SI=%d%s u_SO=%d len %d->%d detected %d" (Circuit.name c)
                   !iter choice.index
                   (if choice.already_selected then " (repeat)" else "")
                   so.u
-                  (Scan_test.length so.test) (Scan_test.length om.test) (Bitvec.count f_c));
+                  (Scan_test.length so.test) (Scan_test.length om) (Bitvec.count f_c));
             iterations :=
               {
                 si_index = choice.index;
                 u_so = so.u;
-                len_after_omission = Scan_test.length om.test;
+                len_after_omission = Scan_test.length om;
                 detected_count = Bitvec.count f_c;
               }
               :: !iterations;
@@ -396,21 +389,18 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
               | None -> true
               | Some (t, f) ->
                   let cmp = compare (Bitvec.count f_c) (Bitvec.count f) in
-                  cmp > 0 || (cmp = 0 && Scan_test.length om.test < Scan_test.length t)
+                  cmp > 0 || (cmp = 0 && Scan_test.length om < Scan_test.length t)
             in
-            if better then tau := Some (om.test, f_c);
+            if better then tau := Some (om, f_c);
             (* Stop on the paper's condition (a repeated scan-in state), on the
                iteration cap, or when the round brought no improvement — further
                rounds only re-shuffle equivalent scan-in states. *)
-            if choice.already_selected || !iter >= max_iterations || not better
+            if choice.already_selected || !iter >= model.max_iterations || not better
             then stop := true
             else begin
               Bitvec.set selected choice.index;
-              current_seq := om.test.seq;
-              current_f0 :=
-                Bitvec.inter
-                  (Seq_fsim.detect_no_scan ?pool ~budget ?tel c ~seq:!current_seq ~faults)
-                  p.targets;
+              current_seq := om.seq;
+              current_f0 := no_scan !current_seq;
               (* Iteration boundary: a checkpoint point — resuming here
                  replays the rest of the run bit-identically.  A persistent
                  write failure must not abort the run: losing a snapshot
@@ -443,21 +433,13 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
                      the value is bit-identical. *)
                   let added = p3.ph3_added in
                   let initial_tests = Array.append [| tau_seq |] added in
-                  let cycles_initial =
-                    Asc_scan.Time_model.cycles_of_tests c initial_tests
-                  in
-                  let detected_initial =
-                    Asc_scan.Tset.coverage ?pool ~budget ?tel ~only:p.targets c
-                      initial_tests ~faults
-                  in
+                  let cycles_initial = model.cycles initial_tests in
+                  let detected_initial = model.coverage ~only:p.targets initial_tests in
                   (initial_tests, cycles_initial, detected_initial, p3.ph3_uncovered, added)
               | None ->
                   Telemetry.span tel "phase3" @@ fun () ->
                   let undetected = Bitvec.diff p.targets f_seq in
-                  let matrix =
-                    Asc_fault.Comb_fsim.detect_matrix ?pool ~budget ?tel ~only:undetected c
-                      ~patterns:p.comb_tests ~faults
-                  in
+                  let matrix = model.cover_rows ~only:undetected p.comb_tests in
                   let cover = Asc_compact.Set_cover.select ~matrix ~undetected in
                   let added =
                     Array.of_list
@@ -466,7 +448,7 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
                          cover.selected)
                   in
                   let initial_tests = Array.append [| tau_seq |] added in
-                  let cycles_initial = Asc_scan.Time_model.cycles_of_tests c initial_tests in
+                  let cycles_initial = model.cycles initial_tests in
                   let detected_initial =
                     List.fold_left
                       (fun acc j -> Bitvec.union acc (Bitmat.row matrix j))
@@ -487,16 +469,9 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
             (* --- Phase 4: static compaction of the result ----------- *)
             let final_tests, cycles_final, final_detected =
               Telemetry.span tel "phase4" @@ fun () ->
-              let combined =
-                Asc_compact.Combine.run ?pool ~budget ?tel c initial_tests ~faults
-                  ~targets:p.targets
-              in
-              let final_tests = combined.tests in
-              let cycles_final = Asc_scan.Time_model.cycles_of_tests c final_tests in
-              let final_detected =
-                Asc_scan.Tset.coverage ?pool ~budget ?tel ~only:p.targets c final_tests
-                  ~faults
-              in
+              let final_tests = model.combine ~targets:p.targets initial_tests in
+              let cycles_final = model.cycles final_tests in
+              let final_detected = model.coverage ~only:p.targets final_tests in
               (final_tests, cycles_final, final_detected)
             in
             Complete
@@ -529,8 +504,11 @@ let run_bounded ?pool ?(budget = Budget.unlimited) ?tel ?(config = default_confi
                     p_cycles = cycles;
                   })))
 
-let run ?pool ?tel ?(config = default_config) (p : prepared) =
-  match run_bounded ?pool ?tel ~config p with
+let run_bounded ?pool ?budget ?tel ?config ?resume ?on_checkpoint p =
+  run_phases ?pool ?budget ?tel ?config ?resume ?on_checkpoint p
+
+let run ?pool ?tel ?config ?chain (p : prepared) =
+  match run_phases ?pool ?tel ?config ?chain p with
   | Complete r -> r
   | Partial pr ->
       (* Only reachable through a pool whose own budget fired (the explicit

@@ -50,21 +50,6 @@ val prepare :
   Asc_netlist.Circuit.t ->
   prepared
 
-(** Generate the configured T0 sequence (exposed for pipeline variants)
-    and F0, the targets it detects without scan.  Directed and genetic
-    T0 take F0 from the generator's own co-simulation; a random T0 is
-    simulated ({!Asc_fault.Seq_fsim.detect_no_scan}).  [pool]
-    parallelises the fault co-simulation.  [budget] makes the generators
-    degrade gracefully (best sequence so far); once it has fired,
-    [make_t0] raises {!Asc_util.Budget.Exhausted} after generation. *)
-val make_t0 :
-  ?pool:Asc_util.Domain_pool.t ->
-  ?budget:Asc_util.Budget.t ->
-  ?tel:Asc_util.Telemetry.t ->
-  config ->
-  prepared ->
-  bool array array * Asc_util.Bitvec.t
-
 type iteration = {
   si_index : int;
   u_so : int;
@@ -88,15 +73,21 @@ type result = {
   cycles_final : int;  (** Table 3, "comp". *)
 }
 
-(** [run ?pool ?config prepared] executes Phases 1–4.  [pool] parallelises
-    the fault-simulation inner loops across domains; the result is
-    identical for any domain count.  Raises {!Asc_util.Budget.Exhausted}
-    if the pool carries a budget that fires mid-run (prefer
-    {!run_bounded} for interruptible runs). *)
+(** [run ?pool ?config ?chain prepared] executes Phases 1–4.  [pool]
+    parallelises the fault-simulation inner loops across domains; the
+    result is identical for any domain count.  Raises
+    {!Asc_util.Budget.Exhausted} if the pool carries a budget that fires
+    mid-run (prefer {!run_bounded} for interruptible runs).
+
+    [chain] runs the same procedure for a partial-scan circuit
+    ({!Scan_model.partial}; full scan, {!Scan_model.full}, without it):
+    [final_detected] is then the partial-scan detectable coverage and
+    [cycles_*] count [N_scanned] per scan operation. *)
 val run :
   ?pool:Asc_util.Domain_pool.t ->
   ?tel:Asc_util.Telemetry.t ->
   ?config:config ->
+  ?chain:Asc_scan.Partial.chain ->
   prepared ->
   result
 
@@ -163,7 +154,7 @@ type partial = {
 type outcome = Complete of result | Partial of partial
 
 (** [run_bounded ?pool ?budget ?config ?resume ?on_checkpoint prepared]:
-    {!run}, made interruptible and resumable.
+    {!run} for full scan, made interruptible and resumable.
 
     [budget] is polled at every iteration and threaded through every
     kernel; once it fires the run unwinds cooperatively and returns

@@ -102,43 +102,34 @@ let subset_of_only n = function
 (* --- Shared good-machine trace cache ----------------------------------- *)
 
 (* Compaction re-simulates the same scan test (si, seq) many times against
-   different fault subsets — detect, then profile, then verify — and
-   Phase 1 re-runs the same candidate scan-in groups.  The fault-free
-   trace depends only on (circuit, scan-in, seq), so it is computed once
-   and shared read-only: across calls through this cache, and across
-   domains because only the submitting domain ever writes it.
+   different fault subsets — detect, then profile, then verify.  The
+   fault-free trace depends only on (circuit, scan-in, seq), so it is
+   computed once and shared read-only: across calls through this cache,
+   and across domains because only the submitting domain ever writes it.
 
-   Scan-test traces carry one faulty-machine test per call, so their good
-   words are splat and stored compactly (one byte per gate per cycle);
-   candidate traces (lanes = candidate scan-in states) store full words.
-   The cache is process-global, mutex-protected and LRU-bounded by a byte
-   budget; circuits are keyed by physical identity, so a rebuilt netlist
-   never aliases a stale trace, and (scan-in, seq) by a hash confirmed by
-   exact equality.  Resumed runs keep their suffix rows out of it, but
-   share the rows of a cached test they rejoin (see the snapshot
-   section). *)
+   Each trace carries one fault-free machine, so its good words are splat
+   and stored compactly (one byte per gate per cycle).  The cache is
+   process-global, mutex-protected and LRU-bounded by a byte budget;
+   circuits are keyed by physical identity, so a rebuilt netlist never
+   aliases a stale trace, and (scan-in, seq) by a hash confirmed by exact
+   equality.  Candidate traces (lanes = candidate scan-in states) stay out
+   of it: no later call asks for the same packed group again.  Resumed
+   runs keep their suffix rows out of it too, but share the rows of a
+   cached test they rejoin (see the snapshot section). *)
 module Trace_cache = struct
-  type flavor = Splat of bool array | Packed of int array
-
-  type key = { flavor : flavor; seq : seq }
-
-  type data =
-    | Bits of Bytes.t array (* per cycle, one byte per gate *)
-    | Words of int array array (* per cycle, one word per gate *)
+  type key = { si : bool array; seq : seq }
 
   let lock = Mutex.create ()
 
   let max_bytes = 32 * 1024 * 1024
 
-  (* A hash of every scan-in bit (or candidate word) and every vector
-     bit: lookups compare hashes and confirm a match by exact equality,
-     instead of structurally comparing whole sequences entry by entry. *)
-  let hash { flavor; seq } =
+  (* A hash of every scan-in bit and every vector bit: lookups compare
+     hashes and confirm a match by exact equality, instead of
+     structurally comparing whole sequences entry by entry. *)
+  let hash { si; seq } =
     let h = ref 0 in
     let mix x = h := (!h * 1_000_003) lxor x in
-    (match flavor with
-    | Splat si -> Array.iter (fun b -> mix (Bool.to_int b)) si
-    | Packed words -> mix (-1); Array.iter mix words);
+    Array.iter (fun b -> mix (Bool.to_int b)) si;
     Array.iter
       (fun v ->
         mix (Array.length v);
@@ -146,8 +137,9 @@ module Trace_cache = struct
       seq;
     !h
 
-  (* MRU-first: (circuit, key hash, key, data, size in bytes). *)
-  let entries : (Circuit.t * int * key * data * int) list ref = ref []
+  (* MRU-first: (circuit, key hash, key, rows, size in bytes); the rows
+     hold one byte per gate per cycle. *)
+  let entries : (Circuit.t * int * key * Bytes.t array * int) list ref = ref []
 
   let clear () = Mutex.protect lock (fun () -> entries := [])
 
@@ -170,14 +162,9 @@ module Trace_cache = struct
        else Telemetry.Trace_cache_misses);
     (hash, found)
 
-  (* Enter [data] under a copy of [key]: the caller may mutate its own. *)
-  let add c ~hash { flavor; seq } data size =
-    let flavor =
-      match flavor with
-      | Splat si -> Splat (Array.copy si)
-      | Packed w -> Packed (Array.copy w)
-    in
-    let key = { flavor; seq = Array.map Array.copy seq } in
+  (* Enter [rows] under a copy of [key]: the caller may mutate its own. *)
+  let add c ~hash { si; seq } rows size =
+    let key = { si = Array.copy si; seq = Array.map Array.copy seq } in
     Mutex.protect lock (fun () ->
         let used = ref 0 in
         entries :=
@@ -188,7 +175,7 @@ module Trace_cache = struct
                 true
               end
               else false)
-            ((c, hash, key, data, size) :: !entries))
+            ((c, hash, key, rows, size) :: !entries))
 end
 
 let clear_trace_cache = Trace_cache.clear
@@ -235,36 +222,14 @@ let good_trace_bits ?shared tel k c ~sw ~si ~len =
    trace stays cache-resident.  Only a miss builds a kernel and the PI
    words, and [Good_cycles] counts only its computed cycles. *)
 let good_gb tel c ~si ~seq =
-  let key = { Trace_cache.flavor = Trace_cache.Splat si; seq } in
+  let key = { Trace_cache.si; seq } in
   match Trace_cache.lookup tel c key with
-  | _, Some (Trace_cache.Bits bits) -> bits
-  | _, Some (Trace_cache.Words _) -> assert false (* flavors never collide *)
+  | _, Some bits -> bits
   | hash, None ->
       let len = Array.length seq in
       let bits = good_trace_bits tel (Kernel.create c) c ~sw:(seq_words c seq) ~si ~len in
-      Trace_cache.add c ~hash key (Trace_cache.Bits bits) (len * Circuit.n_gates c);
+      Trace_cache.add c ~hash key bits (len * Circuit.n_gates c);
       bits
-
-(* Good word trace of one packed candidate group (lanes = candidates). *)
-let good_cand_gw tel k c ~init_words ~sw ~seq ~len =
-  let n = Circuit.n_gates c in
-  let key = { Trace_cache.flavor = Trace_cache.Packed init_words; seq } in
-  match Trace_cache.lookup tel c key with
-  | _, Some (Trace_cache.Words ws) -> ws
-  | _, Some (Trace_cache.Bits _) -> assert false
-  | hash, None ->
-      Telemetry.add tel Telemetry.Good_cycles len;
-      let v = Array.make n 0 in
-      let state = Array.copy init_words in
-      let ws =
-        Array.init len (fun t ->
-            Kernel.good_cycle k ~pi_words:sw.(t) ~state ~v;
-            let snapshot = Array.copy v in
-            Kernel.good_capture k ~v ~state;
-            snapshot)
-      in
-      Trace_cache.add c ~hash key (Trace_cache.Words ws) (len * n * 8);
-      ws
 
 (* Detection word of one fault group over the good rows [gb], with an
    early exit once every lane has seen a PO difference; the scan-out
@@ -455,11 +420,20 @@ let candidate_detections ?pool ?(budget = Budget.unlimited) ?tel c ~sis ~seq ~fa
     (cbase, cfull, init_words)
   in
   let meta = Array.init n_cgroups pack_group in
-  (* Per-group fault-free word traces, computed (or recalled) on the
-     submitter and shared read-only with every chunk. *)
+  (* Per-group fault-free word traces (lanes = candidates), computed on
+     the submitter and shared read-only with every chunk. *)
   let traces =
     let k0 = Kernel.create c in
-    Array.map (fun (_, _, init_words) -> good_cand_gw tel k0 c ~init_words ~sw ~seq ~len) meta
+    Array.map
+      (fun (_, _, init_words) ->
+        Telemetry.add tel Telemetry.Good_cycles len;
+        let state = Array.copy init_words and v = Array.make (Circuit.n_gates c) 0 in
+        Array.init len (fun t ->
+            Kernel.good_cycle k0 ~pi_words:sw.(t) ~state ~v;
+            let row = Array.copy v in
+            Kernel.good_capture k0 ~v ~state;
+            row))
+      meta
   in
   (* One fault at a time, injected in every candidate lane. *)
   let detect_cand k (w : Sweep.work) fi cgi =
@@ -650,9 +624,8 @@ let suffix_rows ?rejoin tel c s suffix =
     match rejoin with
     | None -> None
     | Some (si, seq) -> (
-        let key = { Trace_cache.flavor = Trace_cache.Splat si; seq } in
-        match Trace_cache.lookup tel c key with
-        | _, Some (Trace_cache.Bits rows) ->
+        match Trace_cache.lookup tel c { Trace_cache.si; seq } with
+        | _, Some rows ->
             (* Suffix row [j] aligns with the rejoin test's row [j + shift];
                the two input sequences agree from [from] on. *)
             let shift = Array.length seq - len in
@@ -664,7 +637,6 @@ let suffix_rows ?rejoin tel c s suffix =
             done;
             let aligned j = if j + shift < 0 then Bytes.empty else rows.(j + shift) in
             Some (Array.init len aligned, !from)
-        | _, Some (Trace_cache.Words _) -> assert false
         | _, None -> None)
   in
   good_trace_bits ?shared tel (Kernel.create c) c ~sw:(seq_words c suffix) ~si:s.good_state
@@ -708,40 +680,118 @@ let resume_po_time ?pool ?(budget = Budget.unlimited) ?tel ?rejoin c s ~suffix ~
             : unit array));
   result
 
-(* --- 3-valued, unknown initial state ("without scan") ------------------ *)
+(* --- 3-valued, from a partly unknown state ------------------------------ *)
 
-(* A fault counts as detected only when the fault-free value at a PO is a
-   binary value and the faulty value is the complementary binary value.
-   The fault-free run from the all-X state is computed once per call and
-   shared read-only by the chunks; each group starts from a zero state
+(* A fault counts as detected only when the fault-free value is binary and
+   the faulty value is the complementary binary value: at a PO in any time
+   unit, or, at the end of the sequence, in a flip-flop of [observe] (none
+   by default).  The good machine starts from [start], one Kernel3 code per
+   flip-flop (all X by default) — "without scan" when both are left out,
+   partial scan when [start] carries the scanned bits and [observe] marks
+   the scanned flip-flops.  The fault-free run is computed once per call
+   and shared read-only by the chunks; each group starts from a zero state
    difference. *)
-let detect_no_scan ?pool ?(budget = Budget.unlimited) ?tel ?only c ~seq ~faults =
+
+(* Fault-free rows of [seq] from [start] on [k], and the final state. *)
+let good3 tel k ~start ~seq =
+  let final = Bytes.copy start in
+  let gbs = Kernel3.good_trace k ~state:final ~seq in
+  Telemetry.add tel Telemetry.Good_cycles (Array.length seq);
+  (gbs, final)
+
+(* [Sweep.run] with a private 3-valued kernel per chunk. *)
+let sweep3 ?pool ?budget ?tel c ~init n step =
+  Sweep.run ?pool ?budget ?tel
+    ~engine:(fun _ -> Kernel3.create c)
+    ~evaluated:Kernel3.take_evaluated ~init n step
+
+let detect3_in ~span ?pool ?(budget = Budget.unlimited) ?tel ?only ?start ?observe c ~seq
+    ~faults =
   let n = Array.length faults in
   let subset = subset_of_only n only in
   if Array.length subset = 0 then Bitvec.create n
   else
-    Telemetry.span tel "fsim:detect-no-scan"
+    Telemetry.span tel span
       ~args:
         [
           ("faults", string_of_int (Array.length subset));
           ("len", string_of_int (Array.length seq));
         ]
       (fun () ->
-        let gbs = Kernel3.good_trace (Kernel3.create c) ~state:(Kernel3.x_state c) ~seq in
-        Telemetry.add tel Telemetry.Good_cycles (Array.length seq);
+        let start = match start with Some s -> s | None -> Kernel3.x_state c in
+        let gbs, final = good3 tel (Kernel3.create c) ~start ~seq in
         let groups = make_groups faults subset in
-        Sweep.run ?pool ~budget ?tel
-          ~engine:(fun _ -> Kernel3.create c)
-          ~evaluated:Kernel3.take_evaluated ~init:0 (Array.length groups)
-          (fun k w gi ->
+        sweep3 ?pool ~budget ?tel c ~init:0 (Array.length groups) (fun k w gi ->
             let group = groups.(gi) in
             Kernel3.set_overrides k group.overrides;
             Kernel3.reset k;
             let det, cycles = Kernel3.detect_po k ~gbs ~want:group.lanes in
             w.lanes <- w.lanes + Array.length group.members;
             w.cycles <- w.cycles + cycles;
-            hits w det)
+            hits w
+              (match observe with
+              | Some observe when cycles = Array.length gbs && det <> group.lanes ->
+                  det lor (Kernel3.state_detect ~observe k ~gs:final land group.lanes)
+              | _ -> det))
         |> detected_members n groups)
+
+let detect3 = detect3_in ~span:"fsim:detect3"
+
+let detect_no_scan = detect3_in ~span:"fsim:detect-no-scan" ?start:None ?observe:None
+
+(* The 3-valued profile: [profile]'s loop over the good rows from [start],
+   with the [observe] flip-flops read against the good state after each
+   time unit's vector.  Each lane is pruned after its first PO detection,
+   so [state_diff_at] holds bits only up to the fault's PO time. *)
+let profile3 ?pool ?(budget = Budget.unlimited) ?tel ~start ~observe c ~seq ~faults ~subset =
+  Telemetry.span tel "fsim:profile3"
+    ~args:
+      [
+        ("faults", string_of_int (Array.length subset));
+        ("len", string_of_int (Array.length seq));
+      ]
+  @@ fun () ->
+  let len = Array.length seq in
+  let total = Array.length subset in
+  let po_time = Array.make total max_int in
+  let state_diff_at = Array.init total (fun _ -> Bitvec.create len) in
+  let k0 = Kernel3.create c in
+  let gbs, _ = good3 tel k0 ~start ~seq in
+  (* Good state after each time unit's vector. *)
+  let states =
+    Array.map
+      (fun gb ->
+        let s = Kernel3.x_state c in
+        Kernel3.good_capture k0 ~gb ~state:s;
+        s)
+      gbs
+  in
+  let groups = make_groups faults subset in
+  (* Group [gi] writes only its own positions [gi*W, gi*W + lanes). *)
+  ignore
+    (sweep3 ?pool ~budget ?tel c ~init:() (Array.length groups) (fun k w gi ->
+         let group = groups.(gi) in
+         let base = gi * Word.width in
+         Kernel3.set_overrides k group.overrides;
+         Kernel3.reset k;
+         let po_seen = ref 0 in
+         let t = ref 0 in
+         while !po_seen <> group.lanes && !t < len do
+           let gb = gbs.(!t) in
+           Kernel3.cycle k ~prune:!po_seen ~gb;
+           let fresh = Kernel3.po_detect k ~gb land group.lanes land lnot !po_seen in
+           Word.iter_set (fun lane -> po_time.(base + lane) <- !t) fresh;
+           po_seen := !po_seen lor fresh;
+           Kernel3.finish_cycle k ~gb;
+           Word.iter_set
+             (fun lane -> Bitvec.set state_diff_at.(base + lane) !t)
+             (Kernel3.state_detect ~observe k ~gs:states.(!t) land group.lanes);
+           incr t
+         done;
+         w.lanes <- w.lanes + Array.length group.members;
+         w.cycles <- w.cycles + !t)
+      : unit array);
+  { subset; po_time; state_diff_at }
 
 (* --- Incremental 3-valued co-simulation (for sequence generation) ------ *)
 

@@ -193,8 +193,25 @@ val resume_po_time :
   subset:int array ->
   int array
 
-(** Faults detected by [seq] from an unknown initial state, no scan-out
-    (3-valued; detection requires complementary binary values at a PO). *)
+(** 3-valued detection (span ["fsim:detect3"]): the good machine starts
+    from [start], one {!Asc_sim.Kernel3} code per flip-flop (all X by
+    default); a fault is detected when a fault-free binary value meets
+    the complementary faulty one at a PO, or at the end of [seq] in a
+    flip-flop of [observe] (none by default). *)
+val detect3 :
+  ?pool:Asc_util.Domain_pool.t ->
+  ?budget:Asc_util.Budget.t ->
+  ?tel:Asc_util.Telemetry.t ->
+  ?only:Asc_util.Bitvec.t ->
+  ?start:Bytes.t ->
+  ?observe:bool array ->
+  Asc_netlist.Circuit.t ->
+  seq:seq ->
+  faults:Fault.t array ->
+  Asc_util.Bitvec.t
+
+(** {!detect3} from all-X, observing the POs only: the faults [seq]
+    detects without scan (span ["fsim:detect-no-scan"]). *)
 val detect_no_scan :
   ?pool:Asc_util.Domain_pool.t ->
   ?budget:Asc_util.Budget.t ->
@@ -204,6 +221,21 @@ val detect_no_scan :
   seq:seq ->
   faults:Fault.t array ->
   Asc_util.Bitvec.t
+
+(** {!profile} of [seq] from [start] (one {!Asc_sim.Kernel3} code per
+    flip-flop), 3-valued: [state_diff_at] marks a detectable difference
+    in a flip-flop of [observe] (span ["fsim:profile3"]). *)
+val profile3 :
+  ?pool:Asc_util.Domain_pool.t ->
+  ?budget:Asc_util.Budget.t ->
+  ?tel:Asc_util.Telemetry.t ->
+  start:Bytes.t ->
+  observe:bool array ->
+  Asc_netlist.Circuit.t ->
+  seq:seq ->
+  faults:Fault.t array ->
+  subset:int array ->
+  profile
 
 (** Incremental 3-valued co-simulation for sequence generation: keeps the
     fault-free state at the end of the sequence built so far and every

@@ -15,11 +15,16 @@ val by_fanout : Asc_netlist.Circuit.t -> ratio:float -> chain
 val n_scanned : chain -> int
 
 (** Test application time under the shorter chain. *)
-val cycles : Asc_netlist.Circuit.t -> chain -> Scan_test.t array -> int
+val cycles : chain -> Scan_test.t array -> int
 
 (** Faults detected by one test under the partial chain (3-valued,
-    pessimistic). *)
+    pessimistic): one {!Asc_fault.Seq_fsim.detect3} sweep from the scan-in
+    on the scanned flip-flops and X elsewhere, observing the scanned
+    flip-flops at scan-out.  Identical for any domain count. *)
 val detect :
+  ?pool:Asc_util.Domain_pool.t ->
+  ?budget:Asc_util.Budget.t ->
+  ?tel:Asc_util.Telemetry.t ->
   ?only:Asc_util.Bitvec.t ->
   Asc_netlist.Circuit.t ->
   chain ->
@@ -29,16 +34,21 @@ val detect :
 
 (** Coverage of a test set, with fault dropping. *)
 val coverage :
+  ?pool:Asc_util.Domain_pool.t ->
+  ?budget:Asc_util.Budget.t ->
+  ?tel:Asc_util.Telemetry.t ->
   Asc_netlist.Circuit.t ->
   chain ->
   Scan_test.t array ->
   faults:Asc_fault.Fault.t array ->
   Asc_util.Bitvec.t
 
-(** Partial-scan analogue of [Seq_fsim.candidate_detections]: rows are
-    candidate scan-in states (projected onto the scanned flip-flops),
-    columns fault indices; only [subset] columns are simulated. *)
+(** Partial-scan analogue of [Seq_fsim.candidate_detections]: one
+    {!detect} of [(candidate, seq)] over the [subset] faults per row. *)
 val candidate_detections :
+  ?pool:Asc_util.Domain_pool.t ->
+  ?budget:Asc_util.Budget.t ->
+  ?tel:Asc_util.Telemetry.t ->
   Asc_netlist.Circuit.t ->
   chain ->
   sis:bool array array ->
@@ -47,19 +57,16 @@ val candidate_detections :
   subset:int array ->
   Asc_util.Bitmat.t
 
-(** Partial-scan analogue of [Seq_fsim.profile]: earliest PO detection
-    time per subset fault and the time units at which the *scanned* state
-    observably differs. *)
-type profile = {
-  subset : int array;
-  po_time : int array;
-  state_diff_at : Asc_util.Bitvec.t array;
-}
-
+(** Partial-scan analogue of [Seq_fsim.profile]
+    ({!Asc_fault.Seq_fsim.profile3}): [state_diff_at] marks the time units
+    at which the {e scanned} state observably differs. *)
 val profile :
+  ?pool:Asc_util.Domain_pool.t ->
+  ?budget:Asc_util.Budget.t ->
+  ?tel:Asc_util.Telemetry.t ->
   Asc_netlist.Circuit.t ->
   chain ->
   Scan_test.t ->
   faults:Asc_fault.Fault.t array ->
   subset:int array ->
-  profile
+  Asc_fault.Seq_fsim.profile

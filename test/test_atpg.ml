@@ -252,8 +252,8 @@ let test_s1423_work_pinned () =
       in
       Alcotest.(check (list int)) ("s1423 " ^ t0) want got)
     [
-      ("directed", [ 28408879; 77800; 767483; 38125; 186974; 24560; 418; 43 ]);
-      ("random", [ 19516885; 82929; 994185; 27133; 201387; 22071; 644; 210 ]);
+      ("directed", [ 28408879; 77800; 767483; 38125; 186974; 24560; 418; 39 ]);
+      ("random", [ 19516885; 82929; 994185; 27133; 201387; 22071; 644; 206 ]);
     ]
 
 (* --- Combinational test-set generation --------------------------------- *)

@@ -38,7 +38,7 @@ let prop_scan_in_maximises =
       let f0 = Bitvec.inter (Asc_fault.Seq_fsim.detect_no_scan c ~seq:t0 ~faults) targets in
       let selected = Bitvec.create (Array.length candidates) in
       let choice =
-        Phase1.select_scan_in c ~faults ~candidates ~t0 ~f0 ~targets ~selected
+        Phase1.select_scan_in (Asc_core.Scan_model.full c ~faults) ~candidates ~t0 ~f0 ~targets ~selected
       in
       (* Brute force: count F - F0 detections per candidate. *)
       let count j =
@@ -59,9 +59,9 @@ let test_scan_in_prefers_unselected () =
   let c, faults, targets, t0, candidates = setup 7 in
   let f0 = Bitvec.create (Array.length faults) in
   let selected = Bitvec.create (Array.length candidates) in
-  let first = Phase1.select_scan_in c ~faults ~candidates ~t0 ~f0 ~targets ~selected in
+  let first = Phase1.select_scan_in (Asc_core.Scan_model.full c ~faults) ~candidates ~t0 ~f0 ~targets ~selected in
   Bitvec.set selected first.index;
-  let second = Phase1.select_scan_in c ~faults ~candidates ~t0 ~f0 ~targets ~selected in
+  let second = Phase1.select_scan_in (Asc_core.Scan_model.full c ~faults) ~candidates ~t0 ~f0 ~targets ~selected in
   if second.already_selected then
     (* Only legal when it is strictly better than every unselected one. *)
     Alcotest.(check int) "repeat is the same best" first.index second.index
@@ -78,7 +78,7 @@ let prop_scan_out_minimal =
       let c, faults, targets, t0, candidates = setup seed in
       let si = candidates.(0).Asc_sim.Pattern.state in
       let det = Bitvec.inter (Asc_fault.Seq_fsim.detect c ~si ~seq:t0 ~faults) targets in
-      let choice = Phase1.select_scan_out c ~faults ~si ~t0 ~f_si:det ~targets in
+      let choice = Phase1.select_scan_out (Asc_core.Scan_model.full c ~faults) ~si ~t0 ~f_si:det ~targets in
       let keeps u =
         let truncated = Array.sub t0 0 (u + 1) in
         let d = Asc_fault.Seq_fsim.detect c ~si ~seq:truncated ~faults in

@@ -78,9 +78,14 @@ let test_partial_chain_selection () =
   let none = Asc_scan.Partial.by_fanout c ~ratio:0.0 in
   Alcotest.(check int) "no chain" 0 (Asc_scan.Partial.n_scanned none)
 
-(* Full-chain partial-scan detection equals the binary simulator's. *)
+(* Partial detection at the chain's two extremes: with every flip-flop
+   scanned it is the binary simulator's full-scan detection, with none it
+   is detection without scan — on the calling domain and across a
+   2-domain pool alike. *)
 let prop_partial_full_chain_equals_full_scan =
-  QCheck.Test.make ~name:"partial scan with a full chain = full scan" ~count:8
+  QCheck.Test.make
+    ~name:"partial scan with a full chain = full scan, with none = no scan (1 and 2 domains)"
+    ~count:8
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let c = small_circuit seed in
@@ -91,10 +96,20 @@ let prop_partial_full_chain_equals_full_scan =
           ~si:(Rng.bool_array rng (Circuit.n_dffs c))
           ~seq:(Array.init 5 (fun _ -> Rng.bool_array rng (Circuit.n_inputs c)))
       in
-      let chain = Asc_scan.Partial.full_chain c in
-      Bitvec.equal
-        (Asc_scan.Partial.detect c chain t ~faults)
-        (Scan_test.detect c t ~faults))
+      let full = Asc_scan.Partial.full_chain c in
+      let none = Asc_scan.Partial.by_fanout c ~ratio:0.0 in
+      let agree ?pool () =
+        Bitvec.equal
+          (Asc_scan.Partial.detect ?pool c full t ~faults)
+          (Scan_test.detect c t ~faults)
+        && Bitvec.equal
+             (Asc_scan.Partial.detect ?pool c none t ~faults)
+             (Asc_fault.Seq_fsim.detect_no_scan c ~seq:t.seq ~faults)
+      in
+      let pool = Domain_pool.create ~domains:2 () in
+      Fun.protect
+        ~finally:(fun () -> Domain_pool.shutdown pool)
+        (fun () -> agree () && agree ~pool ()))
 
 (* Shrinking the chain never detects more (3-valued pessimism is
    monotone in the scanned set). *)
@@ -127,7 +142,7 @@ let test_partial_cycles () =
   in
   let half = Asc_scan.Partial.by_fanout c ~ratio:0.5 in
   Alcotest.(check int) "half-chain cycles" ((5 * 7) + 4)
-    (Asc_scan.Partial.cycles c half tests)
+    (Asc_scan.Partial.cycles half tests)
 
 (* --- Multi-chain time model ---------------------------------------------- *)
 
@@ -195,12 +210,13 @@ let test_scan_out_policies () =
   let f_si =
     Bitvec.inter (Asc_fault.Seq_fsim.detect c ~si ~seq:t0 ~faults) targets
   in
+  let model = Asc_core.Scan_model.full c ~faults in
   let i0 =
-    Asc_core.Phase1.select_scan_out ~policy:Asc_core.Phase1.Earliest c ~faults ~si ~t0
+    Asc_core.Phase1.select_scan_out ~policy:Asc_core.Phase1.Earliest model ~si ~t0
       ~f_si ~targets
   in
   let i1 =
-    Asc_core.Phase1.select_scan_out ~policy:Asc_core.Phase1.Max_detection c ~faults ~si
+    Asc_core.Phase1.select_scan_out ~policy:Asc_core.Phase1.Max_detection model ~si
       ~t0 ~f_si ~targets
   in
   (* Both keep F_SI; i1 detects at least as much and is never shorter than

@@ -312,6 +312,13 @@ let test_sweep_counters_invariant () =
               state = Rng.bool_array rng (Circuit.n_dffs c);
             })
       in
+      (* A partial-scan start: even flip-flops scanned in and observed,
+         odd ones X and unobserved. *)
+      let start =
+        Bytes.init (Circuit.n_dffs c) (fun i ->
+            if i mod 2 = 0 then Asc_sim.Kernel3.of_bool si.(i) else Asc_sim.Kernel3.x)
+      in
+      let observe = Array.init (Circuit.n_dffs c) (fun i -> i mod 2 = 0) in
       let inc3 ?pool ~tel () =
         let t = Seq_fsim.inc3_create c faults in
         for s = 0 to 9 do
@@ -340,6 +347,13 @@ let test_sweep_counters_invariant () =
           ( "detect_no_scan",
             fun ?pool ~tel () ->
               ignore (Seq_fsim.detect_no_scan ?pool ~tel c ~seq ~faults) );
+          ( "detect3",
+            fun ?pool ~tel () ->
+              ignore (Seq_fsim.detect3 ?pool ~tel ~start ~observe c ~seq ~faults) );
+          ( "profile3",
+            fun ?pool ~tel () ->
+              ignore
+                (Seq_fsim.profile3 ?pool ~tel ~start ~observe c ~seq ~faults ~subset:all) );
           ("inc3_peek/inc3_commit", inc3);
           ( "detect_matrix",
             fun ?pool ~tel () ->

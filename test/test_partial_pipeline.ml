@@ -5,7 +5,6 @@ open Asc_util
 module Circuit = Asc_netlist.Circuit
 module Partial = Asc_scan.Partial
 module Pipeline = Asc_core.Pipeline
-module Pp = Asc_core.Pipeline_partial
 
 (* s298 as `asc run s298` configures it (directed T0, 120 vectors). *)
 let config = Result.get_ok (Asc_core.Experiments.config_for ~seed:1 ~t0:"directed" "s298")
@@ -18,7 +17,7 @@ let prepared_s298 =
 let run_at ratio =
   let c, prepared = Lazy.force prepared_s298 in
   let chain = Partial.by_fanout c ~ratio in
-  (c, prepared, chain, Pp.run ~config prepared ~chain)
+  (c, prepared, chain, Pipeline.run ~config ~chain prepared)
 
 let test_full_chain_equivalent_semantics () =
   (* With every flip-flop scanned, the partial pipeline's final coverage
@@ -33,7 +32,7 @@ let test_full_chain_equivalent_semantics () =
     (Bitvec.equal r.final_detected full_eval);
   Alcotest.(check int) "cycles match the full model"
     (Asc_scan.Time_model.cycles_of_tests c r.final_tests)
-    (Partial.cycles c chain r.final_tests)
+    (Partial.cycles chain r.final_tests)
 
 let test_partial_runs_and_reports () =
   let c, prepared, chain, r = run_at 0.5 in

@@ -108,8 +108,9 @@ let test_golden_combine (name, attempts, combinations) () =
   Alcotest.(check int) (name ^ " attempts") attempts cb.attempts;
   Alcotest.(check int) (name ^ " combinations") combinations cb.combinations
 
-(* The other combining loops at seed 1: the partial-scan pipeline over the
-   half-fanout chain, and transfer compaction of C as ablation C runs it.
+(* The other combining loops at seed 1: the procedure run for the
+   half-fanout partial-scan chain (on the calling domain and across a
+   2-domain pool), and transfer compaction of C as ablation C runs it.
    Each pin is (tests, N_cyc, CRC-32 of the Tset_io text). *)
 let golden_partial = [ ("s298", 2, 71, "a287b8be"); ("s344", 7, 131, "42b0674b") ]
 let golden_transfer = [ ("s298", 16, 269, "3e00577a"); ("s344", 25, 428, "a837ab83") ]
@@ -117,8 +118,16 @@ let golden_transfer = [ ("s298", 16, 269, "3e00577a"); ("s344", 25, 428, "a837ab
 let test_golden_partial (name, tests, cycles, crc) () =
   let c, p, _ = Lazy.force (List.assoc name mid_runs) in
   let chain = Asc_scan.Partial.by_fanout c ~ratio:0.5 in
-  let r = Asc_core.Pipeline_partial.run p ~chain in
-  check_pin name (tests, cycles, crc) c r.final_tests r.cycles_final
+  List.iter
+    (fun domains ->
+      let pool = Option.map (fun domains -> Asc_util.Domain_pool.create ~domains ()) domains in
+      let r =
+        Fun.protect
+          ~finally:(fun () -> Option.iter Asc_util.Domain_pool.shutdown pool)
+          (fun () -> Asc_core.Pipeline.run ?pool ~chain p)
+      in
+      check_pin name (tests, cycles, crc) c r.final_tests r.cycles_final)
+    [ None; Some 2 ]
 
 let test_golden_transfer (name, tests, cycles, crc) () =
   let c, p, _ = Lazy.force (List.assoc name mid_runs) in
