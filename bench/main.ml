@@ -7,7 +7,7 @@
    the at-speed extension table.  EXPERIMENTS.md discusses paper-vs-measured.
    Performance is measured by bench/perf/perf.exe, not here.
 
-     dune exec bench/main.exe                  # everything (several minutes)
+     dune exec bench/main.exe                  # everything (about a minute)
      dune exec bench/main.exe -- --quick       # a small circuit subset
      dune exec bench/main.exe -- --circuits s298,s344
      dune exec bench/main.exe -- --seed 7
@@ -101,7 +101,7 @@ let run_tables o pool tel =
       o.circuits
   in
   print_newline ();
-  print_string (Asc_report.Report.render_all ~with_at_speed:o.at_speed runs)
+  print_string (Asc_report.Report.render_all ?pool ?tel ~with_at_speed:o.at_speed runs)
 
 let () =
   let o = parse_args () in

@@ -1289,7 +1289,7 @@ let tables_cmd =
           Asc_core.Experiments.run_circuit ?pool ~seed ~with_dynamic:dynamic n)
         names
     in
-    print_string (Asc_report.Report.render_all runs)
+    print_string (Asc_report.Report.render_all ?pool runs)
   in
   Cmd.v (Cmd.info "tables" ~doc:"Regenerate the paper's tables")
     Term.(const run $ circuits_arg $ dynamic_arg $ seed_arg $ domains_arg $ verbose_arg)

@@ -19,7 +19,7 @@
 open Asc_util
 module Circuit = Asc_netlist.Circuit
 module Scan_test = Asc_scan.Scan_test
-module Naive = Asc_sim.Naive
+module Kernel = Asc_sim.Kernel
 
 let extension_tries = 10 (* PODEM targets attempted per extension step *)
 let backtrack_limit = 100
@@ -92,7 +92,7 @@ let run c ~faults ~targets ~rng =
           let si = pattern.state in
           let seq = ref [ pattern.pis ] in
           (* Track the fault-free state for constrained extension. *)
-          let state = ref (Naive.next_state_of c (Naive.eval_comb c ~pis:pattern.pis ~state:si)) in
+          let state = ref (Kernel.good_final_state c ~state:si ~seq:[| pattern.pis |]) in
           let extending = ref true in
           while !extending && List.length !seq < Circuit.n_dffs c do
             match fresh_targets_from ~state:!state ~limit:extension_tries with
@@ -100,7 +100,7 @@ let run c ~faults ~targets ~rng =
             | Some cube' ->
                 let p' = Asc_atpg.Cube.fill rng cube' in
                 seq := p'.pis :: !seq;
-                state := Naive.next_state_of c (Naive.eval_comb c ~pis:p'.pis ~state:!state)
+                state := Kernel.good_final_state c ~state:!state ~seq:[| p'.pis |]
           done;
           let test = Scan_test.create ~si ~seq:(Array.of_list (List.rev !seq)) in
           let undet =

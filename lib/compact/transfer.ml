@@ -23,7 +23,6 @@
 open Asc_util
 module Circuit = Asc_netlist.Circuit
 module Scan_test = Asc_scan.Scan_test
-module Naive = Asc_sim.Naive
 
 let candidates = 12 (* transfer candidates simulated per pair *)
 let verify_best = 2 (* how many of them get a full coverage check *)
@@ -34,12 +33,6 @@ type result = {
   transfers : int; (* transfer-enabled combinations accepted *)
   transfer_cycles : int; (* functional cycles spent on transfers *)
 }
-
-(* Final fault-free state of a sequence applied from [state]. *)
-let run_state c ~state ~seq =
-  let s = ref state in
-  Array.iter (fun pis -> s := Naive.next_state_of c (Naive.eval_comb c ~pis ~state:!s)) seq;
-  !s
 
 let hamming a b =
   let d = ref 0 in
@@ -80,7 +73,7 @@ let run ?(max_pairs = 400) c (tests : Scan_test.t array) ~faults ~targets ~rng =
       for _ = 1 to candidates do
         let len = 1 + Rng.int rng max_length in
         let tx = make_candidate len last in
-        let final = run_state c ~state:from_state ~seq:tx in
+        let final = Asc_sim.Kernel.good_final_state c ~state:from_state ~seq:tx in
         scored := (hamming final tj.si + Array.length tx, tx) :: !scored
       done;
       let ranked = List.sort (fun (a, _) (b, _) -> compare a b) !scored in

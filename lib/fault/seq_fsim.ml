@@ -50,32 +50,6 @@ let seq_words c (seq : seq) =
       Array.map Word.splat vec)
     seq
 
-(* Fault-free trace: PO words per time unit and state words per boundary.
-   [states.(t)] is the state *entering* time unit [t]; [states.(L)] is the
-   final (scan-out) state. *)
-type good = { po : int array array; states : int array array }
-
-let good_run c ~si ~seq =
-  let sw = seq_words c seq in
-  let len = Array.length seq in
-  let k = Kernel.create c in
-  let v = Array.make (Circuit.n_gates c) 0 in
-  let state = Array.map Word.splat si in
-  let po = Array.make len [||] in
-  let states = Array.make (len + 1) [||] in
-  states.(0) <- Array.copy state;
-  for t = 0 to len - 1 do
-    Kernel.good_cycle k ~pi_words:sw.(t) ~state ~v;
-    po.(t) <- Array.map (fun g -> v.(g)) (Circuit.outputs c);
-    Kernel.good_capture k ~v ~state;
-    states.(t + 1) <- Array.copy state
-  done;
-  { po; states }
-
-let good_final_state c (good : good) =
-  let words = good.states.(Array.length good.states - 1) in
-  Array.init (Circuit.n_dffs c) (fun i -> words.(i) land 1 = 1)
-
 (* Group faults 62 to a word. *)
 type group = { members : int array; lanes : int; overrides : Asc_sim.Override.t list }
 
@@ -221,7 +195,7 @@ let good_trace_bits ?shared tel k c ~sw ~si ~len =
    kernel's [_bits] entry points as-is — no expansion, and the whole
    trace stays cache-resident.  Only a miss builds a kernel and the PI
    words, and [Good_cycles] counts only its computed cycles. *)
-let good_gb tel c ~si ~seq =
+let good_gb ?tel c ~si ~seq =
   let key = { Trace_cache.si; seq } in
   match Trace_cache.lookup tel c key with
   | _, Some bits -> bits
@@ -294,7 +268,7 @@ let detect ?pool ?(budget = Budget.unlimited) ?tel ?only c ~si ~seq ~faults =
       (fun () ->
         let len = Array.length seq in
         let groups = make_groups faults subset in
-        let gb = good_gb tel c ~si ~seq in
+        let gb = good_gb ?tel c ~si ~seq in
         sweep ?pool ~budget ?tel c ~init:0 (Array.length groups) (fun k w gi ->
             hits w (detect_group k w ~gb ~len ~start:from_scan_in groups.(gi)))
         |> detected_members n groups)
@@ -355,7 +329,7 @@ let profile ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset =
   let po_time = Array.make total max_int in
   let state_diff_at = Array.init total (fun _ -> Bitvec.create len) in
   let groups = make_groups faults subset in
-  let gb = good_gb tel c ~si ~seq in
+  let gb = good_gb ?tel c ~si ~seq in
   (* Group [gi] writes only its own positions [gi*W, gi*W + lanes). *)
   ignore
     (sweep ?pool ~budget ?tel c ~init:() (Array.length groups) (fun k w gi ->
@@ -488,7 +462,7 @@ let verify_required ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~
       ~args:[ ("faults", string_of_int (Array.length subset)) ]
       (fun () ->
         let len = Array.length seq in
-        let gb = good_gb tel c ~si ~seq in
+        let gb = good_gb ?tel c ~si ~seq in
         verify_groups ?pool ~budget ?tel c ~gb ~len ~start:from_scan_in
           (make_groups faults subset))
 
@@ -541,7 +515,7 @@ let snapshots ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset
   let diffs = Array.map (fun _ -> Hashtbl.create 64) boundaries in
   let dffs = Circuit.dffs c in
   let n_ff = Array.length dffs in
-  let gb = good_gb tel c ~si ~seq in
+  let gb = good_gb ?tel c ~si ~seq in
   let good_state b =
     if b = 0 then Array.copy si
     else if b < len then Array.map (fun g -> Bytes.get gb.(b) g = '\001') dffs

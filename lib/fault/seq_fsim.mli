@@ -34,14 +34,18 @@ type seq = bool array array
     state. *)
 val clear_trace_cache : unit -> unit
 
-(** Fault-free trace.  [po.(t)] are splat PO words at time [t];
-    [states.(t)] is the state entering time [t] ([states.(L)] is final). *)
-type good = { po : int array array; states : int array array }
-
-val good_run : Asc_netlist.Circuit.t -> si:bool array -> seq:seq -> good
-
-(** The fault-free scan-out state of a run. *)
-val good_final_state : Asc_netlist.Circuit.t -> good -> bool array
+(** The fault-free rows of the scan test [(si, seq)] through the cache:
+    row [t] holds one byte per gate, ['\001'] where the gate's good value
+    at time unit [t] is 1 — the [gb] argument of {!Asc_sim.Kernel}'s
+    byte-trace entry points.  A lookup counts a trace-cache hit or miss,
+    and a miss its computed [good_cycles].  The rows are shared: never
+    mutate them. *)
+val good_gb :
+  ?tel:Asc_util.Telemetry.t ->
+  Asc_netlist.Circuit.t ->
+  si:bool array ->
+  seq:seq ->
+  Bytes.t array
 
 (** Fault indices detected by the scan test; [only] restricts simulation. *)
 val detect :

@@ -156,7 +156,7 @@ let table5 (runs : run list) =
 
 (* Extension: transition-fault coverage of the final test sets — the
    paper's at-speed claim, quantified. *)
-let table_at_speed (runs : run list) =
+let table_at_speed ?pool ?tel (runs : run list) =
   let t =
     Table.create
       ~caption:
@@ -170,7 +170,9 @@ let table_at_speed (runs : run list) =
     (fun (r : run) ->
       let c = r.prepared.circuit in
       let tf = Asc_tfault.Tfault.universe c in
-      let cov tests = Bitvec.count (Asc_tfault.Tfault.coverage c tests ~faults:tf) in
+      let cov tests =
+        Bitvec.count (Asc_tfault.Tfault.coverage ?pool ?tel c tests ~faults:tf)
+      in
       Table.add_row t
         [
           r.name;
@@ -182,11 +184,11 @@ let table_at_speed (runs : run list) =
     runs;
   t
 
-let all_tables ?(with_at_speed = true) runs =
+let all_tables ?pool ?tel ?(with_at_speed = true) runs =
   let base =
     [ table1 runs; table2 runs; table3 runs; table4 runs; table5 runs ]
   in
-  if with_at_speed then base @ [ table_at_speed runs ] else base
+  if with_at_speed then base @ [ table_at_speed ?pool ?tel runs ] else base
 
-let render_all ?with_at_speed runs =
-  String.concat "\n" (List.map Table.render (all_tables ?with_at_speed runs))
+let render_all ?pool ?tel ?with_at_speed runs =
+  String.concat "\n" (List.map Table.render (all_tables ?pool ?tel ?with_at_speed runs))

@@ -12,8 +12,25 @@ val table3 : run list -> Asc_util.Table.t
 val table4 : run list -> Asc_util.Table.t
 val table5 : run list -> Asc_util.Table.t
 
-(** Extension: transition-fault coverage of the final test sets. *)
-val table_at_speed : run list -> Asc_util.Table.t
+(** Extension: transition-fault coverage of the final test sets,
+    simulated on [pool] with [tel]'s spans and counters
+    ({!Asc_tfault.Tfault.coverage}). *)
+val table_at_speed :
+  ?pool:Asc_util.Domain_pool.t ->
+  ?tel:Asc_util.Telemetry.t ->
+  run list ->
+  Asc_util.Table.t
 
-val all_tables : ?with_at_speed:bool -> run list -> Asc_util.Table.t list
-val render_all : ?with_at_speed:bool -> run list -> string
+val all_tables :
+  ?pool:Asc_util.Domain_pool.t ->
+  ?tel:Asc_util.Telemetry.t ->
+  ?with_at_speed:bool ->
+  run list ->
+  Asc_util.Table.t list
+
+val render_all :
+  ?pool:Asc_util.Domain_pool.t ->
+  ?tel:Asc_util.Telemetry.t ->
+  ?with_at_speed:bool ->
+  run list ->
+  string

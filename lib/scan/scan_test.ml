@@ -50,9 +50,7 @@ let detect ?pool ?budget ?tel ?only c t ~faults =
   Seq_fsim.detect ?pool ?budget ?tel ?only c ~si:t.si ~seq:t.seq ~faults
 
 (* The expected fault-free scan-out vector SO. *)
-let scan_out c t =
-  let good = Seq_fsim.good_run c ~si:t.si ~seq:t.seq in
-  Seq_fsim.good_final_state c good
+let scan_out c t = Asc_sim.Kernel.good_final_state c ~state:t.si ~seq:t.seq
 
 let equal a b = a.si = b.si && a.seq = b.seq
 

@@ -155,8 +155,7 @@ let[@inline] push_comb_fanouts t g =
 
 (* [eval_body kind get n]: the word-parallel gate function over [n]
    fanin words supplied by [get], masked to the lane width.  Overridden
-   gates evaluate through it (inlined there), and so do engines built on
-   top (the transition-fault simulator's delay sweep). *)
+   gates evaluate through it (inlined there). *)
 let[@inline] eval_body kind get n =
   match (kind : Gate.kind) with
   | Gate.And ->
@@ -560,6 +559,8 @@ let po_diff t =
   done;
   !diff
 
+let diff t g = t.dv.(g)
+
 (* Clock edge: capture next-state differences (with DFF pin-0 overrides
    folded in against the good captured value [gw.(din)]) and clear the
    in-cycle difference in O(cone). *)
@@ -681,3 +682,16 @@ let good_capture t ~v ~state =
   for i = 0 to Array.length dffs - 1 do
     state.(i) <- v.(Circuit.dff_input c dffs.(i))
   done
+
+(* Fault-free state after [seq] from [state], every lane the same
+   machine. *)
+let good_final_state c ~state ~seq =
+  let t = create c in
+  let v = Array.make (Circuit.n_gates c) 0 in
+  let words = Array.map Word.splat state in
+  Array.iter
+    (fun pis ->
+      good_cycle t ~pi_words:(Array.map Word.splat pis) ~state:words ~v;
+      good_capture t ~v ~state:words)
+    seq;
+  Array.map (fun w -> w land 1 = 1) words

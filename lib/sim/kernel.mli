@@ -50,6 +50,10 @@ val cycle : ?prune:int -> t -> gw:int array -> unit
     before {!finish_cycle}. *)
 val po_diff : t -> int
 
+(** Difference word (faulty XOR good) of gate [g] in the settled cycle.
+    Read after {!cycle}, before {!finish_cycle}. *)
+val diff : t -> int -> int
+
 (** Clock edge: capture the next-state difference (folding in DFF pin-0
     overrides against the good captured values in [gw]) and clear the
     in-cycle difference. *)
@@ -90,9 +94,8 @@ val good_cycle : t -> pi_words:int array -> state:int array -> v:int array -> un
     [state.(i) <- v.(dff_input i)]. *)
 val good_capture : t -> v:int array -> state:int array -> unit
 
-(** [eval_body kind get n] — the word-parallel gate function over [n]
-    fanin words supplied by [get], masked to the lane width.  Overridden
-    gates evaluate through it, and so do engines built on top (the
-    transition-fault simulator's delay sweep).  Raises [Invalid_argument]
-    on a source kind ([Input], [Dff]). *)
-val eval_body : Asc_netlist.Gate.kind -> (int -> int) -> int -> int
+(** [good_final_state c ~state ~seq]: the fault-free state after the
+    vectors of [seq] are applied from [state] — the expected scan-out of
+    the scan test [(state, seq)]. *)
+val good_final_state :
+  Asc_netlist.Circuit.t -> state:bool array -> seq:bool array array -> bool array

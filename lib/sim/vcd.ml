@@ -6,6 +6,7 @@
    step is half a clock cycle: values change on the rising edge. *)
 
 module Circuit = Asc_netlist.Circuit
+module Word = Asc_util.Word
 
 (* VCD identifier codes: printable ASCII, multi-character, excluding '#'
    and '$' (legal per the standard but confusing to simple parsers). *)
@@ -38,16 +39,20 @@ let header c =
   Buffer.add_string buf "$upscope $end\n$enddefinitions $end\n";
   buf
 
-(* Dump the fault-free run of (si, seq). *)
+(* Dump the fault-free run of (si, seq), stepped on the kernel's
+   fault-free sweep with every lane the same machine. *)
 let of_scan_test c ~si ~seq =
   let buf = header c in
   let n = Circuit.n_gates c in
   let previous = Array.make n None in
-  let state = ref (Array.copy si) in
+  let k = Kernel.create c in
+  let v = Array.make n 0 in
+  let state = Array.map Word.splat si in
   let emit_time t = Buffer.add_string buf (Printf.sprintf "#%d\n" t) in
   Array.iteri
     (fun cycle pis ->
-      let values = Naive.eval_comb c ~pis ~state:!state in
+      Kernel.good_cycle k ~pi_words:(Array.map Word.splat pis) ~state ~v;
+      let values = Array.map (fun w -> w land 1 = 1) v in
       emit_time (2 * cycle);
       Buffer.add_string buf "1!\n";
       for g = 0 to n - 1 do
@@ -60,7 +65,7 @@ let of_scan_test c ~si ~seq =
       done;
       emit_time ((2 * cycle) + 1);
       Buffer.add_string buf "0!\n";
-      state := Naive.next_state_of c values)
+      Kernel.good_capture k ~v ~state)
     seq;
   emit_time (2 * Array.length seq);
   Buffer.contents buf

@@ -15,14 +15,22 @@
    - long at-speed sequences launch many transitions per line, giving the
      repeated detection opportunities the paper alludes to.
 
-   Simulation is parallel-fault like the stuck-at simulator: 62 faulty
-   machines per word, each lane delaying transitions at its own site. *)
+   Simulation runs on the stuck-at kernel (Asc_sim.Kernel): a transition
+   fault is a stuck-at override whose lanes change every cycle.  A line
+   that cannot rise (slow-to-rise, previous faulty value 0) or fall
+   (slow-to-fall, previous value 1) in this cycle is stuck at that
+   previous value for the cycle; the first cycle has no override, since
+   nothing launched a transition.  The previous faulty value of a site is
+   its good value XOR the kernel's difference there, read before the
+   clock edge.  Each group of 62 faults is one [Sweep.run] item over the
+   shared good trace, as in Seq_fsim's stuck-at detection. *)
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
-module Gate = Asc_netlist.Gate
 module Kernel = Asc_sim.Kernel
+module Override = Asc_sim.Override
 module Scan_test = Asc_scan.Scan_test
+module Seq_fsim = Asc_fault.Seq_fsim
 
 type t = { gate : int; rising : bool }
 (* [rising = true] — slow-to-rise; the site is the gate's output line. *)
@@ -42,132 +50,79 @@ let universe c =
   done;
   Array.of_list !acc
 
-(* One group of up to 62 faulty machines. *)
-type group = {
-  members : int array;
-  lanes : int;
-  (* Per gate: lanes whose site is this gate, split by polarity. *)
-  str_mask : (int, int) Hashtbl.t;
-  stf_mask : (int, int) Hashtbl.t;
-}
+(* The overrides of the cycle after the settled one (good bits [row]):
+   each lane of [members] whose faulty value [prev] at its site is the
+   value its transition leaves (0 for slow-to-rise, 1 for slow-to-fall)
+   is held at [prev]. *)
+let held k row (faults : t array) members =
+  let acc = ref [] in
+  Array.iteri
+    (fun lane fi ->
+      let f = faults.(fi) in
+      let good = Bytes.get row f.gate = '\001' in
+      let prev = good <> Word.get (Kernel.diff k f.gate) lane in
+      if prev <> f.rising then
+        acc := Override.output ~gate:f.gate ~stuck:prev ~lanes:(1 lsl lane) :: !acc)
+    members;
+  !acc
 
-let make_groups (faults : t array) subset =
-  let total = Array.length subset in
-  let n_groups = (total + Word.width - 1) / Word.width in
-  Array.init n_groups (fun gi ->
-      let base = gi * Word.width in
-      let count = min Word.width (total - base) in
-      let members = Array.sub subset base count in
-      let str_mask = Hashtbl.create 64 and stf_mask = Hashtbl.create 64 in
-      Array.iteri
-        (fun lane fi ->
-          let f = faults.(fi) in
-          let tbl = if f.rising then str_mask else stf_mask in
-          let cur = Option.value ~default:0 (Hashtbl.find_opt tbl f.gate) in
-          Hashtbl.replace tbl f.gate (cur lor (1 lsl lane)))
-        members;
-      let lanes = if count = Word.width then Word.mask else (1 lsl count) - 1 in
-      { members; lanes; str_mask; stf_mask })
+(* Detection word of the faults [members] over the good rows [gb], as in
+   [Seq_fsim]'s stuck-at detection: detected lanes are pruned, the loop
+   exits once every lane has seen a PO difference, and the scan-out
+   difference is folded in only when it did not. *)
+let detect_group k (w : Asc_fault.Sweep.work) ~gb ~len ~faults members =
+  let count = Array.length members in
+  let lanes = if count = Word.width then Word.mask else (1 lsl count) - 1 in
+  Kernel.set_overrides k [];
+  Kernel.reset k;
+  let det = ref 0 in
+  let t = ref 0 in
+  while !det <> lanes && !t < len do
+    Kernel.cycle_bits k ~prune:!det ~gb:gb.(!t);
+    det := !det lor Kernel.po_diff k;
+    let next = held k gb.(!t) faults members in
+    Kernel.finish_cycle_bits k ~gb:gb.(!t);
+    Kernel.set_overrides k next;
+    incr t
+  done;
+  if !t = len && !det <> lanes then det := !det lor Kernel.state_diff_word k;
+  let d = !det land lanes in
+  w.lanes <- w.lanes + count;
+  w.cycles <- w.cycles + !t;
+  w.hits <- w.hits + Word.popcount d;
+  d
 
-(* Apply the delay rule at gate [g]: lanes in [str] delay rising edges
-   (previous 0, current 1 -> show 0), lanes in [stf] delay falling edges.
-   [prev] is the faulty line value of the previous cycle in the site
-   lanes; returns the visible value and the updated [prev]. *)
-let delay_rule ~v ~prev ~str ~stf =
-  let rise = str land lnot prev land v in
-  let fall = stf land prev land lnot v in
-  let out = (v land lnot rise) lor fall in
-  let site = str lor stf in
-  (out, (prev land lnot site) lor (out land site))
-
-(* Which of the subset faults does the scan test detect? *)
-let detect_subset c (test : Scan_test.t) ~faults ~subset =
-  let result = Bitvec.create (Array.length faults) in
-  if Array.length subset = 0 then result
-  else begin
-    let len = Scan_test.length test in
-    let good = Asc_fault.Seq_fsim.good_run c ~si:test.si ~seq:test.seq in
-    let n_po = Circuit.n_outputs c and n_ff = Circuit.n_dffs c in
-    let n = Circuit.n_gates c in
-    let sw =
-      Array.map (fun vec -> Array.map Word.splat vec) test.seq
-    in
-    let order = Circuit.order c in
-    let kinds = Array.init n (Circuit.kind c) in
-    let fanins = Array.init n (Circuit.fanins c) in
-    let outputs = Circuit.outputs c and dffs = Circuit.dffs c in
-    let inputs = Circuit.inputs c in
-    Array.iter
-      (fun group ->
-        let v = Array.make n 0 in
-        let state = Array.map Word.splat test.si in
-        (* Previous-cycle faulty value of each lane's site line (packed by
-           site gate: only the site lanes of a gate's entry matter). *)
-        let prev = Hashtbl.create 64 in
-        let get_prev g = Option.value ~default:0 (Hashtbl.find_opt prev g) in
-        let site_masks g =
-          ( Option.value ~default:0 (Hashtbl.find_opt group.str_mask g),
-            Option.value ~default:0 (Hashtbl.find_opt group.stf_mask g) )
-        in
-        let det = ref 0 in
-        let u = ref 0 in
-        while !det <> group.lanes && !u < len do
-          let first = !u = 0 in
-          let apply g value =
-            let str, stf = site_masks g in
-            if str lor stf = 0 then value
-            else if first then begin
-              (* No at-speed predecessor: no transition to delay; just
-                 record the line value as the launch point. *)
-              Hashtbl.replace prev g (value land (str lor stf));
-              value
-            end
-            else begin
-              let out, prev' = delay_rule ~v:value ~prev:(get_prev g) ~str ~stf in
-              Hashtbl.replace prev g prev';
-              out
-            end
-          in
-          Array.iteri (fun i g -> v.(g) <- apply g sw.(!u).(i)) inputs;
-          Array.iteri (fun i g -> v.(g) <- apply g state.(i)) dffs;
-          for idx = 0 to Array.length order - 1 do
-            let g = order.(idx) in
-            let fi = fanins.(g) in
-            let nf = Array.length fi in
-            let body = Kernel.eval_body kinds.(g) (fun i -> v.(fi.(i))) nf in
-            v.(g) <- apply g body
-          done;
-          for i = 0 to n_po - 1 do
-            det := !det lor (v.(outputs.(i)) lxor good.po.(!u).(i))
-          done;
-          for i = 0 to n_ff - 1 do
-            state.(i) <- v.(Circuit.dff_input c dffs.(i))
-          done;
-          incr u
-        done;
-        if !u = len && !det <> group.lanes then begin
-          let gst = good.states.(len) in
-          for i = 0 to n_ff - 1 do
-            det := !det lor (state.(i) lxor gst.(i))
-          done
-        end;
-        Word.iter_set
-          (fun lane -> Bitvec.set result group.members.(lane))
-          (!det land group.lanes))
-      (make_groups faults subset);
-    result
-  end
-
-let detect ?only c test ~faults =
+let detect ?pool ?tel ?only c (test : Scan_test.t) ~faults =
+  let n = Array.length faults in
   let subset =
     match only with
-    | None -> Array.init (Array.length faults) (fun i -> i)
+    | None -> Array.init n Fun.id
     | Some mask -> Array.of_list (Bitvec.to_list mask)
   in
-  detect_subset c test ~faults ~subset
+  let result = Bitvec.create n in
+  let len = Scan_test.length test in
+  if Array.length subset > 0 then
+    Telemetry.span tel "tfault:detect"
+      ~args:
+        [ ("faults", string_of_int (Array.length subset)); ("len", string_of_int len) ]
+      (fun () ->
+        let total = Array.length subset in
+        let groups =
+          Array.init ((total + Word.width - 1) / Word.width) (fun gi ->
+              let base = gi * Word.width in
+              Array.sub subset base (min Word.width (total - base)))
+        in
+        let gb = Seq_fsim.good_gb ?tel c ~si:test.si ~seq:test.seq in
+        Asc_fault.Sweep.run ?pool ?tel
+          ~engine:(fun _ -> Kernel.create c)
+          ~evaluated:Kernel.take_evaluated ~init:0 (Array.length groups)
+          (fun k w gi -> detect_group k w ~gb ~len ~faults groups.(gi))
+        |> Array.iteri (fun gi d ->
+               Word.iter_set (fun lane -> Bitvec.set result groups.(gi).(lane)) d));
+  result
 
 (* Coverage of a whole test set, with fault dropping across tests. *)
-let coverage c (tests : Scan_test.t array) ~faults =
+let coverage ?pool ?tel c (tests : Scan_test.t array) ~faults =
   let n = Array.length faults in
   let detected = Bitvec.create n in
   Array.iter
@@ -176,7 +131,8 @@ let coverage c (tests : Scan_test.t array) ~faults =
         (* Length-one tests cannot detect transition faults: skip. *)
         let remaining = Bitvec.init n (fun i -> not (Bitvec.get detected i)) in
         if not (Bitvec.is_empty remaining) then
-          Bitvec.union_into ~into:detected (detect ~only:remaining c test ~faults)
+          Bitvec.union_into ~into:detected
+            (detect ?pool ?tel ~only:remaining c test ~faults)
       end)
     tests;
   detected

@@ -5,7 +5,13 @@
     line past the capture edge; effects propagate through the state.  A
     length-one scan test can never detect one (no at-speed predecessor to
     launch a transition), so transition coverage directly measures the
-    value of the long at-speed sequences the proposed procedure produces. *)
+    value of the long at-speed sequences the proposed procedure produces.
+
+    Simulation runs on {!Asc_sim.Kernel}, each cycle's delayed lanes
+    injected as stuck-at overrides, one {!Asc_fault.Sweep.run} per test:
+    [pool] chunks the fault groups across domains, with results
+    bit-identical for any domain count, and [tel] gets a
+    ["tfault:detect"] span per test and the sweep's work counters. *)
 
 type t = { gate : int; rising : bool }
 
@@ -15,8 +21,11 @@ val to_string : Asc_netlist.Circuit.t -> t -> string
     included). *)
 val universe : Asc_netlist.Circuit.t -> t array
 
-(** Transition faults detected by one scan test. *)
+(** Transition faults detected by one scan test; [only] restricts the
+    simulated fault indices. *)
 val detect :
+  ?pool:Asc_util.Domain_pool.t ->
+  ?tel:Asc_util.Telemetry.t ->
   ?only:Asc_util.Bitvec.t ->
   Asc_netlist.Circuit.t ->
   Asc_scan.Scan_test.t ->
@@ -26,6 +35,8 @@ val detect :
 (** Coverage of a test set (with fault dropping; length-one tests are
     skipped — they cannot detect transition faults). *)
 val coverage :
+  ?pool:Asc_util.Domain_pool.t ->
+  ?tel:Asc_util.Telemetry.t ->
   Asc_netlist.Circuit.t ->
   Asc_scan.Scan_test.t array ->
   faults:t array ->

@@ -14,6 +14,7 @@ open Asc_util
 module Circuit = Asc_netlist.Circuit
 module Seq_fsim = Asc_fault.Seq_fsim
 module Comb_fsim = Asc_fault.Comb_fsim
+module Tfault = Asc_tfault.Tfault
 
 let with_pool n f =
   let pool = Domain_pool.create ~domains:n () in
@@ -131,13 +132,16 @@ let test_detect_deterministic () =
   List.iter
     (fun (name, c, faults, n_tests, len) ->
       let rng = Rng.of_name ~seed:3 (name ^ "/par-detect") in
+      let tfaults = Tfault.universe c in
       for t = 1 to n_tests do
         let si, seq = scan_test_of c ~rng ~len in
         let label what = Printf.sprintf "%s %s #%d" name what t in
         across_pools ~label:(label "detect") ~check:check_bitvec (fun pool ->
             Seq_fsim.detect ?pool c ~si ~seq ~faults);
         across_pools ~label:(label "detect_no_scan") ~check:check_bitvec (fun pool ->
-            Seq_fsim.detect_no_scan ?pool c ~seq ~faults)
+            Seq_fsim.detect_no_scan ?pool c ~seq ~faults);
+        across_pools ~label:(label "Tfault.detect") ~check:check_bitvec (fun pool ->
+            Tfault.detect ?pool c (Asc_scan.Scan_test.create ~si ~seq) ~faults:tfaults)
       done)
     (detect_inputs ())
 
@@ -358,6 +362,11 @@ let test_sweep_counters_invariant () =
           ( "detect_matrix",
             fun ?pool ~tel () ->
               ignore (Comb_fsim.detect_matrix ?pool ~tel c ~patterns ~faults) );
+          ( "Tfault.detect",
+            fun ?pool ~tel () ->
+              ignore
+                (Tfault.detect ?pool ~tel c (Asc_scan.Scan_test.create ~si ~seq)
+                   ~faults:(Tfault.universe c)) );
         ]
       in
       List.iter

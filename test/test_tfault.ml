@@ -10,8 +10,16 @@ module Tfault = Asc_tfault.Tfault
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let small_circuit seed =
-  Asc_circuits.Profile.make "tf" 4 3 5 40 ~t0_budget:10
+let with_pool domains f =
+  let pool = Domain_pool.create ~domains () in
+  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) (fun () -> f pool)
+
+(* A generated circuit of varying size: 1-5 PIs, 1-4 POs, 1-8 flip-flops
+   (the generator needs at least one) and 10-59 gates. *)
+let random_circuit rng seed =
+  let pis = 1 + Rng.int rng 5 and pos = 1 + Rng.int rng 4 in
+  let ffs = 1 + Rng.int rng 8 and gates = 10 + Rng.int rng 50 in
+  Asc_circuits.Profile.make "tf" pis pos ffs gates ~t0_budget:10
   |> Asc_circuits.Generator.generate ~seed
 
 (* Naive scalar transition-fault simulation of one fault. *)
@@ -93,23 +101,41 @@ let test_launch_detects () =
   Alcotest.(check bool) "slow-to-rise detected" true (Bitvec.get det 0);
   Alcotest.(check bool) "slow-to-fall needs a fall" false (Bitvec.get det 1)
 
+(* On random circuits and tests of 1-24 vectors: [detect] of each test,
+   without a pool and on 2 domains, and [coverage] of the set, whose
+   fault dropping must keep the union of the tests' detections. *)
 let prop_matches_naive =
-  QCheck.Test.make ~name:"parallel transition simulation matches naive" ~count:10
+  QCheck.Test.make ~name:"parallel transition simulation matches naive" ~count:100
     QCheck.(int_range 0 10_000)
     (fun seed ->
-      let c = small_circuit seed in
-      let faults = Tfault.universe c in
       let rng = Rng.create (seed + 51) in
-      let si = Rng.bool_array rng (Circuit.n_dffs c) in
-      let seq = Array.init 6 (fun _ -> Rng.bool_array rng (Circuit.n_inputs c)) in
-      let test = Scan_test.create ~si ~seq in
-      let det = Tfault.detect c test ~faults in
-      let ok = ref true in
-      Array.iteri
-        (fun fi f ->
-          if Bitvec.get det fi <> naive_detects c f ~si ~seq then ok := false)
-        faults;
-      !ok)
+      let c = random_circuit rng seed in
+      let faults = Tfault.universe c in
+      let n = Array.length faults in
+      let tests =
+        Array.init (1 + Rng.int rng 3) (fun _ ->
+            Scan_test.create
+              ~si:(Rng.bool_array rng (Circuit.n_dffs c))
+              ~seq:
+                (Array.init (1 + Rng.int rng 24) (fun _ ->
+                     Rng.bool_array rng (Circuit.n_inputs c))))
+      in
+      let expected =
+        Array.map
+          (fun (t : Scan_test.t) ->
+            Bitvec.init n (fun fi -> naive_detects c faults.(fi) ~si:t.si ~seq:t.seq))
+          tests
+      in
+      let union = Bitvec.create n in
+      Array.iter (fun e -> Bitvec.union_into ~into:union e) expected;
+      with_pool 2 (fun pool ->
+          Array.for_all2
+            (fun t e ->
+              Bitvec.equal (Tfault.detect c t ~faults) e
+              && Bitvec.equal (Tfault.detect ~pool c t ~faults) e)
+            tests expected
+          && Bitvec.equal (Tfault.coverage c tests ~faults) union
+          && Bitvec.equal (Tfault.coverage ~pool c tests ~faults) union))
 
 let test_coverage_drops_and_skips () =
   let c = Asc_circuits.S27.circuit () in

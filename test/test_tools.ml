@@ -61,6 +61,60 @@ let test_vcd_first_cycle_values () =
   Alcotest.(check int) "all signals dumped at t0" (1 + Circuit.n_gates c)
     (List.length change_lines)
 
+(* Every value the dump holds at each rising edge, replayed from its
+   change lines, equals the scalar reference's evaluation of that cycle;
+   each declared variable after the clock names gate [g] in index order. *)
+let prop_vcd_values_match_naive =
+  QCheck.Test.make ~name:"vcd values match naive" ~count:30
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Rng.create (seed + 7) in
+      let c =
+        Asc_circuits.Profile.make "vcd" (1 + Rng.int rng 5) (1 + Rng.int rng 4)
+          (1 + Rng.int rng 8) (10 + Rng.int rng 50) ~t0_budget:10
+        |> Asc_circuits.Generator.generate ~seed
+      in
+      let n = Circuit.n_gates c in
+      let si = Rng.bool_array rng (Circuit.n_dffs c) in
+      let seq =
+        Array.init (1 + Rng.int rng 12) (fun _ -> Rng.bool_array rng (Circuit.n_inputs c))
+      in
+      let expected =
+        let state = ref si in
+        Array.map
+          (fun pis ->
+            let values = Asc_sim.Naive.eval_comb c ~pis ~state:!state in
+            state := Asc_sim.Naive.next_state_of c values;
+            values)
+          seq
+      in
+      let gate_of_code = Hashtbl.create n in
+      let current = Array.make n None in
+      let ok = ref true and checked = ref 0 in
+      List.iter
+        (fun line ->
+          match String.split_on_char ' ' line with
+          | [ "$var"; "wire"; "1"; code; name; "$end" ] when name <> "clock" ->
+              let g = Hashtbl.length gate_of_code in
+              if Circuit.signal_name c g <> name then ok := false;
+              Hashtbl.replace gate_of_code code g
+          | _ when String.length line > 1 && line.[0] = '#' ->
+              (* A falling edge closes the changes of cycle [t / 2]. *)
+              let t = int_of_string (String.sub line 1 (String.length line - 1)) in
+              if t mod 2 = 1 then begin
+                incr checked;
+                let want = expected.(t / 2) in
+                Array.iteri (fun g v -> if v <> Some want.(g) then ok := false) current
+              end
+          | _ when String.length line > 1 && (line.[0] = '0' || line.[0] = '1') -> (
+              let code = String.sub line 1 (String.length line - 1) in
+              match Hashtbl.find_opt gate_of_code code with
+              | Some g -> current.(g) <- Some (line.[0] = '1')
+              | None -> ())
+          | _ -> ())
+        (String.split_on_char '\n' (Asc_sim.Vcd.of_scan_test c ~si ~seq));
+      !ok && Hashtbl.length gate_of_code = n && !checked = Array.length seq)
+
 (* --- Audit ------------------------------------------------------------ *)
 
 let test_audit_duplicates_and_useless () =
@@ -311,6 +365,7 @@ let suite =
       [
         Alcotest.test_case "vcd structure" `Quick test_vcd_structure;
         Alcotest.test_case "vcd first cycle" `Quick test_vcd_first_cycle_values;
+        QCheck_alcotest.to_alcotest prop_vcd_values_match_naive;
         Alcotest.test_case "audit" `Quick test_audit_duplicates_and_useless;
         Alcotest.test_case "cli: missing inputs exit 1 with one line" `Quick
           test_cli_missing_inputs;
