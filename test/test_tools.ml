@@ -365,7 +365,6 @@ let suite =
       [
         Alcotest.test_case "vcd structure" `Quick test_vcd_structure;
         Alcotest.test_case "vcd first cycle" `Quick test_vcd_first_cycle_values;
-        QCheck_alcotest.to_alcotest prop_vcd_values_match_naive;
         Alcotest.test_case "audit" `Quick test_audit_duplicates_and_useless;
         Alcotest.test_case "cli: missing inputs exit 1 with one line" `Quick
           test_cli_missing_inputs;
@@ -383,5 +382,6 @@ let suite =
           `Quick test_cli_rejects_out_of_range_flags;
         Alcotest.test_case "cli: import configures like run" `Quick
           test_cli_import_configures_like_run;
+        QCheck_alcotest.to_alcotest prop_vcd_values_match_naive;
       ] );
   ]
